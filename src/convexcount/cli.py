@@ -31,6 +31,8 @@ from .production import (
 FORMAT_VERSION = "1"
 MAX_DEFAULT_LEVEL = 64
 DETERMINANT_CAP = 8
+# Largest --n-max that verify passes to its brute-force suites (oracle, relation).
+ORACLE_CLAMP = 7
 
 
 class UsageError(Exception):
@@ -219,17 +221,25 @@ def cmd_eigen(args) -> int:
 
 def cmd_verify(args) -> int:
     suites = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
+    oracle_n = min(args.n_max, ORACLE_CLAMP)
+    clamped = [s for s in suites if s in ("oracle", "relation")]
+    if clamped and oracle_n < args.n_max:
+        print(
+            f"note: --n-max {args.n_max} clamped to {oracle_n} for suites: "
+            + ", ".join(clamped),
+            file=sys.stderr,
+        )
     kwargs_by_suite = {
         "vectors": {"n_max": args.n_max},
         "charpoly": {},
         "eigen": {},
         "oracle": {
-            "n_graphs": min(args.n_max, 7),
+            "n_graphs": oracle_n,
             "workers": args.workers,
             "force": args.force,
         },
         "lemma1": {"limit": args.max},
-        "relation": {"n_oracle": min(args.n_max, 7), "force": args.force},
+        "relation": {"n_oracle": oracle_n, "force": args.force},
     }
     failures = 0
     for suite in suites:

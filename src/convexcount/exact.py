@@ -7,8 +7,9 @@ there is no overflow and no rounding anywhere in the counting pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import mul
 from typing import Sequence
 
 
@@ -167,12 +168,22 @@ class HTMatrix:
     value on diagonal offset m >= 0.  When ``row0`` is given it replaces the
     first row (needed for transfer matrices whose row 0 is not the shifted
     band); every other entry still comes from the band.
+
+    ``band_gf`` optionally gives the band as the power series of a rational
+    function num(x)/den(x), as integer coefficient tuples low-to-high with
+    ``den[0] == 1``.  The first ``size`` terms of the series must equal
+    ``band``, or construction fails.  ``mat_vec`` then computes the banded
+    products by a linear recurrence of order len(den) - 1 instead of full
+    dot products.  It takes no part in equality.
     """
 
     size: int
     sub: int
     band: tuple[int, ...]
     row0: tuple[int, ...] | None = None
+    band_gf: tuple[tuple[int, ...], tuple[int, ...]] | None = field(
+        default=None, compare=False
+    )
 
     def __post_init__(self):
         if self.size < 1:
@@ -181,6 +192,18 @@ class HTMatrix:
             raise ValueError("band must provide offsets 0..size-1")
         if self.row0 is not None and len(self.row0) != self.size:
             raise ValueError("row0 override must have length size")
+        if self.band_gf is not None:
+            num, den = self.band_gf
+            if not den or den[0] != 1:
+                raise ValueError("band_gf denominator must start with 1")
+            series: list[int] = []
+            for m in range(self.size):
+                t = num[m] if m < len(num) else 0
+                for s in range(1, min(m, len(den) - 1) + 1):
+                    t -= den[s] * series[m - s]
+                series.append(t)
+            if tuple(series) != self.band:
+                raise ValueError("band_gf expansion disagrees with band")
 
     def entry(self, i: int, j: int) -> int:
         if not (0 <= i < self.size and 0 <= j < self.size):
@@ -236,16 +259,43 @@ class CountVector:
 
 
 def mat_vec(m: HTMatrix, v: CountVector) -> CountVector:
-    """One production step: exact product m @ v, level incremented."""
-    if len(v.entries) != m.size:
+    """One production step: exact product m @ v, level incremented.
+
+    Only the live prefix of ``v`` (up to its last nonzero entry, length L)
+    is read, and rows past L are zero.  Row i >= 1 is sub * v[i-1] plus the
+    banded suffix product T_i = sum_r band[r] * v[i+r].  With ``band_gf`` and
+    no ``row0``, T_i comes from the recurrence
+    T_i = sum_r num[r] * v[i+r] - sum_{r>=1} den[r] * T_{i+r}, which costs
+    O(L * len(den)) per step; otherwise each T_i is a dot product, O(L^2).
+    """
+    x = v.entries
+    if len(x) != m.size:
         raise ValueError(
-            f"dimension mismatch: matrix size {m.size}, vector length {len(v.entries)}"
+            f"dimension mismatch: matrix size {m.size}, vector length {len(x)}"
         )
-    out = []
-    for i in range(m.size):
-        lo = max(0, i - 1)
-        out.append(sum(m.entry(i, j) * v.entries[j] for j in range(lo, m.size)))
-    return CountVector(tuple(out), v.level + 1)
+    live = len(x)
+    while live and not x[live - 1]:
+        live -= 1
+    if m.band_gf is not None and m.row0 is None:
+        num, den = m.band_gf
+        tail = den[1:]
+        p, q = len(num), len(den)
+        xs = x[:live] + (0,) * p
+        ts = [0] * (live + q)
+        for i in range(live - 1, -1, -1):
+            ts[i] = sum(map(mul, num, xs[i : i + p])) - sum(
+                map(mul, tail, ts[i + 1 : i + q])
+            )
+        suffix = ts
+    else:
+        suffix = [sum(map(mul, m.band, x[i:live])) for i in range(live + 1)]
+        if m.row0 is not None:
+            suffix[0] = sum(map(mul, m.row0, x[:live]))
+    # suffix[live] == 0, so row `live` is just sub * x[live-1].
+    sub = m.sub
+    rows = min(live + 1, m.size)
+    out = suffix[:1] + [sub * x[i - 1] + suffix[i] for i in range(1, rows)]
+    return CountVector(tuple(out) + (0,) * (m.size - rows), v.level + 1)
 
 
 @lru_cache(maxsize=None)

@@ -34,7 +34,9 @@ def build_k_angulation_matrix(k: int, r: int) -> HTMatrix:
     if r < 1:
         raise ValueError("matrix size must be >= 1")
     band = tuple(binomial(k - 2 + m, k - 3) for m in range(r))
-    return HTMatrix(r, 1, band)
+    # sum_m C(k-2+m, k-3) x^m = (1 - (1-x)^(k-2)) / (x (1-x)^(k-2))
+    den = tuple((-1) ** s * binomial(k - 2, s) for s in range(k - 1))
+    return HTMatrix(r, 1, band, band_gf=(tuple(-c for c in den[1:]), den))
 
 
 def build_geometric_matrix(n: int) -> HTMatrix:
@@ -45,7 +47,8 @@ def build_geometric_matrix(n: int) -> HTMatrix:
     """
     if n < 1:
         raise ValueError("matrix size must be >= 1")
-    return HTMatrix(n, 2, tuple(2 ** (m + 1) for m in range(n)))
+    band = tuple(2 ** (m + 1) for m in range(n))
+    return HTMatrix(n, 2, band, band_gf=((2,), (1, -2)))
 
 
 def build_connected_matrix(n: int) -> HTMatrix:
@@ -56,7 +59,9 @@ def build_connected_matrix(n: int) -> HTMatrix:
     """
     if n < 1:
         raise ValueError("matrix size must be >= 1")
-    return HTMatrix(n, 1, tuple(2 ** (m + 2) - 1 for m in range(n)))
+    band = tuple(2 ** (m + 2) - 1 for m in range(n))
+    # 4 / (1 - 2x) - 1 / (1 - x)
+    return HTMatrix(n, 1, band, band_gf=((3, -2), (1, -3, 2)))
 
 
 def build_partition_matrix(n: int) -> HTMatrix:
@@ -68,7 +73,7 @@ def build_partition_matrix(n: int) -> HTMatrix:
     if n < 1:
         raise ValueError("matrix size must be >= 1")
     band = (0,) + tuple(2 ** (m - 1) for m in range(1, n))
-    return HTMatrix(n, 1, band)
+    return HTMatrix(n, 1, band, band_gf=((0, 1), (1, -2)))
 
 
 def relation_weights(counts: Sequence[int], top: int) -> tuple[int, ...]:
@@ -213,19 +218,16 @@ def iterate_counts(
     return out
 
 
-def count_sequence(
-    spec: GraphClassSpec, n_max: int, size: int | None = None
-) -> list[LevelCount]:
+def count_sequence(spec: GraphClassSpec, n_max: int) -> list[LevelCount]:
     """Per-level count vectors and totals from the class's start level to n_max.
 
-    The matrix is materialized at ``n_max + 2`` by default: the isolation
-    degree of an n-vertex object can reach n, so its vector has a nonzero
-    entry at index n+1.
+    The matrix is materialized at ``n_max + 2``: the isolation degree of an
+    n-vertex object can reach n, so its vector has a nonzero entry at index
+    n+1.
     """
     if n_max < spec.start_index:
         raise ValueError("n_max must be at least the class start index")
-    if size is None:
-        size = n_max + 2
+    size = n_max + 2
     return iterate_counts(spec.build_matrix(size), spec.initial_vector(size), n_max)
 
 

@@ -37,14 +37,17 @@ class CheckResult:
     detail: str = ""
 
 
-def _vector_at(spec: GraphClassSpec, level: int, width: int, size: int | None = None):
-    row = count_sequence(spec, level, size=size)[-1]
+def _vector_at(spec: GraphClassSpec, level: int, width: int):
+    row = count_sequence(spec, level)[-1]
     head = row.vector.entries[:width]
     tail = row.vector.entries[width:]
     return head, all(e == 0 for e in tail)
 
 
 def _check_levels(name: str, pairs) -> CheckResult:
+    pairs = list(pairs)
+    if not pairs:
+        return CheckResult(name, False, "empty range: nothing was checked")
     for label, got, want in pairs:
         if tuple(got) != tuple(want):
             return CheckResult(name, False, f"first mismatch at {label}: {got} != {want}")
@@ -147,6 +150,8 @@ def suite_eigen(
     residual_bound: float = 1e-30,
 ) -> list[CheckResult]:
     """Every real eigenvalue of every class matrix yields a small residual."""
+    if n_max < 1:
+        return [CheckResult("eigen/residuals", False, f"empty range: n_max={n_max} < 1")]
     out = []
     with mp.workprec(spectral.precision_bits()):
         bound = mpf(residual_bound)
@@ -245,6 +250,8 @@ def suite_oracle(
 
 def suite_lemma1(limit: int = 12) -> list[CheckResult]:
     """Exhaustive binomial identity check over the argument cube."""
+    if limit < 0:
+        return [CheckResult("lemma1/exhaustive", False, f"empty range: limit={limit} < 0")]
     for t in range(limit + 1):
         for m in range(limit + 1):
             for n in range(limit + 1):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from convexcount import verify
 from convexcount.cli import main
 
 
@@ -215,3 +216,31 @@ def test_big_integers_render_decimal(capsys):
     last = out.splitlines()[-1].split()
     assert last[0] == "40"
     assert last[1].isdigit() and len(last[1]) > 30
+
+
+@pytest.mark.parametrize(
+    "argv", [("verify", "vectors", "--n-max", "0"), ("verify", "lemma1", "--max", "-1")]
+)
+def test_verify_empty_range_fails(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert any(line.startswith("FAIL ") for line in out.splitlines())
+
+
+def test_verify_reports_oracle_clamp_on_stderr(capsys, monkeypatch):
+    calls = []
+
+    def fake_run_suite(name, **kwargs):
+        calls.append((name, kwargs))
+        return [verify.CheckResult(name, True)]
+
+    monkeypatch.setattr(verify, "run_suite", fake_run_suite)
+    code, out, err = run_cli(capsys, "verify", "relation", "--n-max", "8")
+    assert code == 0
+    assert err == "note: --n-max 8 clamped to 7 for suites: relation\n"
+    assert calls[-1] == ("relation", {"n_oracle": 7, "force": False})
+    code, again, err = run_cli(capsys, "verify", "relation", "--n-max", "7")
+    assert code == 0 and again == out and err == ""
+    code, _, err = run_cli(capsys, "verify", "vectors", "--n-max", "8")
+    assert code == 0 and err == ""
+    assert calls[-1] == ("vectors", {"n_max": 8})

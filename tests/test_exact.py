@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from convexcount.exact import (
     LAMBDA,
@@ -13,7 +13,21 @@ from convexcount.exact import (
     exact_div,
     mat_vec,
 )
-from convexcount.production import build_geometric_matrix, build_partition_matrix
+from convexcount.production import (
+    build_connected_matrix,
+    build_geometric_matrix,
+    build_k_angulation_matrix,
+    build_partition_matrix,
+)
+
+
+def reference_mat_vec(m: HTMatrix, v: CountVector) -> CountVector:
+    """The entry-by-entry product m @ v, kept as the reference for mat_vec."""
+    out = []
+    for i in range(m.size):
+        lo = max(0, i - 1)
+        out.append(sum(m.entry(i, j) * v.entries[j] for j in range(lo, m.size)))
+    return CountVector(tuple(out), v.level + 1)
 
 
 def test_binomial_basic():
@@ -138,6 +152,63 @@ def test_mat_vec_dimension_mismatch():
     g3 = build_geometric_matrix(3)
     with pytest.raises(ValueError):
         mat_vec(g3, CountVector((1, 0), 2))
+
+
+@st.composite
+def matrices_and_vectors(draw):
+    n = draw(st.integers(1, 9))
+    band = tuple(draw(st.lists(st.integers(0, 50), min_size=n, max_size=n)))
+    row0 = draw(
+        st.none() | st.lists(st.integers(0, 50), min_size=n, max_size=n).map(tuple)
+    )
+    live = draw(st.integers(0, n))
+    head = draw(st.lists(st.integers(0, 10**6), min_size=live, max_size=live))
+    if live and draw(st.booleans()):
+        head[-1] = draw(st.integers(1, 10**6))
+    entries = tuple(head) + (0,) * (n - live)
+    return HTMatrix(n, draw(st.integers(0, 5)), band, row0=row0), CountVector(entries, 1)
+
+
+@settings(max_examples=300)
+@given(matrices_and_vectors())
+def test_mat_vec_matches_reference(data):
+    m, v = data
+    assert mat_vec(m, v) == reference_mat_vec(m, v)
+
+
+def _band_gf_builders():
+    yield build_geometric_matrix
+    yield build_connected_matrix
+    yield build_partition_matrix
+    for k in range(3, 10):
+        yield lambda n, k=k: build_k_angulation_matrix(k, n)
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(1, 14),
+    st.lists(st.integers(0, 10**9), min_size=14, max_size=14),
+    st.integers(0, 14),
+)
+def test_band_gf_matrices_match_reference(n, raw, live):
+    entries = tuple(raw[:live]) + (0,) * (14 - live)
+    v = CountVector(entries[:n], 3)
+    for build in _band_gf_builders():
+        m = build(n)
+        assert m.band_gf is not None
+        plain = HTMatrix(m.size, m.sub, m.band)
+        assert plain == m and plain.band_gf is None
+        assert mat_vec(m, v) == mat_vec(plain, v) == reference_mat_vec(m, v)
+
+
+def test_wrong_band_gf_rejected():
+    assert HTMatrix(4, 2, (2, 4, 8, 16), band_gf=((2,), (1, -2))).band_gf
+    with pytest.raises(ValueError):
+        HTMatrix(4, 2, (2, 4, 8, 16), band_gf=((2,), (1, -3)))
+    with pytest.raises(ValueError):
+        HTMatrix(4, 2, (2, 4, 8, 17), band_gf=((2,), (1, -2)))
+    with pytest.raises(ValueError):
+        HTMatrix(2, 1, (1, 2), band_gf=((2,), (2, -4)))
 
 
 def test_charpoly_determinant_small():

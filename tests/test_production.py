@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from convexcount.production import (
@@ -137,6 +139,25 @@ def test_count_sequence_partition():
 def test_count_sequence_start_validation():
     with pytest.raises(ValueError):
         count_sequence(geometric_class(), 1)
+
+
+def test_count_sequence_has_no_size_parameter():
+    # A caller-chosen size used to truncate vectors and return wrong totals.
+    with pytest.raises(TypeError):
+        count_sequence(partition_class(), 8, size=4)
+
+
+def test_large_level_totals():
+    rows = count_sequence(partition_class(), 300)
+    assert [r.total for r in rows] == [math.comb(2 * n, n) // (n + 1) for n in range(1, 301)]
+    for k in (4, 7):
+        rows = count_sequence(k_angulation_class(k), 300)
+        assert [r.total for r in rows] == [
+            math.comb((k - 1) * r, r) // ((k - 2) * r + 1) for r in range(1, 301)
+        ]
+    rel = count_sequence(relation_class(connected_totals(122)), 120)
+    geo = count_sequence(geometric_class(), 120)
+    assert [r.total for r in rel[1:]] == [g.total for g in geo]
 
 
 def test_k_angulation_totals():

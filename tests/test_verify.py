@@ -1,6 +1,6 @@
 import pytest
 
-from convexcount.verify import SUITE_NAMES, _check_levels, run_suite
+from convexcount.verify import SUITE_NAMES, _check_levels, run_suite, suite_eigen, suite_lemma1
 
 
 @pytest.mark.parametrize("suite", SUITE_NAMES)
@@ -34,3 +34,10 @@ def test_check_levels_reports_first_counterexample():
     assert "(4, 4)" in result.detail
     ok = _check_levels("demo", [("n=2", (1,), (1,))])
     assert ok.passed and ok.detail == ""
+
+
+def test_empty_ranges_fail():
+    empty = _check_levels("demo", [])
+    assert not empty.passed and "empty range" in empty.detail
+    for results in (suite_lemma1(-1), suite_eigen(0), run_suite("vectors", n_max=0)):
+        assert results and not any(r.passed for r in results)
