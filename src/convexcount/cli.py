@@ -66,13 +66,13 @@ def _class_spec(args, size_hint: int) -> GraphClassSpec:
 
 
 def _size_arg(args) -> int:
-    if args.cls == KANGULATION:
-        if args.r is None:
-            raise UsageError("kangulation needs --r")
-        return args.r
-    if args.n is None:
-        raise UsageError(f"{args.cls} needs --n")
-    return args.n
+    name = "r" if args.cls == KANGULATION else "n"
+    size = getattr(args, name)
+    if size is None:
+        raise UsageError(f"{args.cls} needs --{name}")
+    if size < 0:
+        raise UsageError(f"{name} must be >= 0")
+    return size
 
 
 def _record(command: str, args, payload: dict) -> dict:
@@ -174,7 +174,7 @@ def cmd_charpoly(args) -> int:
     n = _size_arg(args)
     spec = _class_spec(args, max(1, n))
     poly = _charpoly(args, spec, n)
-    coeffs = [str(poly.coefficient(t)) for t in range(max(0, n) + 1)]
+    coeffs = [str(poly.coefficient(t)) for t in range(n + 1)]
     if args.format == "json":
         _print_json(_record("charpoly", args, {"degree": n, "coefficients": coeffs}))
     elif args.format == "csv":
@@ -186,6 +186,8 @@ def cmd_charpoly(args) -> int:
 
 def cmd_eigen(args) -> int:
     n = _size_arg(args)
+    if args.digits < 1:
+        raise UsageError("--digits must be >= 1")
     spec = _class_spec(args, n)
     matrix = spec.build_matrix(n)
     tol = Fraction(args.tol)

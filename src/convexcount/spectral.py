@@ -1,16 +1,22 @@
 """Characteristic polynomials and eigenpairs of the production matrices.
 
-The banded recurrence and the closed forms are evaluated exactly; real
-eigenvalues are then located by Sturm isolation plus sign bisection on the
-exact polynomial, never by floating-point matrix solvers.  High-precision
-values use mpmath at CONVEX_COUNT_PRECISION bits (default 256).
+The banded recurrence and the closed forms are evaluated in Python integers
+(the closed forms scale away their negative powers of 2 and 3 and divide
+them out exactly at the end).  Real eigenvalues are then located by Sturm
+isolation plus sign bisection on the exact polynomial, never by
+floating-point matrix solvers.  Isolation is integer throughout: a primitive
+remainder sequence gives the square-free part and the Sturm chain, and signs
+are taken at dyadic grid points by integer Horner evaluation.  ``Fraction``
+appears only in the tolerance, the root bound B and the returned roots.
+High-precision values use mpmath at CONVEX_COUNT_PRECISION bits (default
+256).
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from math import gcd
 
 from mpmath import mp
 
@@ -106,150 +112,181 @@ def charpoly_closed_connected(n: int) -> IntPolynomial:
     """Closed form for the connected-graph matrix.
 
     Powers of 3 can carry a negative exponent next to a vanishing binomial
-    bracket; terms are evaluated in exact rationals and the final
-    coefficients asserted integral.
+    bracket.  Each coefficient is summed in integers scaled by the power of
+    3 that clears the most negative exponent, and must be divisible by it.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     coeffs = []
     for t in range(n + 1):
-        c = Fraction(0)
+        shift = max(0, 3 * t + 2 - n)
+        c = 0
         for ell in range(t + 1):
             bracket = 2 * binomial(ell, n + 2 * ell - 3 * t - 2) + 9 * binomial(
                 ell + 1, n + 2 * ell - 3 * t
             )
             if bracket == 0:
                 continue
-            c += (
-                binomial(t, ell)
-                * 2 ** (t - ell)
-                * Fraction(3) ** (n + 2 * ell - 3 * t - 2)
-                * bracket
-            )
-        if t % 2:
-            c = -c
-        if c.denominator != 1:
-            raise ArithmeticError(f"non-integer coefficient {c} at degree {t}")
-        coeffs.append(c.numerator)
+            power = n + 2 * ell - 3 * t - 2 + shift
+            c += binomial(t, ell) * 2 ** (t - ell) * 3**power * bracket
+        c, rest = divmod(c, 3**shift)
+        if rest:
+            raise ArithmeticError(f"non-integer coefficient at degree {t}")
+        coeffs.append(-c if t % 2 else c)
     return IntPolynomial(coeffs)
 
 
 def charpoly_closed_partition(n: int) -> IntPolynomial:
-    """Closed form for the non-crossing partition matrix (triple sum with
-    powers of 2, rational-exact like the connected case)."""
+    """Closed form for the non-crossing partition matrix: a triple sum with
+    powers 2**(2k-n+t-2l), summed in integers scaled by 2**(n-t) (which
+    clears every negative exponent) and divisible by it."""
     if n < 0:
         raise ValueError("n must be >= 0")
     coeffs = []
     for t in range(n + 1):
-        c = Fraction(0)
+        c = 0
         for k in range(t, n + 1):
             ckt = binomial(k, t)
-            if ckt == 0:
-                continue
-            for ell in range(min(t, k) + 1):
+            # the bracket vanishes unless k+t-n <= l <= 2k-n+1
+            for ell in range(max(0, k + t - n), min(t, 2 * k - n + 1) + 1):
                 bracket = 4 * binomial(k - t, 2 * k - n - ell + 1) + binomial(
                     k - t, 2 * k - n - ell
                 )
-                if bracket == 0:
-                    continue
-                term = (
-                    ckt
-                    * binomial(t, ell)
-                    * Fraction(2) ** (2 * k - n + t - 2 * ell)
-                    * bracket
-                )
+                term = (ckt * binomial(t, ell) * bracket) << (2 * (k - ell))
                 c += -term if k % 2 else term
-        if c.denominator != 1:
-            raise ArithmeticError(f"non-integer coefficient {c} at degree {t}")
-        coeffs.append(c.numerator)
+        shift = n - t
+        if c & ((1 << shift) - 1):
+            raise ArithmeticError(f"non-integer coefficient at degree {t}")
+        coeffs.append(c >> shift)
     return IntPolynomial(coeffs)
 
 
 # ---------------------------------------------------------------------------
-# Exact real-root location (Sturm isolation + sign bisection).
+# Exact real-root location over the integers (Sturm isolation + sign
+# bisection).
+#
+# Polynomials are lists of ints, low to high, and each one stands for itself
+# times any nonzero constant: the root bound, the roots and the sign tests
+# below do not see that constant.  The Sturm chain is a primitive remainder
+# sequence whose members are positive multiples of those of the rational
+# Euclidean algorithm, so it counts sign variations exactly as that one does.
+# Bisection runs on the dyadic grid x = B*s/2**k inside (-B, B); with
+# B = P/Q, a polynomial p of degree d is rescaled once to
+# r(t) = Q**d * p(P*t/Q), whose sign at t = s/2**k is read off the integer
+# 2**(k*d) * r(s/2**k).
 
-def _trim(p: list[Fraction]) -> list[Fraction]:
+def _trim(p: list[int]) -> list[int]:
     while p and p[-1] == 0:
         p.pop()
     return p
 
 
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
+def _derivative(p: list[int]) -> list[int]:
+    return _trim([i * c for i, c in enumerate(p)][1:])
+
+
+def _primitive(p: list[int]) -> list[int]:
+    g = gcd(*p)
+    return [c // g for c in p] if g > 1 else p
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """Remainder of |lc(b)|**(deg a - deg b + 1) * a on division by b: a
+    positive multiple of the remainder over the rationals."""
+    db = len(b) - 1
+    scale, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
     rem = list(a)
-    quo = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    for i in range(len(rem) - len(b), -1, -1):
-        coef = rem[i + len(b) - 1] / b[-1]
-        if coef == 0:
-            continue
+    for i in range(len(a) - len(b), -1, -1):
+        coef = sign * rem[i + db]
+        rem = [c * scale for c in rem[: i + db]]
+        for j in range(db):
+            rem[i + j] -= coef * b[j]
+    return _trim(rem)
+
+
+def _divexact(a: list[int], b: list[int]) -> list[int]:
+    """Quotient a / b, which must be exact over the integers."""
+    db = len(b) - 1
+    rem = list(a)
+    quo = [0] * (len(a) - db)
+    for i in range(len(quo) - 1, -1, -1):
+        coef, r = divmod(rem[i + db], b[-1])
+        if r:
+            raise ArithmeticError("inexact polynomial division")
         quo[i] = coef
-        for j, bj in enumerate(b):
-            rem[i + j] -= coef * bj
-    return _trim(quo), _trim(rem)
+        for j in range(db):
+            rem[i + j] -= coef * b[j]
+    if any(rem[:db]):
+        raise ArithmeticError("inexact polynomial division")
+    return quo
 
 
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = list(a), list(b)
+def _squarefree(p: list[int]) -> list[int]:
+    """p divided by gcd(p, p'), the gcd taken by a primitive remainder sequence."""
+    a, b = p, _derivative(p)
     while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
+        b = _primitive(b)
+        a, b = b, _prem(a, b)
+    return p if len(a) <= 1 else _divexact(p, a)
 
 
-def _eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
+def _sturm_chain(q: list[int]) -> list[list[int]]:
+    chain = [q, _primitive(_derivative(q))]
+    while True:
+        r = _prem(chain[-2], chain[-1])
+        if not r:
+            return chain
+        chain.append([-c for c in _primitive(r)])
+
+
+def _on_grid(p: list[int], P: int, Q: int) -> list[int]:
+    """Coefficients of Q**d * p(P*t/Q), d = deg p."""
+    d = len(p) - 1
+    return [c * P**i * Q ** (d - i) for i, c in enumerate(p)]
+
+
+def _eval_dyadic(r: list[int], s: int, k: int) -> int:
+    """2**(k*deg r) * r(s / 2**k), by Horner with shifts."""
+    acc = 0
+    shift = 0
+    for c in reversed(r):
+        acc = acc * s + (c << shift)
+        shift += k
     return acc
 
 
-def _squarefree(p: list[Fraction]) -> list[Fraction]:
-    dp = _trim([i * c for i, c in enumerate(p)][1:] if len(p) > 1 else [])
-    if not dp:
-        return list(p)
-    g = _poly_gcd(p, dp)
-    if len(g) <= 1:
-        return list(p)
-    q, _ = _poly_divmod(p, g)
-    return q
+def _variations(chain: list[list[int]], s: int, k: int) -> int:
+    count = last = 0
+    for r in chain:
+        v = _eval_dyadic(r, s, k)
+        if v:
+            if last and (v > 0) != (last > 0):
+                count += 1
+            last = v
+    return count
 
 
-def _sturm_chain(q: list[Fraction]) -> list[list[Fraction]]:
-    chain = [list(q), _trim([i * c for i, c in enumerate(q)][1:])]
-    while chain[-1]:
-        _, r = _poly_divmod(chain[-2], chain[-1])
-        chain.append([-c for c in r])
-    chain.pop()
-    return chain
-
-
-def _variations(chain: list[list[Fraction]], x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = _eval(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _root_bound(q: Sequence[Fraction]) -> Fraction:
-    lead = abs(q[-1])
-    biggest = max(abs(c) for c in q[:-1]) if len(q) > 1 else Fraction(0)
-    return 2 + biggest / lead
-
-
-def _deflate(q: list[Fraction], r: Fraction) -> list[Fraction]:
-    # synthetic division by (x - r); remainder is zero by construction
-    out = [Fraction(0)] * (len(q) - 1)
-    carry = Fraction(0)
-    for i in range(len(q) - 1, 0, -1):
-        carry = q[i] + carry * r
-        out[i - 1] = carry
-    return _trim(out)
+def _isolate(chain: list[list[int]]):
+    """Bisect t in (-1, 1) until each interval (lo/2**k, hi/2**k) holds one
+    root of chain[0].  Returns (intervals, None), or ([], (s, k)) as soon
+    as a split point s/2**k is itself a root."""
+    stack = [(-1, 1, 0, _variations(chain, -1, 0), _variations(chain, 1, 0))]
+    isolated = []
+    while stack:
+        lo, hi, k, v_lo, v_hi = stack.pop()
+        count = v_lo - v_hi
+        if count == 0:
+            continue
+        if count == 1:
+            isolated.append((lo, hi, k))
+            continue
+        mid, k = lo + hi, k + 1
+        if _eval_dyadic(chain[0], mid, k) == 0:
+            return [], (mid, k)
+        v_mid = _variations(chain, mid, k)
+        stack.append((2 * lo, mid, k, v_lo, v_mid))
+        stack.append((mid, 2 * hi, k, v_mid, v_hi))
+    return isolated, None
 
 
 def real_roots(p: IntPolynomial, tol: Fraction | float = Fraction(1, 10**40)) -> list[Fraction]:
@@ -262,54 +299,36 @@ def real_roots(p: IntPolynomial, tol: Fraction | float = Fraction(1, 10**40)) ->
     tol = Fraction(tol) if not isinstance(tol, Fraction) else tol
     if tol <= 0:
         raise ValueError("tol must be positive")
-    q = _squarefree([Fraction(c) for c in p.coeffs])
-    exact: list[Fraction] = []
-    isolated: list[tuple[Fraction, Fraction]] = []
-    while len(q) > 1:
-        if len(q) == 2:
-            exact.append(-q[0] / q[1])
-            q = []
-            isolated = []
+    q = _squarefree(list(p.coeffs))
+    roots: list[Fraction] = []
+    isolated: list[tuple[int, int, int]] = []
+    while len(q) > 2:
+        bound = 2 + Fraction(max(abs(c) for c in q[:-1]), abs(q[-1]))
+        P, Q = bound.numerator, bound.denominator
+        chain = [_on_grid(r, P, Q) for r in _sturm_chain(q)]
+        isolated, hit = _isolate(chain)
+        if hit is None:
             break
-        chain = _sturm_chain(q)
-        bound = _root_bound(q)
-        stack = [(-bound, bound)]
-        isolated = []
-        deflated = False
-        while stack:
-            a, b = stack.pop()
-            count = _variations(chain, a) - _variations(chain, b)
-            if count == 0:
-                continue
-            if count == 1:
-                isolated.append((a, b))
-                continue
-            mid = (a + b) / 2
-            if _eval(q, mid) == 0:
-                exact.append(mid)
-                q = _deflate(q, mid)
-                deflated = True
+        root = Fraction(P * hit[0], Q << hit[1])
+        roots.append(root)
+        q = _divexact(q, [-root.numerator, root.denominator])
+    if len(q) == 2:
+        roots.append(Fraction(-q[0], q[1]))
+    # Refine by sign bisection; each interval stops once B*(hi-lo)/2**k <= tol.
+    for lo, hi, k in isolated:
+        r = chain[0]
+        positive_lo = _eval_dyadic(r, lo, k) > 0
+        while P * tol.denominator * (hi - lo) > (tol.numerator * Q) << k:
+            mid, k = lo + hi, k + 1
+            f_mid = _eval_dyadic(r, mid, k)
+            if f_mid == 0:
+                lo = hi = mid
                 break
-            stack.append((a, mid))
-            stack.append((mid, b))
-        if not deflated:
-            break
-    else:
-        isolated = []
-    roots = list(exact)
-    for a, b in isolated:
-        fa = _eval(q, a)
-        while b - a > tol:
-            mid = (a + b) / 2
-            fm = _eval(q, mid)
-            if fm == 0:
-                a = b = mid
-                break
-            if (fa > 0) == (fm > 0):
-                a, fa = mid, fm
+            if (f_mid > 0) == positive_lo:
+                lo, hi = mid, 2 * hi
             else:
-                b = mid
-        roots.append((a + b) / 2)
+                lo, hi = 2 * lo, mid
+        roots.append(Fraction(P * (lo + hi), Q << (k + 1)))
     roots.sort()
     return roots
 

@@ -244,3 +244,25 @@ def test_verify_reports_oracle_clamp_on_stderr(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "verify", "vectors", "--n-max", "8")
     assert code == 0 and err == ""
     assert calls[-1] == ("vectors", {"n_max": 8})
+
+
+@pytest.mark.parametrize("method", ["recurrence", "closed", "determinant"])
+def test_charpoly_negative_size_rejected(capsys, method):
+    code, out, err = run_cli(capsys, "charpoly", "partition", "--n", "-1", "--method", method)
+    assert (code, out) == (2, "")
+    assert "error: n must be >= 0" in err
+    code, out, err = run_cli(
+        capsys, "charpoly", "kangulation", "--k", "4", "--r", "-1", "--method", method
+    )
+    assert (code, out) == (2, "")
+    assert "error: r must be >= 0" in err
+
+
+def test_eigen_digits_must_be_positive(capsys):
+    for digits in ("0", "-3"):
+        code, out, err = run_cli(capsys, "eigen", "geometric", "--n", "3", "--digits", digits)
+        assert (code, out) == (2, "")
+        assert "--digits must be >= 1" in err
+    code, out, _ = run_cli(capsys, "eigen", "geometric", "--n", "3", "--digits", "1")
+    assert code == 0
+    assert "eigenvalue 7.0" in out

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, sqrt
 
 from convexcount.exact import HTMatrix, IntPolynomial, charpoly_determinant
@@ -23,6 +24,148 @@ from convexcount.spectral import (
     precision_bits,
     real_roots,
 )
+
+# ---------------------------------------------------------------------------
+# Reference root isolation: Sturm chain and bisection in Fraction arithmetic,
+# the straightforward form of what real_roots computes over the integers.
+
+def _ref_trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _ref_divmod(a, b):
+    rem = list(a)
+    quo = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    for i in range(len(rem) - len(b), -1, -1):
+        coef = rem[i + len(b) - 1] / b[-1]
+        if coef == 0:
+            continue
+        quo[i] = coef
+        for j, bj in enumerate(b):
+            rem[i + j] -= coef * bj
+    return _ref_trim(quo), _ref_trim(rem)
+
+
+def _ref_gcd(a, b):
+    a, b = list(a), list(b)
+    while b:
+        _, r = _ref_divmod(a, b)
+        a, b = b, r
+    if a:
+        lead = a[-1]
+        a = [c / lead for c in a]
+    return a
+
+
+def _ref_eval(p, x):
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def _ref_squarefree(p):
+    dp = _ref_trim([i * c for i, c in enumerate(p)][1:] if len(p) > 1 else [])
+    if not dp:
+        return list(p)
+    g = _ref_gcd(p, dp)
+    if len(g) <= 1:
+        return list(p)
+    q, _ = _ref_divmod(p, g)
+    return q
+
+
+def _ref_sturm_chain(q):
+    chain = [list(q), _ref_trim([i * c for i, c in enumerate(q)][1:])]
+    while chain[-1]:
+        _, r = _ref_divmod(chain[-2], chain[-1])
+        chain.append([-c for c in r])
+    chain.pop()
+    return chain
+
+
+def _ref_variations(chain, x):
+    signs = []
+    for p in chain:
+        v = _ref_eval(p, x)
+        if v != 0:
+            signs.append(1 if v > 0 else -1)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _ref_root_bound(q):
+    lead = abs(q[-1])
+    biggest = max(abs(c) for c in q[:-1]) if len(q) > 1 else Fraction(0)
+    return 2 + biggest / lead
+
+
+def _ref_deflate(q, r):
+    # synthetic division by (x - r); remainder is zero by construction
+    out = [Fraction(0)] * (len(q) - 1)
+    carry = Fraction(0)
+    for i in range(len(q) - 1, 0, -1):
+        carry = q[i] + carry * r
+        out[i - 1] = carry
+    return _ref_trim(out)
+
+
+def reference_real_roots(p, tol):
+    """Distinct real roots of p within tol, by Fraction Sturm isolation on
+    (-B, B) and bisection; kept as the reference for real_roots."""
+    tol = Fraction(tol)
+    q = _ref_squarefree([Fraction(c) for c in p.coeffs])
+    exact = []
+    isolated = []
+    while len(q) > 1:
+        if len(q) == 2:
+            exact.append(-q[0] / q[1])
+            q = []
+            isolated = []
+            break
+        chain = _ref_sturm_chain(q)
+        bound = _ref_root_bound(q)
+        stack = [(-bound, bound)]
+        isolated = []
+        deflated = False
+        while stack:
+            a, b = stack.pop()
+            count = _ref_variations(chain, a) - _ref_variations(chain, b)
+            if count == 0:
+                continue
+            if count == 1:
+                isolated.append((a, b))
+                continue
+            mid = (a + b) / 2
+            if _ref_eval(q, mid) == 0:
+                exact.append(mid)
+                q = _ref_deflate(q, mid)
+                deflated = True
+                break
+            stack.append((a, mid))
+            stack.append((mid, b))
+        if not deflated:
+            break
+    else:
+        isolated = []
+    roots = list(exact)
+    for a, b in isolated:
+        fa = _ref_eval(q, a)
+        while b - a > tol:
+            mid = (a + b) / 2
+            fm = _ref_eval(q, mid)
+            if fm == 0:
+                a = b = mid
+                break
+            if (fa > 0) == (fm > 0):
+                a, fa = mid, fm
+            else:
+                b = mid
+        roots.append((a + b) / 2)
+    roots.sort()
+    return roots
+
 
 GOLD_GEOMETRIC = {
     1: (2, -1),
@@ -115,16 +258,74 @@ def test_triple_agreement_to_8():
 
 def test_closed_equals_recurrence_to_20():
     gs = charpoly_recurrence(build_geometric_matrix(20))
-    cs = charpoly_recurrence(build_connected_matrix(20))
-    bs = charpoly_recurrence(build_partition_matrix(20))
     for n in range(21):
         assert charpoly_closed_geometric(n) == gs[n]
+    # connected and partition sum scaled integers over long ranges: go to 60
+    cs = charpoly_recurrence(build_connected_matrix(60))
+    bs = charpoly_recurrence(build_partition_matrix(60))
+    for n in range(61):
         assert charpoly_closed_connected(n) == cs[n]
         assert charpoly_closed_partition(n) == bs[n]
     for k in (3, 4, 5, 6):
         ks = charpoly_recurrence(build_k_angulation_matrix(k, 20))
         for r in range(21):
             assert charpoly_closed_kangulation(k, r) == ks[r]
+
+
+def _factor():
+    """One factor with its multiplicity: a random integer polynomial, a
+    linear factor den*x - num (den a power of two, so its root often lies on
+    the bisection grid), x itself, x^2 + c with no real root, or a trinomial
+    c*x^d + a*x + b, whose Sturm chain skips degrees."""
+    coeffs = st.integers(-30, 30)
+    return st.tuples(
+        st.one_of(
+            st.lists(coeffs, min_size=2, max_size=6).filter(lambda c: c[-1] != 0),
+            st.tuples(st.integers(-40, 40), st.sampled_from((1, 2, 4, 8, 3)))
+            .map(lambda nd: [-nd[0], nd[1]]),
+            st.just([0, 1]),
+            st.integers(1, 50).map(lambda c: [c, 0, 1]),
+            st.tuples(st.integers(3, 6), coeffs, coeffs, st.sampled_from((1, -1, 2, -3)))
+            .map(lambda t: [t[2], t[1]] + [0] * (t[0] - 2) + [t[3]]),
+        ),
+        st.integers(1, 3),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+# x^4 + x - 3: a Sturm chain member has a negative leading coefficient and
+# the next remainder drops two degrees.  x^2 - 2 with B = 4: an interval
+# reaches a width of exactly tol.
+@example([([-3, 1, 0, 0, 1], 1)], 1, Fraction(1, 10**40))
+@example([([-2, 0, 1], 1)], 1, Fraction(1, 2**20))
+@given(
+    st.lists(_factor(), min_size=1, max_size=4),
+    st.integers(-5, 5),
+    st.sampled_from((Fraction(1, 10**40), Fraction(1, 2**20), Fraction(1, 3), Fraction(50))),
+)
+def test_real_roots_matches_reference(factors, unit, tol):
+    p = IntPolynomial((unit or 1,))
+    for coeffs, mult in factors:
+        for _ in range(mult):
+            p = p * IntPolynomial(coeffs)
+    assert real_roots(p, tol) == reference_real_roots(p, tol)
+
+
+_CLASS_BUILDERS = {
+    "geometric": build_geometric_matrix,
+    "connected": build_connected_matrix,
+    "partition": build_partition_matrix,
+    "relation": lambda n: build_relation_matrix(n, connected_totals(n)),
+    "kangulation4": lambda n: build_k_angulation_matrix(4, n),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CLASS_BUILDERS))
+def test_real_roots_matches_reference_on_class_charpolys(name):
+    seq = charpoly_recurrence(_CLASS_BUILDERS[name](30))
+    for n in range(1, 31):
+        for tol in (Fraction(1, 10**40), Fraction(1, 10**48)):
+            assert real_roots(seq[n], tol) == reference_real_roots(seq[n], tol), (n, tol)
 
 
 def test_real_roots_known_polynomials():
