@@ -15,24 +15,17 @@ from mpmath import mp
 
 from . import spectral, verify
 from .exact import charpoly_determinant
-from .production import (
-    CLASS_NAMES,
-    GraphClassSpec,
-    KANGULATION,
-    connected_class,
-    connected_totals,
-    count_sequence,
-    geometric_class,
-    k_angulation_class,
-    partition_class,
-    relation_class,
-)
+from .production import CLASS_NAMES, CLASSES, ClassDef, GraphClassSpec, connected_totals, count_sequence
 
 FORMAT_VERSION = "1"
 MAX_DEFAULT_LEVEL = 64
 DETERMINANT_CAP = 8
 # Largest --n-max that verify passes to its brute-force suites (oracle, relation).
 ORACLE_CLAMP = 7
+# Options that belong to some classes only, by argparse dest.  A row takes
+# its size option and the option of its parameter (PARAM_OPTIONS).
+CLASS_OPTIONS = ("n", "r", "k", "c_values")
+PARAM_OPTIONS = {"k": "k", "weights": "c_values"}
 
 
 class UsageError(Exception):
@@ -46,27 +39,39 @@ def _parse_c_values(raw: str) -> tuple[int, ...]:
         raise UsageError(f"--c-values must be comma-separated integers, got {raw!r}")
 
 
+def _options(row: ClassDef) -> tuple[str, ...]:
+    return (row.size_option, PARAM_OPTIONS.get(row.param))
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _class_row(args) -> ClassDef:
+    """The class's table row, after rejecting options that do not apply to it."""
+    row = CLASSES[args.cls]
+    for dest in CLASS_OPTIONS:
+        if getattr(args, dest, None) is not None and dest not in _options(row):
+            owners = ", ".join(r.name for r in CLASSES.values() if dest in _options(r))
+            raise UsageError(f"{_flag(dest)} only applies to {owners}, not {row.name}")
+    return row
+
+
 def _class_spec(args, size_hint: int) -> GraphClassSpec:
-    name = args.cls
-    if name == KANGULATION:
-        if args.k is None:
-            raise UsageError("kangulation needs --k")
-        return k_angulation_class(args.k)
-    if args.k is not None:
-        raise UsageError(f"--k only applies to kangulation, not {name}")
-    if name == "geometric":
-        return geometric_class()
-    if name == "connected":
-        return connected_class()
-    if name == "partition":
-        return partition_class()
-    if getattr(args, "c_values", None):
-        return relation_class(_parse_c_values(args.c_values))
-    return relation_class(connected_totals(max(2, size_hint)))
+    row = _class_row(args)
+    if row.param is None:
+        return row.spec()
+    value = getattr(args, PARAM_OPTIONS[row.param])
+    if row.param == "weights":
+        # A count sequence defaults to the connected-graph totals.
+        value = _parse_c_values(value) if value else connected_totals(max(2, size_hint))
+    elif value is None:
+        raise UsageError(f"{row.name} needs {_flag(PARAM_OPTIONS[row.param])}")
+    return row.spec(value)
 
 
 def _size_arg(args) -> int:
-    name = "r" if args.cls == KANGULATION else "n"
+    name = _class_row(args).size_option
     size = getattr(args, name)
     if size is None:
         raise UsageError(f"{args.cls} needs --{name}")
@@ -148,15 +153,10 @@ def cmd_counts(args) -> int:
 
 def _charpoly(args, spec: GraphClassSpec, n: int):
     if args.method == "closed":
-        if spec.name == KANGULATION:
-            return spectral.charpoly_closed_kangulation(spec.k, n)
-        if spec.name == "geometric":
-            return spectral.charpoly_closed_geometric(n)
-        if spec.name == "connected":
-            return spectral.charpoly_closed_connected(n)
-        if spec.name == "partition":
-            return spectral.charpoly_closed_partition(n)
-        raise UsageError("no closed form exists for the relation matrix")
+        closed = CLASSES[spec.name].charpoly
+        if closed is None:
+            raise UsageError(f"no closed form exists for the {spec.name} matrix")
+        return closed(spec.param, n)
     if args.method == "determinant":
         if n > DETERMINANT_CAP and not args.force:
             raise UsageError(
@@ -234,12 +234,8 @@ def cmd_verify(args) -> int:
     kwargs_by_suite = {
         "vectors": {"n_max": args.n_max},
         "charpoly": {},
-        "eigen": {},
-        "oracle": {
-            "n_graphs": oracle_n,
-            "workers": args.workers,
-            "force": args.force,
-        },
+        "eigen": {"n_max": args.n_max},
+        "oracle": {"n_graphs": oracle_n, "force": args.force},
         "lemma1": {"limit": args.max},
         "relation": {"n_oracle": oracle_n, "force": args.force},
     }
@@ -310,9 +306,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=verify.SUITE_NAMES + ("all",))
-    p.add_argument("--n-max", type=int, default=6, dest="n_max")
+    p.add_argument(
+        "--n-max",
+        type=int,
+        default=6,
+        dest="n_max",
+        help="largest size for the vectors, eigen, oracle and relation suites "
+        f"(clamped to {ORACLE_CLAMP} for oracle and relation)",
+    )
     p.add_argument("--max", type=int, default=12, help="lemma1 exhaustive bound")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_verify)
 

@@ -9,7 +9,6 @@ a < j < b.  No coordinates, no floating point.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -167,68 +166,30 @@ def _chord_tables(n: int):
     return tuple(chords), tuple(cross), tuple(span), tuple(ends)
 
 
-def _prefix_states(n: int, depth: int):
-    """All (next_index, forbidden, chosen, spanned, occupied) states after
-    deciding the first ``depth`` chords, in deterministic order."""
-    _, cross, span, ends = _chord_tables(n)
-    states = [(0, 0, 0, 0)]  # forbidden, chosen, spanned, occupied
-    for i in range(depth):
-        nxt = []
-        for forbidden, chosen, spanned, occupied in states:
-            nxt.append((forbidden, chosen, spanned, occupied))
-            if not (forbidden >> i) & 1:
-                nxt.append(
-                    (
-                        forbidden | cross[i],
-                        chosen | (1 << i),
-                        spanned | span[i],
-                        occupied | ends[i],
-                    )
-                )
-        states = nxt
-    return states
-
-
-def _walk_histogram(n: int, leaf, workers: int = 1, split_depth: int = 6):
+def _walk_histogram(n: int, leaf):
     """Drive ``leaf(hist, chosen, spanned, occupied)`` over every non-crossing
-    edge subset; histograms from parallel branches are summed in branch
-    order, so the result is identical for any worker count."""
+    edge subset and return the histogram it fills."""
     chords, cross, span, ends = _chord_tables(n)
     m = len(chords)
-    depth = min(split_depth, m) if workers > 1 else 0
-
-    def run(state) -> list[int]:
-        hist = [0] * (n + 2)
-        stack = [(depth,) + state]
-        while stack:
-            i, forbidden, chosen, spanned, occupied = stack.pop()
-            if i == m:
-                leaf(hist, chosen, spanned, occupied)
-                continue
-            stack.append((i + 1, forbidden, chosen, spanned, occupied))
-            if not (forbidden >> i) & 1:
-                stack.append(
-                    (
-                        i + 1,
-                        forbidden | cross[i],
-                        chosen | (1 << i),
-                        spanned | span[i],
-                        occupied | ends[i],
-                    )
+    hist = [0] * (n + 2)
+    stack = [(0, 0, 0, 0, 0)]
+    while stack:
+        i, forbidden, chosen, spanned, occupied = stack.pop()
+        if i == m:
+            leaf(hist, chosen, spanned, occupied)
+            continue
+        stack.append((i + 1, forbidden, chosen, spanned, occupied))
+        if not (forbidden >> i) & 1:
+            stack.append(
+                (
+                    i + 1,
+                    forbidden | cross[i],
+                    chosen | (1 << i),
+                    spanned | span[i],
+                    occupied | ends[i],
                 )
-        return hist
-
-    tasks = _prefix_states(n, depth)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            partials = list(ex.map(run, tasks))
-    else:
-        partials = [run(t) for t in tasks]
-    total = [0] * (n + 2)
-    for part in partials:
-        for d, c in enumerate(part):
-            total[d] += c
-    return total
+            )
+    return hist
 
 
 def enumerate_noncrossing_graphs(n: int, force: bool = False) -> Iterator[PlaneGraph]:
@@ -302,7 +263,7 @@ def isolation_degree(obj: PlaneGraph | NonCrossingPartition, include_root: bool 
 # ---------------------------------------------------------------------------
 # Degree histograms (index d = number of objects with root degree d).
 
-def visibility_histogram(n: int, workers: int = 1, force: bool = False) -> list[int]:
+def visibility_histogram(n: int, force: bool = False) -> list[int]:
     """Histogram of visibility degree over all non-crossing graphs."""
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -311,12 +272,10 @@ def visibility_histogram(n: int, workers: int = 1, force: bool = False) -> list[
     def leaf(hist, chosen, spanned, occupied):
         hist[n - spanned.bit_count() - 2] += 1
 
-    return _walk_histogram(n, leaf, workers)[: n - 1]
+    return _walk_histogram(n, leaf)[: n - 1]
 
 
-def isolation_histogram(
-    n: int, workers: int = 1, include_root: bool = True, force: bool = False
-) -> list[int]:
+def isolation_histogram(n: int, include_root: bool = True, force: bool = False) -> list[int]:
     """Histogram of isolation degree over all non-crossing graphs."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -330,12 +289,10 @@ def isolation_histogram(
             iso &= ~root_bit
         hist[iso.bit_count()] += 1
 
-    return _walk_histogram(n, leaf, workers)[: n + 1]
+    return _walk_histogram(n, leaf)[: n + 1]
 
 
-def connected_visibility_histogram(
-    n: int, workers: int = 1, force: bool = False
-) -> list[int]:
+def connected_visibility_histogram(n: int, force: bool = False) -> list[int]:
     """Histogram of visibility degree over connected non-crossing graphs."""
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -366,7 +323,7 @@ def connected_visibility_histogram(
         if comps == 1:
             hist[n - spanned.bit_count() - 2] += 1
 
-    return _walk_histogram(n, leaf, workers)[: n - 1]
+    return _walk_histogram(n, leaf)[: n - 1]
 
 
 def enumerate_partitions(n: int, force: bool = False) -> Iterator[NonCrossingPartition]:

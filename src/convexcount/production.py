@@ -6,21 +6,23 @@ graphs and connected plane graphs by visibility degree of the root vertex,
 non-crossing partitions by isolation degree, and the relation matrix whose
 band is a weighted sum of a supplied count sequence (connected graphs,
 spanning trees or spanning paths, depending on what is being counted).
+
+Each class is defined once, as a row of ``CLASSES``; the CLI and the
+verification suites read that table instead of naming classes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
-from .exact import CountVector, HTMatrix, binomial, exact_div, mat_vec
+from . import closedform, spectral
+from .exact import CountVector, HTMatrix, IntPolynomial, binomial, exact_div, mat_vec
 
 KANGULATION = "kangulation"
 GEOMETRIC = "geometric"
 CONNECTED = "connected"
 PARTITION = "partition"
 RELATION = "relation"
-
-CLASS_NAMES = (KANGULATION, GEOMETRIC, CONNECTED, PARTITION, RELATION)
 
 
 def build_k_angulation_matrix(k: int, r: int) -> HTMatrix:
@@ -157,47 +159,106 @@ class GraphClassSpec:
     weights: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.name not in CLASS_NAMES:
+        if self.name not in CLASSES:
             raise ValueError(f"unknown class {self.name!r}")
-        if self.name == KANGULATION and (self.k is None or self.k < 3):
-            raise ValueError("k-angulations require k >= 3")
-        if self.name == RELATION and self.weights is None:
-            raise ValueError("relation class requires a count sequence")
+        field = CLASSES[self.name].param
+        if field is not None and getattr(self, field) is None:
+            raise ValueError(f"{self.name} class requires {field}")
+        # The builder rejects a parameter it cannot use, such as k < 3.
+        self.build_matrix(1)
+
+    @property
+    def param(self):
+        """The value of the field the class's matrix builder takes, or None."""
+        field = CLASSES[self.name].param
+        return None if field is None else getattr(self, field)
 
     def build_matrix(self, size: int) -> HTMatrix:
-        if self.name == KANGULATION:
-            return build_k_angulation_matrix(self.k, size)
-        if self.name == GEOMETRIC:
-            return build_geometric_matrix(size)
-        if self.name == CONNECTED:
-            return build_connected_matrix(size)
-        if self.name == PARTITION:
-            return build_partition_matrix(size)
-        return build_relation_matrix(size, self.weights)
+        return CLASSES[self.name].build(size, self.param)
 
     def initial_vector(self, size: int) -> CountVector:
         return CountVector(self.initial_entries, self.start_index).padded(size)
 
 
-def k_angulation_class(k: int) -> GraphClassSpec:
+@dataclass(frozen=True)
+class ClassDef:
+    """One row of the class table: everything that differs between classes.
+
+    ``param`` names the ``GraphClassSpec`` field the matrix builder takes
+    (``"k"``, ``"weights"`` or None) and ``size_option`` the CLI option that
+    gives the matrix size or level.  ``build(size, param)``,
+    ``vector(param, level)`` (the closed-form count vector) and
+    ``charpoly(param, n)`` (the closed-form characteristic polynomial) look
+    up the functions they call at call time, so a function patched on its
+    module, as the bench tracer does, is the one that runs.
+    """
+
+    name: str
+    start_index: int
+    initial_entries: tuple[int, ...]
+    param: str | None
+    size_option: str
+    build: Callable[[int, Any], HTMatrix]
+    vector: Callable[[Any, int], tuple[int, ...]] | None = None
+    charpoly: Callable[[Any, int], IntPolynomial] | None = None
+
+    def spec(self, param=None) -> GraphClassSpec:
+        fields = {} if self.param is None else {self.param: param}
+        return GraphClassSpec(self.name, self.start_index, self.initial_entries, **fields)
+
+
+CLASSES = {
     # one k-gon, root degree 0
-    return GraphClassSpec(KANGULATION, 1, (1,), k=k)
+    KANGULATION: ClassDef(
+        KANGULATION, 1, (1,), "k", "r",
+        lambda size, k: build_k_angulation_matrix(k, size),
+        lambda k, r: closedform.kangulation_vector(k, r),
+        lambda k, r: spectral.charpoly_closed_kangulation(k, r),
+    ),
+    GEOMETRIC: ClassDef(
+        GEOMETRIC, 2, (2,), None, "n",
+        lambda size, _: build_geometric_matrix(size),
+        lambda _, n: closedform.geometric_vector(n),
+        lambda _, n: spectral.charpoly_closed_geometric(n),
+    ),
+    CONNECTED: ClassDef(
+        CONNECTED, 2, (1,), None, "n",
+        lambda size, _: build_connected_matrix(size),
+        lambda _, n: closedform.connected_vector(n),
+        lambda _, n: spectral.charpoly_closed_connected(n),
+    ),
+    PARTITION: ClassDef(
+        PARTITION, 1, (0, 1), None, "n",
+        lambda size, _: build_partition_matrix(size),
+        lambda _, n: closedform.partition_vector(n),
+        lambda _, n: spectral.charpoly_closed_partition(n),
+    ),
+    RELATION: ClassDef(
+        RELATION, 1, (0, 1), "weights", "n",
+        lambda size, counts: build_relation_matrix(size, counts),
+    ),
+}
+CLASS_NAMES = tuple(CLASSES)
+
+
+def k_angulation_class(k: int) -> GraphClassSpec:
+    return CLASSES[KANGULATION].spec(k)
 
 
 def geometric_class() -> GraphClassSpec:
-    return GraphClassSpec(GEOMETRIC, 2, (2,))
+    return CLASSES[GEOMETRIC].spec()
 
 
 def connected_class() -> GraphClassSpec:
-    return GraphClassSpec(CONNECTED, 2, (1,))
+    return CLASSES[CONNECTED].spec()
 
 
 def partition_class() -> GraphClassSpec:
-    return GraphClassSpec(PARTITION, 1, (0, 1))
+    return CLASSES[PARTITION].spec()
 
 
 def relation_class(counts: Sequence[int]) -> GraphClassSpec:
-    return GraphClassSpec(RELATION, 1, (0, 1), weights=tuple(counts))
+    return CLASSES[RELATION].spec(tuple(counts))
 
 
 class LevelCount(NamedTuple):

@@ -11,19 +11,21 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from . import closedform, oracle, production, spectral
+from . import closedform, oracle, spectral
 from .exact import charpoly_determinant
 from .production import (
+    CLASSES,
+    CONNECTED,
+    GEOMETRIC,
+    KANGULATION,
+    PARTITION,
+    RELATION,
+    ClassDef,
     GraphClassSpec,
-    build_k_angulation_matrix,
-    build_relation_matrix,
-    connected_class,
     connected_totals,
     count_sequence,
     geometric_class,
-    k_angulation_class,
     k_angulation_total,
-    partition_class,
     relation_class,
 )
 
@@ -37,11 +39,28 @@ class CheckResult:
     detail: str = ""
 
 
-def _vector_at(spec: GraphClassSpec, level: int, width: int):
-    row = count_sequence(spec, level)[-1]
-    head = row.vector.entries[:width]
-    tail = row.vector.entries[width:]
-    return head, all(e == 0 for e in tail)
+def _params(row: ClassDef, ks, counts=None) -> tuple:
+    """The parameters a suite runs a class at: each k in ``ks`` for the class
+    that takes k, ``counts`` for the one that takes a count sequence."""
+    return {"k": tuple(ks), "weights": (counts,)}.get(row.param, (None,))
+
+
+def _label(row: ClassDef, param) -> str:
+    return f"{row.name}(k={param})" if row.param == "k" else row.name
+
+
+def _levels(spec: GraphClassSpec, top: int):
+    """Every level of the class up to ``top`` from one count_sequence call;
+    none when ``top`` is below the class's start level."""
+    return count_sequence(spec, top) if top >= spec.start_index else []
+
+
+def _level_pair(row: ClassDef, param, level, got) -> tuple:
+    """(label, got, vector) for one level; ``got`` is padded with zeros, so
+    the vector's tail past it must be zero too."""
+    entries = level.vector.entries
+    label = f"{_label(row, param)} {row.size_option}={level.level}"
+    return label, tuple(got) + (0,) * (len(entries) - len(got)), entries
 
 
 def _check_levels(name: str, pairs) -> CheckResult:
@@ -57,91 +76,38 @@ def _check_levels(name: str, pairs) -> CheckResult:
 def suite_vectors(n_max: int = 12) -> list[CheckResult]:
     """Closed-form count vectors against matrix iteration, all classes."""
     out = []
-    pairs = []
-    for k in (3, 4, 5, 6):
-        for r in range(1, n_max + 1):
-            head, zeros = _vector_at(k_angulation_class(k), r, r)
-            pairs.append((f"k={k} r={r}", closedform.kangulation_vector(k, r), head))
-            if not zeros:
-                return [CheckResult("vectors/kangulation", False, f"trailing nonzero at k={k} r={r}")]
-    out.append(_check_levels("vectors/kangulation", pairs))
-    pairs = [
-        (f"n={n}", closedform.geometric_vector(n), _vector_at(geometric_class(), n, n - 1)[0])
-        for n in range(2, n_max + 1)
-    ]
-    out.append(_check_levels("vectors/geometric", pairs))
-    pairs = [
-        (f"n={n}", closedform.connected_vector(n), _vector_at(connected_class(), n, n - 1)[0])
-        for n in range(2, n_max + 1)
-    ]
-    out.append(_check_levels("vectors/connected", pairs))
-    pairs = [
-        (f"n={n}", closedform.partition_vector(n), _vector_at(partition_class(), n, n + 1)[0])
-        for n in range(1, n_max + 1)
-    ]
-    out.append(_check_levels("vectors/partition", pairs))
+    for row in CLASSES.values():
+        if row.vector is None:
+            continue
+        pairs = [
+            _level_pair(row, param, level, row.vector(param, level.level))
+            for param in _params(row, (3, 4, 5, 6))
+            for level in _levels(row.spec(param), n_max)
+        ]
+        out.append(_check_levels(f"vectors/{row.name}", pairs))
     return out
-
-
-def _class_matrices(size: int):
-    yield "kangulation(k=3)", build_k_angulation_matrix(3, size), spectral.charpoly_closed_kangulation, (3,)
-    yield "kangulation(k=4)", build_k_angulation_matrix(4, size), spectral.charpoly_closed_kangulation, (4,)
-    yield "geometric", production.build_geometric_matrix(size), spectral.charpoly_closed_geometric, ()
-    yield "connected", production.build_connected_matrix(size), spectral.charpoly_closed_connected, ()
-    yield "partition", production.build_partition_matrix(size), spectral.charpoly_closed_partition, ()
 
 
 def suite_charpoly(det_max: int = 8, closed_max: int = 20) -> list[CheckResult]:
     """Recurrence, closed form and determinant oracle, coefficient-exact."""
     out = []
-    for label, matrix, closed, extra in _class_matrices(closed_max):
-        seq = spectral.charpoly_recurrence(matrix)
-        for n in range(closed_max + 1):
-            if closed(*extra, n) != seq[n]:
-                out.append(
-                    CheckResult(
-                        f"charpoly/{label}", False, f"closed form differs at n={n}"
-                    )
-                )
-                break
-        else:
-            out.append(CheckResult(f"charpoly/{label}", True))
-    for label, matrix, _, _ in _class_matrices(det_max):
-        seq = spectral.charpoly_recurrence(matrix)
-        for n in range(1, det_max + 1):
-            sub = type(matrix)(n, matrix.sub, matrix.band[:n])
-            if charpoly_determinant(sub) != seq[n]:
-                out.append(
-                    CheckResult(
-                        f"charpoly-determinant/{label}", False, f"differs at n={n}"
-                    )
-                )
-                break
-        else:
-            out.append(CheckResult(f"charpoly-determinant/{label}", True))
-    rel = build_relation_matrix(det_max, connected_totals(det_max))
-    seq = spectral.charpoly_recurrence(rel)
-    ok = all(
-        charpoly_determinant(type(rel)(n, rel.sub, rel.band[:n])) == seq[n]
-        for n in range(1, det_max + 1)
-    )
-    out.append(
-        CheckResult(
-            "charpoly-determinant/relation",
-            ok,
-            "" if ok else "recurrence disagrees with determinant",
-        )
-    )
+    for row in CLASSES.values():
+        if row.charpoly is None:
+            continue
+        for param in _params(row, (3, 4)):
+            seq = spectral.charpoly_recurrence(row.build(closed_max, param))
+            bad = next((n for n in range(closed_max + 1) if row.charpoly(param, n) != seq[n]), None)
+            detail = "" if bad is None else f"closed form differs at n={bad}"
+            out.append(CheckResult(f"charpoly/{_label(row, param)}", bad is None, detail))
+    counts = connected_totals(det_max)
+    for row in CLASSES.values():
+        for param in _params(row, (3, 4), counts):
+            seq = spectral.charpoly_recurrence(row.build(det_max, param))
+            dets = (charpoly_determinant(row.build(n, param)) for n in range(1, det_max + 1))
+            bad = next((n for n, det in enumerate(dets, 1) if det != seq[n]), None)
+            detail = "" if bad is None else f"differs at n={bad}"
+            out.append(CheckResult(f"charpoly-determinant/{_label(row, param)}", bad is None, detail))
     return out
-
-
-def _eigen_matrices(n: int):
-    yield "kangulation(k=3)", build_k_angulation_matrix(3, n)
-    yield "kangulation(k=4)", build_k_angulation_matrix(4, n)
-    yield "geometric", production.build_geometric_matrix(n)
-    yield "connected", production.build_connected_matrix(n)
-    yield "partition", production.build_partition_matrix(n)
-    yield "relation", build_relation_matrix(n, connected_totals(max(2, n)))
 
 
 def suite_eigen(
@@ -152,73 +118,72 @@ def suite_eigen(
     """Every real eigenvalue of every class matrix yields a small residual."""
     if n_max < 1:
         return [CheckResult("eigen/residuals", False, f"empty range: n_max={n_max} < 1")]
-    out = []
     with mp.workprec(spectral.precision_bits()):
         bound = mpf(residual_bound)
+    counts = connected_totals(max(2, n_max))
     for n in range(1, n_max + 1):
-        for label, matrix in _eigen_matrices(n):
-            poly = spectral.charpoly_recurrence(matrix)[n]
-            for root in spectral.real_roots(poly, root_tol):
-                pair = spectral.eigenvector_from_charpoly(matrix, root)
-                if not pair.residual <= bound:
-                    out.append(
-                        CheckResult(
-                            "eigen/residuals",
-                            False,
-                            f"{label} n={n} root~{float(root):.6g}: residual {pair.residual}",
-                        )
-                    )
-                    return out
-    out.append(CheckResult("eigen/residuals", True))
-    return out
+        for row in CLASSES.values():
+            for param in _params(row, (3, 4), counts):
+                matrix = row.build(n, param)
+                poly = spectral.charpoly_recurrence(matrix)[n]
+                for root in spectral.real_roots(poly, root_tol):
+                    pair = spectral.eigenvector_from_charpoly(matrix, root)
+                    if not pair.residual <= bound:
+                        detail = f"{_label(row, param)} n={n} root~{float(root):.6g}: residual {pair.residual}"
+                        return [CheckResult("eigen/residuals", False, detail)]
+    return [CheckResult("eigen/residuals", True)]
 
 
 def suite_oracle(
     n_graphs: int = 6,
     n_partitions: int = 9,
     kang_max_vertices: int = 12,
-    workers: int = 1,
     force: bool = False,
 ) -> list[CheckResult]:
     """Brute-force degree histograms against matrix-generated vectors."""
+    # Per class, in the order checked: the brute-force histogram at
+    # (param, level), the largest level the bounds allow (a k-angulation
+    # with r faces has (k-2)r+2 vertices), and a closed-form total, if any.
+    brute = {
+        GEOMETRIC: (
+            lambda _, n: oracle.visibility_histogram(n, force=force),
+            lambda _: n_graphs,
+            None,
+        ),
+        CONNECTED: (
+            lambda _, n: oracle.connected_visibility_histogram(n, force=force),
+            lambda _: n_graphs,
+            None,
+        ),
+        PARTITION: (
+            lambda _, n: oracle.partition_isolation_histogram(n, force=force),
+            lambda _: n_partitions,
+            None,
+        ),
+        KANGULATION: (
+            lambda k, r: oracle.dissection_degree_histogram(k, r, force=force),
+            lambda k: (kang_max_vertices - 2) // (k - 2),
+            k_angulation_total,
+        ),
+        RELATION: (
+            lambda _, n: oracle.isolation_histogram(n, force=force),
+            lambda _: n_graphs,
+            None,
+        ),
+    }
     out = []
-    pairs = []
-    for n in range(2, n_graphs + 1):
-        hist = oracle.visibility_histogram(n, workers=workers, force=force)
-        head, _ = _vector_at(geometric_class(), n, len(hist))
-        pairs.append((f"n={n}", hist, head))
-    out.append(_check_levels("oracle/geometric", pairs))
-    pairs = []
-    for n in range(2, n_graphs + 1):
-        hist = oracle.connected_visibility_histogram(n, workers=workers, force=force)
-        head, _ = _vector_at(connected_class(), n, len(hist))
-        pairs.append((f"n={n}", hist, head))
-    out.append(_check_levels("oracle/connected", pairs))
-    pairs = []
-    for n in range(1, n_partitions + 1):
-        hist = oracle.partition_isolation_histogram(n, force=force)
-        head, _ = _vector_at(partition_class(), n, len(hist))
-        pairs.append((f"n={n}", hist, head))
-    out.append(_check_levels("oracle/partition", pairs))
-    pairs = []
-    for k in (3, 4, 5):
-        r = 1
-        while (k - 2) * r + 2 <= kang_max_vertices:
-            hist = oracle.dissection_degree_histogram(k, r, force=force)
-            head, _ = _vector_at(k_angulation_class(k), r, r)
-            pairs.append((f"k={k} r={r}", hist, head))
-            pairs.append(
-                (f"total k={k} r={r}", (sum(hist),), (k_angulation_total(k, r),))
-            )
-            r += 1
-    out.append(_check_levels("oracle/kangulation", pairs))
-    weights = connected_totals(n_graphs + 2)
-    pairs = []
-    for n in range(1, n_graphs + 1):
-        hist = oracle.isolation_histogram(n, workers=workers, force=force)
-        head, _ = _vector_at(relation_class(weights), n, len(hist))
-        pairs.append((f"n={n}", hist, head))
-    out.append(_check_levels("oracle/relation", pairs))
+    counts = connected_totals(n_graphs + 2)
+    for name, (histogram, top, total) in brute.items():
+        row = CLASSES[name]
+        pairs = []
+        for param in _params(row, (3, 4, 5), counts):
+            for level in _levels(row.spec(param), top(param)):
+                hist = histogram(param, level.level)
+                pair = _level_pair(row, param, level, hist)
+                pairs.append(pair)
+                if total is not None:
+                    pairs.append((f"total {pair[0]}", (sum(hist),), (total(param, level.level),)))
+        out.append(_check_levels(f"oracle/{name}", pairs))
     audit_n = min(n_graphs, 6)
     seen = set()
     dupes = False
@@ -232,17 +197,6 @@ def suite_oracle(
             "oracle/duplicate-free",
             not dupes,
             "" if not dupes else f"duplicate edge set at n={audit_n}",
-        )
-    )
-    same = (
-        oracle.visibility_histogram(audit_n, workers=1)
-        == oracle.visibility_histogram(audit_n, workers=3)
-    )
-    out.append(
-        CheckResult(
-            "oracle/parallel-determinism",
-            same,
-            "" if same else "histograms differ across worker counts",
         )
     )
     return out

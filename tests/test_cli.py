@@ -266,3 +266,31 @@ def test_eigen_digits_must_be_positive(capsys):
     code, out, _ = run_cli(capsys, "eigen", "geometric", "--n", "3", "--digits", "1")
     assert code == 0
     assert "eigenvalue 7.0" in out
+
+
+def test_verify_eigen_reads_n_max(capsys):
+    code, out, _ = run_cli(capsys, "verify", "eigen", "--n-max", "0")
+    assert code == 1
+    assert out.startswith("FAIL eigen/residuals: empty range")
+
+
+def test_verify_workers_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "oracle", "--workers", "2"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("charpoly", "geometric", "--n", "3", "--r", "5"), "--r"),
+        (("eigen", "kangulation", "--k", "3", "--r", "3", "--n", "9"), "--n"),
+        (("counts", "geometric", "--c-values", "1,2", "--n-max", "3"), "--c-values"),
+        (("matrix", "partition", "--n", "3", "--k", "4"), "--k"),
+        (("counts", "relation", "--k", "4", "--n-max", "3"), "--k"),
+    ],
+)
+def test_option_of_another_class_rejected(capsys, argv, option):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"error: {option} only applies to" in err

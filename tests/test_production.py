@@ -1,8 +1,14 @@
+import argparse
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from convexcount.cli import build_parser
+from convexcount.exact import charpoly_determinant
 from convexcount.production import (
+    CLASS_NAMES,
+    CLASSES,
     RiordanTriple,
     build_connected_matrix,
     build_from_riordan,
@@ -21,6 +27,7 @@ from convexcount.production import (
     relation_weights,
     riordan_triple_of,
 )
+from convexcount.spectral import charpoly_recurrence
 
 
 def test_k_angulation_matrix():
@@ -196,3 +203,38 @@ def test_trailing_entries_zero():
         for row in count_sequence(spec, max(levels)):
             width = row.level + reach
             assert all(e == 0 for e in row.vector.entries[width:])
+
+
+def test_class_table_is_the_cli_class_list():
+    assert tuple(CLASSES) == CLASS_NAMES
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("matrix", "counts", "charpoly", "eigen"):
+        cls = next(a for a in commands.choices[command]._actions if a.dest == "cls")
+        assert tuple(cls.choices) == CLASS_NAMES
+
+
+# A value for each kind of row parameter; relation counts are arbitrary, since
+# the recurrence and the determinant must agree on any band.
+PARAMS = {
+    "k": st.integers(3, 9),
+    "weights": st.lists(st.integers(0, 10**6), min_size=30, max_size=30).map(tuple),
+}
+
+
+@pytest.mark.parametrize("name", CLASS_NAMES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_class_rows_agree_across_routes(name, data):
+    row = CLASSES[name]
+    param = data.draw(PARAMS.get(row.param, st.none()))
+    seq = charpoly_recurrence(row.build(20, param))
+    if row.charpoly is not None:
+        assert [row.charpoly(param, n) for n in range(21)] == [seq[n] for n in range(21)]
+    for n in range(1, 9):
+        assert charpoly_determinant(row.build(n, param)) == seq[n]
+    if row.vector is not None:
+        for level in count_sequence(row.spec(param), 30):
+            closed = row.vector(param, level.level)
+            entries = level.vector.entries
+            assert entries[: len(closed)] == closed
+            assert not any(entries[len(closed):])
