@@ -188,9 +188,11 @@ def cmd_eigen(args) -> int:
     n = _size_arg(args)
     if args.digits < 1:
         raise UsageError("--digits must be >= 1")
+    tol = Fraction(args.tol)
+    if tol >= 1:
+        raise UsageError("--tol must be < 1")
     spec = _class_spec(args, n)
     matrix = spec.build_matrix(n)
-    tol = Fraction(args.tol)
     poly = spectral.charpoly_recurrence(matrix)[n]
     roots = spectral.real_roots(poly, tol)
     if not roots:
@@ -298,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eigen", help="dominant eigenvalue, eigenvector and residual")
     add_class_options(p)
     p.add_argument("--r", type=int, help="number of k-gons (kangulation size)")
-    p.add_argument("--tol", default="1e-40", help="eigenvalue refinement tolerance")
+    p.add_argument("--tol", default="1e-40", help="eigenvalue refinement tolerance, 0 < tol < 1")
     p.add_argument("--digits", type=int, default=30)
     p.add_argument("--all-roots", action="store_true", dest="all_roots")
     p.add_argument("--format", choices=("table", "json"), default="table")

@@ -172,9 +172,10 @@ class HTMatrix:
     ``band_gf`` optionally gives the band as the power series of a rational
     function num(x)/den(x), as integer coefficient tuples low-to-high with
     ``den[0] == 1``.  The first ``size`` terms of the series must equal
-    ``band``, or construction fails.  ``mat_vec`` then computes the banded
-    products by a linear recurrence of order len(den) - 1 instead of full
-    dot products.  It takes no part in equality.
+    ``band``, or construction fails.  ``mat_vec`` and
+    ``spectral.charpoly_recurrence`` then run linear recurrences of order
+    len(den) - 1 instead of full dot products and convolutions.  It takes
+    no part in equality.
     """
 
     size: int

@@ -161,9 +161,17 @@ class GraphClassSpec:
     def __post_init__(self):
         if self.name not in CLASSES:
             raise ValueError(f"unknown class {self.name!r}")
-        field = CLASSES[self.name].param
-        if field is not None and getattr(self, field) is None:
-            raise ValueError(f"{self.name} class requires {field}")
+        row = CLASSES[self.name]
+        if (self.start_index, self.initial_entries) != (row.start_index, row.initial_entries):
+            raise ValueError(
+                f"{self.name} class starts at level {row.start_index} "
+                f"with entries {row.initial_entries}"
+            )
+        for field in ("k", "weights"):
+            if field != row.param and getattr(self, field) is not None:
+                raise ValueError(f"{self.name} class takes no {field}")
+        if row.param is not None and getattr(self, row.param) is None:
+            raise ValueError(f"{self.name} class requires {row.param}")
         # The builder rejects a parameter it cannot use, such as k < 3.
         self.build_matrix(1)
 

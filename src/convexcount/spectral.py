@@ -17,6 +17,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import add
 
 from mpmath import mp
 
@@ -53,10 +54,23 @@ class CharPolySequence:
 
 
 def charpoly_recurrence(m: HTMatrix, n: int | None = None, label: str = "") -> CharPolySequence:
-    """Characteristic polynomials d_0..d_n of a Hessenberg-Toeplitz matrix by
-    the banded recurrence
+    """Characteristic polynomials d_0..d_n of a Hessenberg-Toeplitz matrix.
 
-        d_s = (a_0 - x) d_{s-1} + sum_{i=2..s} (-1)**(i+1) a_{i-1} a_sub**(i-1) d_{s-i}.
+    Expanding det(A_s - x I) along its last column gives
+
+        d_s = -x d_{s-1} + U_{s-1},    U_j = sum_{m=0..j} b_m d_{j-m},
+
+    with b_m = (-sub)**m * band[m].  The band is the power series of
+    num(z)/den(z) (``m.band_gf``, or band/1 without one), so
+    sum_m b_m z**m = num(-sub z)/den(-sub z) and U obeys the recurrence of
+    order len(den) - 1
+
+        U_j = sum_r num_r (-sub)**r d_{j-r} - sum_{r>=1} den_r (-sub)**r U_{j-r}.
+
+    Each degree costs len(num) + len(den) - 1 polynomial axpy steps, so a
+    band with a generating function takes O(n**2 * len(den)) integer
+    operations in all.  Without one, den = 1 and U_j is the plain
+    convolution, O(n**3) in all.
     """
     if n is None:
         n = m.size
@@ -64,19 +78,33 @@ def charpoly_recurrence(m: HTMatrix, n: int | None = None, label: str = "") -> C
         raise ValueError("recurrence needs band values up to offset n-1")
     if not m.is_toeplitz():
         raise ValueError("recurrence requires a pure Toeplitz band")
-    head = IntPolynomial((m.band[0], -1)) if n >= 1 else None
-    polys = [IntPolynomial.one()]
-    for s in range(1, n + 1):
-        acc = head * polys[s - 1]
-        sub_pow = m.sub
-        for i in range(2, s + 1):
-            term = m.band[i - 1] * sub_pow
-            if i % 2 == 0:
-                term = -term
-            acc = acc + term * polys[s - i]
-            sub_pow *= m.sub
-        polys.append(acc)
-    return CharPolySequence(label, tuple(polys))
+    num, den = m.band_gf or (m.band, (1,))
+    neg_sub = -m.sub
+    ps = [(r, c * neg_sub**r) for r, c in enumerate(num[:n]) if c]
+    qs = [(r, -c * neg_sub**r) for r, c in enumerate(den) if c and r]
+    ds = [[1]]
+    us: list[list[int]] = []  # U_{j-len(us)}..U_{j-1}, at most len(den) - 1 of them
+    for j in range(n):
+        u = [0] * (j + 1)
+        for r, c in ps:
+            if r > j:
+                break
+            _axpy(u, c, ds[j - r])
+        for r, c in qs:
+            if r > j:
+                break
+            _axpy(u, c, us[-r])
+        us.append(u)
+        if len(us) == len(den):
+            del us[0]
+        d = ds[j]  # d_{j+1} = -x d_j + U_j
+        ds.append(u[:1] + [a - b for a, b in zip(u[1:], d)] + [-d[-1]])
+    return CharPolySequence(label, tuple(IntPolynomial(d) for d in ds))
+
+
+def _axpy(acc: list[int], c: int, p: list[int]) -> None:
+    """acc[i] += c * p[i] for i < len(p) <= len(acc)."""
+    acc[: len(p)] = map(add, acc, map(c.__mul__, p))
 
 
 def charpoly_closed_kangulation(k: int, r: int) -> IntPolynomial:

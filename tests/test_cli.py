@@ -268,6 +268,16 @@ def test_eigen_digits_must_be_positive(capsys):
     assert "eigenvalue 7.0" in out
 
 
+def test_eigen_tol_must_be_below_one(capsys):
+    for tol in ("1", "1e400"):
+        code, out, err = run_cli(capsys, "eigen", "geometric", "--n", "3", "--tol", tol)
+        assert (code, out) == (2, "")
+        assert "error: --tol must be < 1" in err
+    code, out, _ = run_cli(capsys, "eigen", "geometric", "--n", "3", "--tol", "0.5")
+    assert code == 0
+    assert out.startswith("real roots found: 1")
+
+
 def test_verify_eigen_reads_n_max(capsys):
     code, out, _ = run_cli(capsys, "verify", "eigen", "--n-max", "0")
     assert code == 1

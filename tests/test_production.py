@@ -9,6 +9,7 @@ from convexcount.exact import charpoly_determinant
 from convexcount.production import (
     CLASS_NAMES,
     CLASSES,
+    GraphClassSpec,
     RiordanTriple,
     build_connected_matrix,
     build_from_riordan,
@@ -191,6 +192,21 @@ def test_relation_from_connected_matches_geometric():
 def test_kangulation_class_requires_k():
     with pytest.raises(ValueError):
         k_angulation_class(2)
+
+
+def test_class_spec_must_match_its_row():
+    with pytest.raises(ValueError, match="starts at level 2"):
+        GraphClassSpec("geometric", 1, (7,))
+    with pytest.raises(ValueError, match="starts at level 2"):
+        GraphClassSpec("geometric", 2, (7,))
+    with pytest.raises(ValueError, match="takes no k"):
+        GraphClassSpec("geometric", 2, (2,), k=5)
+    with pytest.raises(ValueError, match="takes no weights"):
+        GraphClassSpec("kangulation", 1, (1,), k=4, weights=(1, 2))
+    specs = [k_angulation_class(k) for k in range(3, 10)]
+    specs += [geometric_class(), connected_class(), partition_class(), relation_class((1, 2))]
+    for spec in specs:
+        assert spec.build_matrix(3).size == 3
 
 
 def test_trailing_entries_zero():

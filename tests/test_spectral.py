@@ -167,6 +167,27 @@ def reference_real_roots(p, tol):
     return roots
 
 
+def reference_charpoly_recurrence(m, n=None):
+    """d_0..d_n by the full banded convolution over IntPolynomial,
+    d_s = (a_0 - x) d_{s-1} + sum_{i=2..s} (-1)**(i+1) a_{i-1} sub**(i-1) d_{s-i},
+    O(n**3); kept as the reference for charpoly_recurrence."""
+    if n is None:
+        n = m.size
+    head = IntPolynomial((m.band[0], -1))
+    polys = [IntPolynomial.one()]
+    for s in range(1, n + 1):
+        acc = head * polys[s - 1]
+        sub_pow = m.sub
+        for i in range(2, s + 1):
+            term = m.band[i - 1] * sub_pow
+            if i % 2 == 0:
+                term = -term
+            acc = acc + term * polys[s - i]
+            sub_pow *= m.sub
+        polys.append(acc)
+    return polys
+
+
 GOLD_GEOMETRIC = {
     1: (2, -1),
     2: (-4, -4, 1),
@@ -270,6 +291,54 @@ def test_closed_equals_recurrence_to_20():
         ks = charpoly_recurrence(build_k_angulation_matrix(k, 20))
         for r in range(21):
             assert charpoly_closed_kangulation(k, r) == ks[r]
+
+
+def _series(num, den, size):
+    """The first size terms of the power series num(z)/den(z), den[0] == 1."""
+    out = []
+    for i in range(size):
+        t = num[i] if i < len(num) else 0
+        for r in range(1, min(i, len(den) - 1) + 1):
+            t -= den[r] * out[i - r]
+        out.append(t)
+    return tuple(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(-4, 4),
+    st.lists(st.integers(-6, 6), min_size=1, max_size=4),
+    st.lists(st.integers(-4, 4), max_size=3).map(lambda t: (1, *t)),
+    st.integers(0, 25),
+)
+def test_charpoly_recurrence_matches_reference(sub, num, den, n):
+    size = max(n, 1)
+    band = _series(num, den, size)
+    with_gf = HTMatrix(size, sub, band, band_gf=(tuple(num), den))
+    plain = HTMatrix(size, sub, band)
+    expected = reference_charpoly_recurrence(plain, n)
+    assert list(charpoly_recurrence(with_gf, n).polys) == expected
+    assert list(charpoly_recurrence(plain, n).polys) == expected
+
+
+def test_band_gf_builders_match_plain_band():
+    builders = [build_geometric_matrix, build_connected_matrix, build_partition_matrix]
+    builders += [lambda n, k=k: build_k_angulation_matrix(k, n) for k in range(3, 10)]
+    for build in builders:
+        m = build(40)
+        plain = HTMatrix(m.size, m.sub, m.band)
+        assert m.band_gf is not None and plain.band_gf is None
+        assert charpoly_recurrence(m).polys == charpoly_recurrence(plain).polys
+
+
+def test_closed_equals_recurrence_at_bench_sizes():
+    # the sizes `charpoly --n 150` runs in the spectrum benchmark workload
+    for build, closed in (
+        (build_geometric_matrix, charpoly_closed_geometric),
+        (build_connected_matrix, charpoly_closed_connected),
+        (build_partition_matrix, charpoly_closed_partition),
+    ):
+        assert charpoly_recurrence(build(150))[150] == closed(150)
 
 
 def _factor():
