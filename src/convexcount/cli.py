@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -186,21 +187,37 @@ def cmd_charpoly(args) -> int:
 
 def cmd_eigen(args) -> int:
     n = _size_arg(args)
-    if args.digits < 1:
+    digits = args.digits
+    if digits < 1:
         raise UsageError("--digits must be >= 1")
+    bits = spectral.precision_bits()
+    max_digits = int(bits * math.log10(2)) - 2
+    if digits > max_digits:
+        raise UsageError(f"--digits must be <= {max_digits} at {bits}-bit precision")
     tol = Fraction(args.tol)
     if tol >= 1:
         raise UsageError("--tol must be < 1")
     spec = _class_spec(args, n)
     matrix = spec.build_matrix(n)
     poly = spectral.charpoly_recurrence(matrix)[n]
-    roots = spectral.real_roots(poly, tol)
-    if not roots:
+    if args.all_roots:
+        selected = spectral.real_roots(poly, tol)
+        count = len(selected)
+    else:
+        # Only the printed root is refined; the count comes from isolation.
+        count, best = spectral._dominant_root(poly, tol)
+        selected = [best] if count else []
+    if not count:
         print("no real eigenvalue found", file=sys.stderr)
         return 1
-    digits = args.digits
-    with mp.workprec(spectral.precision_bits()):
-        selected = roots if args.all_roots else [max(roots, key=lambda r: (abs(r), r))]
+    for root in selected:
+        # An inexact root is only known to within tol.
+        if tol * 10**digits > abs(root) and poly(root) != 0:
+            raise UsageError(
+                f"--digits {digits} needs --tol <= |eigenvalue| * 1e-{digits} "
+                f"(eigenvalue near {float(root):.6g})"
+            )
+    with mp.workprec(bits):
         entries = []
         for root in selected:
             pair = spectral.eigenvector_from_charpoly(matrix, root)
@@ -211,11 +228,11 @@ def cmd_eigen(args) -> int:
                     "residual": mp.nstr(pair.residual, 5),
                 }
             )
-    payload = {"real_root_count": len(roots), "eigenpairs": entries}
+    payload = {"real_root_count": count, "eigenpairs": entries}
     if args.format == "json":
         _print_json(_record("eigen", args, payload))
     else:
-        print(f"real roots found: {len(roots)}")
+        print(f"real roots found: {count}")
         for e in entries:
             print(f"eigenvalue {e['eigenvalue']}")
             print("  vector (x_{n-1}..x_0): " + ", ".join(e["vector"]))

@@ -143,8 +143,15 @@ class Dissection:
         return frozenset(out)
 
     def root_degree(self) -> int:
+        """Edges at p_n minus 2, read from the faces around p_n: its
+        neighbours are the vertices next to it in those faces."""
         root = self.n
-        return sum(1 for e in self.edges() if root in e) - 2
+        neighbours = set()
+        for face in self.faces:
+            if root in face:
+                i = face.index(root)
+                neighbours.update((face[i - 1], face[(i + 1) % len(face)]))
+        return len(neighbours) - 2
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,17 @@
 
 The banded recurrence and the closed forms are evaluated in Python integers
 (the closed forms scale away their negative powers of 2 and 3 and divide
-them out exactly at the end).  Real eigenvalues are then located by Sturm
-isolation plus sign bisection on the exact polynomial, never by
-floating-point matrix solvers.  Isolation is integer throughout: a primitive
-remainder sequence gives the square-free part and the Sturm chain, and signs
-are taken at dyadic grid points by integer Horner evaluation.  ``Fraction``
-appears only in the tolerance, the root bound B and the returned roots.
-High-precision values use mpmath at CONVEX_COUNT_PRECISION bits (default
-256).
+them out exactly at the end).  Real eigenvalues are then located on the
+exact polynomial, never by floating-point matrix solvers, in two steps.
+Isolation is integer throughout: a primitive remainder sequence gives the
+square-free part and the Sturm chain, and signs are taken at dyadic grid
+points by integer Horner evaluation.  Refinement runs per root, so a caller
+that prints one root refines only the candidates for it; quadratic interval
+refinement on the same grid lands on the cell that sign bisection would,
+so the roots are the same.  ``Fraction`` appears only in the tolerance, the
+root bound B and the returned roots.  Eigenvectors and their residuals run
+the band's recurrences at the root, O(n * len(den)) per root, in mpmath at
+CONVEX_COUNT_PRECISION bits (default 256).
 """
 from __future__ import annotations
 
@@ -17,7 +20,8 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import add
+from operator import add, mul
+from typing import NamedTuple
 
 from mpmath import mp
 
@@ -78,12 +82,10 @@ def charpoly_recurrence(m: HTMatrix, n: int | None = None, label: str = "") -> C
         raise ValueError("recurrence needs band values up to offset n-1")
     if not m.is_toeplitz():
         raise ValueError("recurrence requires a pure Toeplitz band")
-    num, den = m.band_gf or (m.band, (1,))
-    neg_sub = -m.sub
-    ps = [(r, c * neg_sub**r) for r, c in enumerate(num[:n]) if c]
-    qs = [(r, -c * neg_sub**r) for r, c in enumerate(den) if c and r]
+    ps, qs = _recurrence_terms(m, n)
+    history = max((r for r, _ in qs), default=0)
     ds = [[1]]
-    us: list[list[int]] = []  # U_{j-len(us)}..U_{j-1}, at most len(den) - 1 of them
+    us: list[list[int]] = []  # U_{j-len(us)}..U_{j-1}, at most `history` of them
     for j in range(n):
         u = [0] * (j + 1)
         for r, c in ps:
@@ -95,11 +97,21 @@ def charpoly_recurrence(m: HTMatrix, n: int | None = None, label: str = "") -> C
                 break
             _axpy(u, c, us[-r])
         us.append(u)
-        if len(us) == len(den):
+        if len(us) > history:
             del us[0]
         d = ds[j]  # d_{j+1} = -x d_j + U_j
         ds.append(u[:1] + [a - b for a, b in zip(u[1:], d)] + [-d[-1]])
     return CharPolySequence(label, tuple(IntPolynomial(d) for d in ds))
+
+
+def _recurrence_terms(m: HTMatrix, n: int):
+    """The recurrence's nonzero terms (r, num_r (-sub)**r) for r < n, and
+    (r, -den_r (-sub)**r) for r >= 1."""
+    num, den = m.band_gf or (m.band, (1,))
+    neg_sub = -m.sub
+    ps = [(r, c * neg_sub**r) for r, c in enumerate(num[:n]) if c]
+    qs = [(r, -c * neg_sub**r) for r, c in enumerate(den) if c and r]
+    return ps, qs
 
 
 def _axpy(acc: list[int], c: int, p: list[int]) -> None:
@@ -190,15 +202,15 @@ def charpoly_closed_partition(n: int) -> IntPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Exact real-root location over the integers (Sturm isolation + sign
-# bisection).
+# Exact real-root location over the integers (Sturm isolation, then
+# quadratic interval refinement).
 #
 # Polynomials are lists of ints, low to high, and each one stands for itself
 # times any nonzero constant: the root bound, the roots and the sign tests
 # below do not see that constant.  The Sturm chain is a primitive remainder
 # sequence whose members are positive multiples of those of the rational
 # Euclidean algorithm, so it counts sign variations exactly as that one does.
-# Bisection runs on the dyadic grid x = B*s/2**k inside (-B, B); with
+# Both steps run on the dyadic grid x = B*s/2**k inside (-B, B); with
 # B = P/Q, a polynomial p of degree d is rescaled once to
 # r(t) = Q**d * p(P*t/Q), whose sign at t = s/2**k is read off the integer
 # 2**(k*d) * r(s/2**k).
@@ -317,48 +329,153 @@ def _isolate(chain: list[list[int]]):
     return isolated, None
 
 
-def real_roots(p: IntPolynomial, tol: Fraction | float = Fraction(1, 10**40)) -> list[Fraction]:
-    """All distinct real roots of an integer polynomial, each within ``tol``
-    of the true root.  Rational roots hit head-on by the bisection grid
-    (including all roots of linear factors) come back exactly.
-    """
+class _Isolation(NamedTuple):
+    """Distinct real roots before refinement: those found exactly, and
+    intervals (lo, hi, k), t in (lo/2**k, hi/2**k) with x = P*t/Q, each
+    holding one root of the rescaled square-free part ``f`` inside."""
+
+    exact: list[Fraction]
+    P: int
+    Q: int
+    f: list[int]
+    cells: list[tuple[int, int, int]]
+
+    @property
+    def count(self) -> int:
+        return len(self.exact) + len(self.cells)
+
+
+def _checked_tol(p: IntPolynomial, tol: Fraction | float) -> Fraction:
     if p.is_zero():
         raise ValueError("zero polynomial has every number as a root")
     tol = Fraction(tol) if not isinstance(tol, Fraction) else tol
     if tol <= 0:
         raise ValueError("tol must be positive")
+    return tol
+
+
+def _isolate_real_roots(p: IntPolynomial) -> _Isolation:
+    """Sturm isolation of the distinct real roots of p.  A split point that
+    is itself a root is divided out and isolation restarts on the quotient."""
     q = _squarefree(list(p.coeffs))
-    roots: list[Fraction] = []
-    isolated: list[tuple[int, int, int]] = []
+    exact: list[Fraction] = []
+    P = Q = 1
+    f: list[int] = []
+    cells: list[tuple[int, int, int]] = []
     while len(q) > 2:
         bound = 2 + Fraction(max(abs(c) for c in q[:-1]), abs(q[-1]))
         P, Q = bound.numerator, bound.denominator
         chain = [_on_grid(r, P, Q) for r in _sturm_chain(q)]
-        isolated, hit = _isolate(chain)
+        f = chain[0]
+        cells, hit = _isolate(chain)
         if hit is None:
             break
         root = Fraction(P * hit[0], Q << hit[1])
-        roots.append(root)
+        exact.append(root)
         q = _divexact(q, [-root.numerator, root.denominator])
     if len(q) == 2:
-        roots.append(Fraction(-q[0], q[1]))
-    # Refine by sign bisection; each interval stops once B*(hi-lo)/2**k <= tol.
-    for lo, hi, k in isolated:
-        r = chain[0]
-        positive_lo = _eval_dyadic(r, lo, k) > 0
-        while P * tol.denominator * (hi - lo) > (tol.numerator * Q) << k:
-            mid, k = lo + hi, k + 1
-            f_mid = _eval_dyadic(r, mid, k)
-            if f_mid == 0:
-                lo = hi = mid
-                break
-            if (f_mid > 0) == positive_lo:
-                lo, hi = mid, 2 * hi
-            else:
-                lo, hi = 2 * lo, mid
-        roots.append(Fraction(P * (lo + hi), Q << (k + 1)))
+        exact.append(Fraction(-q[0], q[1]))
+    return _Isolation(exact, P, Q, f, cells)
+
+
+def _refine(iso: _Isolation, cell: tuple[int, int, int], tol: Fraction) -> Fraction:
+    """The root in ``cell``, as sign bisection would return it.
+
+    Bisection halves the interval until B*(hi-lo)/2**k <= tol and returns
+    the centre of the final interval, or the root itself when a split point
+    hits it.  Every isolating interval at level k >= 1 is the dyadic cell
+    [a, a+1]/2**(k-1) with a = lo/2, so that result depends only on the
+    root: the centre of the cell of level c = K-1 that contains it, K the
+    first level that meets the tolerance, or the root when it is a grid
+    point of level c or coarser.  The cell is found here by quadratic
+    interval refinement (Abbott, "Quadratic Interval Refinement for Real
+    Roots", 2006): a secant step guesses which of N = 2**e subcells holds
+    the root and signs at the subcell's ends confirm it; a hit squares N,
+    a miss takes its square root, and N = 2 is one bisection step.
+    """
+    f, P, Q = iso.f, iso.P, iso.Q
+    lo, hi, k = cell
+    # the first level K >= k at which the interval's width meets tol
+    need, have = P * tol.denominator * (hi - lo), tol.numerator * Q
+    K = max(k, need.bit_length() - have.bit_length())
+    while have << K < need:
+        K += 1
+    if K == k:
+        return Fraction(P * (lo + hi), Q << (k + 1))
+    if k == 0:  # the interval (-1, 1): bisect once at 0
+        f_lo, f_mid = _eval_dyadic(f, -1, 0), f[0]
+        if f_mid == 0:
+            return Fraction(0)
+        if (f_mid > 0) != (f_lo > 0):
+            a, fa, fb = -1, f_lo, f_mid
+        else:
+            a, fa, fb = 0, f_mid, _eval_dyadic(f, 1, 0)
+    else:
+        a, k = lo >> 1, k - 1
+        fa, fb = _eval_dyadic(f, a, k), _eval_dyadic(f, a + 1, k)
+    # the cell [a, a+1]/2**k holds the root strictly inside; fa, fb are the
+    # values of f at its ends, scaled by 2**(k*deg f)
+    d = len(f) - 1
+    c = K - 1
+    e = 2
+    while k < c:
+        e = min(e, c - k)
+        n_sub = 1 << e
+        diff = fa - fb
+        m = min(max((2 * n_sub * fa + diff) // (2 * diff), 1), n_sub - 1)
+        s, k_next = (a << e) + m, k + e
+        fs = _eval_dyadic(f, s, k_next)
+        if fs == 0:
+            return Fraction(P * s, Q << k_next)
+        right = (fs > 0) == (fa > 0)  # the root lies right of s
+        t = s + 1 if right else s - 1
+        if t == a << e:
+            ft = fa << (e * d)
+        elif t == (a + 1) << e:
+            ft = fb << (e * d)
+        else:
+            ft = _eval_dyadic(f, t, k_next)
+            if ft == 0:
+                return Fraction(P * t, Q << k_next)
+        if (ft > 0) != (fs > 0):
+            a, k = min(s, t), k_next
+            fa, fb = (fs, ft) if right else (ft, fs)
+            e *= 2
+        else:
+            e = max(e // 2, 1)
+    return Fraction(P * (2 * a + 1), Q << (c + 1))
+
+
+def real_roots(p: IntPolynomial, tol: Fraction | float = Fraction(1, 10**40)) -> list[Fraction]:
+    """All distinct real roots of an integer polynomial, each within ``tol``
+    of the true root.  Rational roots hit head-on by the bisection grid
+    (including all roots of linear factors) come back exactly.
+    """
+    tol = _checked_tol(p, tol)
+    iso = _isolate_real_roots(p)
+    roots = iso.exact + [_refine(iso, cell, tol) for cell in iso.cells]
     roots.sort()
     return roots
+
+
+def _dominant_root(p: IntPolynomial, tol: Fraction | float) -> tuple[int, Fraction | None]:
+    """The number of distinct real roots of p, and the one of largest
+    modulus as ``real_roots`` gives it (ties go to the positive root), or
+    None.  Only the leftmost and rightmost isolating intervals are refined:
+    no other root can have a larger modulus."""
+    tol = _checked_tol(p, tol)
+    iso = _isolate_real_roots(p)
+    candidates = list(iso.exact)
+    if iso.cells:
+        top = max(k for _, _, k in iso.cells)
+
+        def left_end(cell):
+            return cell[0] << (top - cell[2])
+
+        ends = {min(iso.cells, key=left_end), max(iso.cells, key=left_end)}
+        candidates += [_refine(iso, cell, tol) for cell in ends]
+    best = max(candidates, key=lambda r: (abs(r), r), default=None)
+    return iso.count, best
 
 
 # ---------------------------------------------------------------------------
@@ -380,25 +497,50 @@ def _to_mp(x):
     return mp.mpmathify(x)
 
 
+def _charpoly_values(m: HTMatrix, lam, n: int) -> list:
+    """d_0(lam)..d_n(lam), by charpoly_recurrence's recurrence run on numbers
+    at the working precision: O(n * len(den)) operations with a band_gf."""
+    ps, qs = _recurrence_terms(m, n)
+    ds = [lam * 0 + 1]  # complex when lam is
+    us = []
+    for j in range(n):
+        u = sum(c * ds[j - r] for r, c in ps if r <= j)
+        u += sum(c * us[j - r] for r, c in qs if r <= j)
+        us.append(u)
+        ds.append(u - lam * ds[j])
+    return ds
+
+
 def eigenvector_from_charpoly(m: HTMatrix, lam) -> EigenPair:
     """Eigenvector candidate x_i = (-1/a_sub)**i d_i(lam) with x_0 = 1.
 
     ``lam`` should approximate a root of the size-n characteristic
     polynomial; the returned residual tells how good the pair is, so a
-    non-eigenvalue simply comes back with a large residual.
+    non-eigenvalue simply comes back with a large residual.  Row i of the
+    product is sub * v[i-1] + T_i with the suffix sums T_i of ``mat_vec``,
+    so a band with a generating function costs O(n * len(den)) per root.
     """
     if m.sub == 0:
         raise ValueError("eigenvector formula requires a nonzero subdiagonal")
+    if not m.is_toeplitz():
+        raise ValueError("recurrence requires a pure Toeplitz band")
     n = m.size
-    seq = charpoly_recurrence(m, n - 1)
+    num, den = m.band_gf or (m.band, (1,))
     with mp.workprec(precision_bits()):
         lam_mp = _to_mp(lam)
         factor = mp.mpf(-1) / m.sub
-        xs = [seq.polys[i](lam_mp) * factor**i for i in range(n)]
+        ds = _charpoly_values(m, lam_mp, n - 1)
+        xs = [d * factor**i for i, d in enumerate(ds)]
         vector = tuple(reversed(xs))  # (x_{n-1}, ..., x_0)
+        padded = vector + (0,) * len(num)
+        ts = [0] * (n + len(den))
+        for i in range(n - 1, -1, -1):
+            ts[i] = sum(map(mul, num, padded[i : i + len(num)])) - sum(
+                map(mul, den[1:], ts[i + 1 : i + len(den)])
+            )
         resid = mp.mpf(0)
         for i in range(n):
-            row_val = sum(m.entry(i, j) * vector[j] for j in range(max(0, i - 1), n))
+            row_val = m.sub * vector[i - 1] + ts[i] if i else ts[0]
             resid = max(resid, abs(row_val - lam_mp * vector[i]))
         scale = max(abs(x) for x in vector)
         residual = resid / scale if scale != 0 else resid
@@ -406,24 +548,31 @@ def eigenvector_from_charpoly(m: HTMatrix, lam) -> EigenPair:
 
 
 def matrix_charpoly(m: HTMatrix) -> IntPolynomial:
-    """Full-size characteristic polynomial, via the recurrence when the band
-    is Toeplitz and by the determinant oracle otherwise."""
-    from .exact import charpoly_determinant
+    """Full-size characteristic polynomial by the banded recurrence.
 
+    When a ``row0`` override breaks the Toeplitz band, det(A - x I) is
+    expanded along row 0.  Deleting column j leaves a block-triangular minor:
+    sub**j times the size n-1-j determinant of the band, so
+
+        det(A - x I) = sum_j (-1)**j (row0[j] - x [j == 0]) sub**j d_{n-1-j}
+
+    with d_k the banded sequence of the Toeplitz matrix.
+    """
     if m.is_toeplitz():
         return charpoly_recurrence(m).polys[m.size]
-    if m.size > 12:
-        raise ValueError("determinant fallback capped at size 12")
-    return charpoly_determinant(m)
+    n = m.size
+    ds = charpoly_recurrence(HTMatrix(n, m.sub, m.band, band_gf=m.band_gf), n - 1).polys
+    acc = IntPolynomial((m.row0[0], -1)) * ds[n - 1]
+    for j in range(1, n):
+        acc = acc + ds[n - 1 - j] * ((-1) ** j * m.row0[j] * m.sub**j)
+    return acc
 
 
 def dominant_eigenvalue(m: HTMatrix, tol: float | Fraction = 1e-30):
     """Largest-modulus real root of the exact characteristic polynomial,
     located to within ``tol`` (ties broken toward the positive root)."""
-    p = matrix_charpoly(m)
-    roots = real_roots(p, Fraction(tol))
-    if not roots:
+    _, best = _dominant_root(matrix_charpoly(m), Fraction(tol))
+    if best is None:
         raise ValueError("no real eigenvalue found")
-    best = max(roots, key=lambda r: (abs(r), r))
     with mp.workprec(precision_bits()):
         return _to_mp(best)

@@ -273,9 +273,39 @@ def test_eigen_tol_must_be_below_one(capsys):
         code, out, err = run_cli(capsys, "eigen", "geometric", "--n", "3", "--tol", tol)
         assert (code, out) == (2, "")
         assert "error: --tol must be < 1" in err
-    code, out, _ = run_cli(capsys, "eigen", "geometric", "--n", "3", "--tol", "0.5")
+    code, out, _ = run_cli(capsys, "eigen", "geometric", "--n", "3", "--tol", "0.5", "--digits", "1")
     assert code == 0
     assert out.startswith("real roots found: 1")
+
+
+@pytest.mark.parametrize("all_roots", [(), ("--all-roots",)])
+def test_eigen_digits_beyond_tol_or_precision(capsys, monkeypatch, all_roots):
+    # 60 digits of a root known to 1e-40: digits 41 on would be wrong
+    code, out, err = run_cli(capsys, "eigen", "geometric", "--n", "5", "--digits", "60", *all_roots)
+    assert (code, out) == (2, "")
+    assert "error: --digits 60 needs --tol <= |eigenvalue| * 1e-60" in err
+    code, out, _ = run_cli(
+        capsys, "eigen", "geometric", "--n", "5", "--digits", "60", "--tol", "1e-70", *all_roots
+    )
+    assert code == 0
+    assert "eigenvalue 8.87821821370270852325456503830498487462030830631326000615311" in out
+    # 120 digits are more than 256 bits hold, whatever the tolerance
+    code, out, err = run_cli(
+        capsys, "eigen", "geometric", "--n", "5", "--digits", "120", "--tol", "1e-110", *all_roots
+    )
+    assert (code, out) == (2, "")
+    assert "error: --digits must be <= 75 at 256-bit precision" in err
+    code, _, _ = run_cli(capsys, "eigen", "geometric", "--n", "5", "--digits", "75", "--tol", "1e-80", *all_roots)
+    assert code == 0
+    monkeypatch.setenv("CONVEX_COUNT_PRECISION", "512")
+    code, out, _ = run_cli(
+        capsys, "eigen", "geometric", "--n", "5", "--digits", "120", "--tol", "1e-125", *all_roots
+    )
+    assert code == 0 and "eigenvalue 8.8782182137027085232545650383049848746203083063132600061531" in out
+    # an exact root prints at any supported number of digits
+    monkeypatch.delenv("CONVEX_COUNT_PRECISION")
+    code, out, _ = run_cli(capsys, "eigen", "geometric", "--n", "1", "--digits", "70", *all_roots)
+    assert code == 0 and "eigenvalue 2.0" in out
 
 
 def test_verify_eigen_reads_n_max(capsys):

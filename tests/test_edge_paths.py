@@ -1,5 +1,5 @@
 """Edge paths not covered by the main modules' tests: complex eigenpairs,
-the determinant fallback for non-Toeplitz matrices, the raw iteration
+the row-0 expansion for non-Toeplitz matrices, the raw iteration
 engine, and randomized structural properties."""
 from fractions import Fraction
 
@@ -46,10 +46,13 @@ def test_matrix_charpoly_non_toeplitz_fallback():
         assert abs(d * d - 2) < mpf(10) ** -30
 
 
-def test_matrix_charpoly_fallback_cap():
+def test_matrix_charpoly_row0_size_13():
+    # a companion matrix: row 0 all ones over a unit subdiagonal, so
+    # det(A - x I) = -(x^13 - x^12 - ... - 1); no size cap applies
     m = HTMatrix(13, 1, (0,) * 13, row0=(1,) * 13)
-    with pytest.raises(ValueError):
-        matrix_charpoly(m)
+    assert matrix_charpoly(m) == IntPolynomial((1,) * 13 + (-1,))
+    d = dominant_eigenvalue(m, Fraction(1, 10**35))
+    assert 2 - mpf(10) ** -3 < d < 2
 
 
 def test_dominant_eigenvalue_no_real_root():

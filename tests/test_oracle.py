@@ -1,6 +1,7 @@
 import pytest
 
 from convexcount.oracle import (
+    MAX_DISSECTION_VERTICES,
     EnumerationLimitError,
     NonCrossingPartition,
     PlaneGraph,
@@ -148,6 +149,15 @@ def test_dissections():
     assert d.n == 3
     assert d.edges() == frozenset({(1, 2), (2, 3), (1, 3)})
     assert d.root_degree() == 0
+
+
+def test_root_degree_matches_edge_set_count():
+    # every dissection within the enumeration guard
+    for k in (3, 4, 5):
+        for r in range(1, (MAX_DISSECTION_VERTICES - 2) // (k - 2) + 1):
+            for d in enumerate_dissections(k, r):
+                root = d.n
+                assert d.root_degree() == sum(1 for e in d.edges() if root in e) - 2
 
 
 def test_dissection_faces_are_kgons():

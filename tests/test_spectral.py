@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from mpmath import mp, mpf, sqrt
+from mpmath import mp, mpc, mpf, polyroots, sqrt
 
 from convexcount.exact import HTMatrix, IntPolynomial, charpoly_determinant
 from convexcount.production import (
@@ -14,6 +14,8 @@ from convexcount.production import (
     connected_totals,
 )
 from convexcount.spectral import (
+    _dominant_root,
+    _isolate_real_roots,
     charpoly_closed_connected,
     charpoly_closed_geometric,
     charpoly_closed_kangulation,
@@ -21,6 +23,7 @@ from convexcount.spectral import (
     charpoly_recurrence,
     dominant_eigenvalue,
     eigenvector_from_charpoly,
+    matrix_charpoly,
     precision_bits,
     real_roots,
 )
@@ -186,6 +189,24 @@ def reference_charpoly_recurrence(m, n=None):
             sub_pow *= m.sub
         polys.append(acc)
     return polys
+
+
+def reference_eigenvector(m, lam):
+    """x_i = (-1/sub)**i d_i(lam) by Horner on each exact d_i, and the
+    residual from m.entry dot products, O(n**2) per root; kept as the
+    reference for eigenvector_from_charpoly."""
+    n = m.size
+    seq = charpoly_recurrence(m, n - 1)
+    with mp.workprec(precision_bits()):
+        lam_mp = lam if isinstance(lam, (mpf, mpc)) else mpf(lam.numerator) / lam.denominator
+        factor = mpf(-1) / m.sub
+        vector = tuple(reversed([seq[i](lam_mp) * factor**i for i in range(n)]))
+        resid = mpf(0)
+        for i in range(n):
+            row_val = sum(m.entry(i, j) * vector[j] for j in range(max(0, i - 1), n))
+            resid = max(resid, abs(row_val - lam_mp * vector[i]))
+        scale = max(abs(x) for x in vector)
+        return lam_mp, vector, resid / scale if scale != 0 else resid
 
 
 GOLD_GEOMETRIC = {
@@ -384,7 +405,7 @@ _CLASS_BUILDERS = {
     "geometric": build_geometric_matrix,
     "connected": build_connected_matrix,
     "partition": build_partition_matrix,
-    "relation": lambda n: build_relation_matrix(n, connected_totals(n)),
+    "relation": lambda n: build_relation_matrix(n, connected_totals(max(2, n))),
     "kangulation4": lambda n: build_k_angulation_matrix(4, n),
 }
 
@@ -395,6 +416,122 @@ def test_real_roots_matches_reference_on_class_charpolys(name):
     for n in range(1, 31):
         for tol in (Fraction(1, 10**40), Fraction(1, 10**48)):
             assert real_roots(seq[n], tol) == reference_real_roots(seq[n], tol), (n, tol)
+
+
+@settings(max_examples=150, deadline=None)
+# x^2 - 2: the +-sqrt(2) tie goes to the positive root.
+@example([([-2, 0, 1], 1)], 1, Fraction(1, 10**40))
+@given(
+    st.lists(_factor(), min_size=1, max_size=4),
+    st.integers(-5, 5),
+    st.sampled_from((Fraction(1, 10**40), Fraction(1, 2**20), Fraction(1, 3), Fraction(50))),
+)
+def test_dominant_root_matches_reference(factors, unit, tol):
+    p = IntPolynomial((unit or 1,))
+    for coeffs, mult in factors:
+        for _ in range(mult):
+            p = p * IntPolynomial(coeffs)
+    roots = reference_real_roots(p, tol)
+    best = max(roots, key=lambda r: (abs(r), r), default=None)
+    assert _dominant_root(p, tol) == (len(roots), best)
+
+
+def test_refinement_lands_on_a_grid_root_finer_than_isolation():
+    # (1024x + 59)(x^2 - 2) has root bound B = 4, so -59/1024 = B * -59/2**12
+    # is a grid point of level 12: finer than its isolating cell (level 2),
+    # coarser than the cell that meets 1e-40.  It must come back exactly.
+    p = IntPolynomial((59, 1024)) * IntPolynomial((-2, 0, 1))
+    iso = _isolate_real_roots(p)
+    assert iso.exact == [] and (-2, 0, 3) in iso.cells
+    tol = Fraction(1, 10**40)
+    roots = real_roots(p, tol)
+    assert roots == reference_real_roots(p, tol)
+    assert roots[1] == Fraction(-59, 1024)
+
+
+def test_refinement_tol_wider_than_isolating_interval():
+    # x^2 - 2 isolates in (-4, 0) and (0, 4); tol 50 needs no refinement, so
+    # each root comes back as its interval's centre.
+    p = IntPolynomial((-2, 0, 1))
+    assert real_roots(p, Fraction(50)) == reference_real_roots(p, Fraction(50)) == [-2, 2]
+    assert _dominant_root(p, Fraction(50)) == (2, 2)
+
+
+def test_dominant_root_tie_goes_to_positive_root():
+    p = IntPolynomial((-2, 0, 1))
+    tol = Fraction(1, 10**40)
+    count, best = _dominant_root(p, tol)
+    assert count == 2 and best == real_roots(p, tol)[1] > 0
+    assert dominant_eigenvalue(HTMatrix(2, 1, (0, 0), row0=(0, 2)), tol) > 0
+
+
+def _vector_strings(vector):
+    with mp.workprec(precision_bits()):
+        return [mp.nstr(x, 30) for x in vector]
+
+
+@pytest.mark.parametrize("name", sorted(_CLASS_BUILDERS))
+def test_eigenvector_matches_reference_on_class_roots(name):
+    with mp.workprec(precision_bits()):
+        bound = mpf(10) ** -30
+    checked = 0
+    for n in range(1, 31):
+        m = _CLASS_BUILDERS[name](n)
+        for root in real_roots(charpoly_recurrence(m)[n], Fraction(1, 10**40)):
+            pair = eigenvector_from_charpoly(m, root)
+            lam, vector, residual = reference_eigenvector(m, root)
+            assert pair.lam == lam
+            assert _vector_strings(pair.vector) == _vector_strings(vector), (n, root)
+            assert pair.residual <= bound and residual <= bound, (n, root)
+            checked += 1
+    assert checked >= 30
+
+
+def test_eigenvector_matches_reference_off_the_real_roots():
+    # a non-eigenvalue, and complex roots found by mpmath
+    for m, lam in (
+        (build_geometric_matrix(12), mpf(3)),
+        (build_relation_matrix(9, connected_totals(9)), mpf("-0.5")),
+        (HTMatrix(2, 1, (0, -1)), mpc(0, 1)),
+    ):
+        pair = eigenvector_from_charpoly(m, lam)
+        _, vector, residual = reference_eigenvector(m, lam)
+        assert _vector_strings(pair.vector) == _vector_strings(vector)
+        with mp.workprec(precision_bits()):
+            assert mp.nstr(pair.residual, 20) == mp.nstr(residual, 20)
+    for m in (build_geometric_matrix(6), build_partition_matrix(7)):
+        coeffs = charpoly_recurrence(m)[m.size].coeffs
+        with mp.workprec(precision_bits()):
+            lams = [z for z in polyroots(coeffs[::-1], maxsteps=200, extraprec=256) if abs(z.imag) > 1e-3]
+        assert lams
+        for lam in lams:
+            pair = eigenvector_from_charpoly(m, lam)
+            _, vector, residual = reference_eigenvector(m, lam)
+            assert _vector_strings(pair.vector) == _vector_strings(vector)
+            assert pair.residual < mpf(10) ** -30 and residual < mpf(10) ** -30
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.tuples(
+            st.integers(-3, 3).filter(bool),
+            st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+            st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+        )
+    )
+)
+def test_matrix_charpoly_row0_matches_determinant(params):
+    sub, band, row0 = params
+    m = HTMatrix(len(band), sub, tuple(band), row0=tuple(row0))
+    assert matrix_charpoly(m) == charpoly_determinant(m)
+
+
+def test_matrix_charpoly_row0_with_band_gf():
+    g = build_geometric_matrix(8)
+    for row0 in ((1,) * 8, (0, -3, 5, 0, 2, 7, -1, 4)):
+        m = HTMatrix(8, g.sub, g.band, row0=row0, band_gf=g.band_gf)
+        assert matrix_charpoly(m) == charpoly_determinant(HTMatrix(8, g.sub, g.band, row0=row0))
 
 
 def test_real_roots_known_polynomials():
