@@ -45,7 +45,6 @@ from .production import (
     riordan_triple_of,
 )
 from .spectral import (
-    CharPolySequence,
     EigenPair,
     charpoly_closed_connected,
     charpoly_closed_geometric,

@@ -252,7 +252,7 @@ def cmd_verify(args) -> int:
         )
     kwargs_by_suite = {
         "vectors": {"n_max": args.n_max},
-        "charpoly": {},
+        "charpoly": {"n_max": args.n_max},
         "eigen": {"n_max": args.n_max},
         "oracle": {"n_graphs": oracle_n, "force": args.force},
         "lemma1": {"limit": args.max},
@@ -330,8 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=6,
         dest="n_max",
-        help="largest size for the vectors, eigen, oracle and relation suites "
-        f"(clamped to {ORACLE_CLAMP} for oracle and relation)",
+        help="largest size for the vectors, charpoly, eigen, oracle and relation "
+        f"suites (clamped to {ORACLE_CLAMP} for oracle and relation; charpoly's "
+        "closed forms run to at least 20)",
     )
     p.add_argument("--max", type=int, default=12, help="lemma1 exhaustive bound")
     p.add_argument("--force", action="store_true")

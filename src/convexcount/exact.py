@@ -259,6 +259,20 @@ class CountVector:
         return CountVector(self.entries + pad, self.level)
 
 
+def _suffix_sums(band_gf, x) -> list:
+    """T_i = sum_r band[r] * x[i+r] for the band num/den = ``band_gf``, from
+    the recurrence T_i = sum_r num[r] * x[i+r] - sum_{r>=1} den[r] * T_{i+r},
+    O(len(x) * len(den)).  The list runs past len(x) with zeros."""
+    num, den = band_gf
+    tail = den[1:]
+    p, q = len(num), len(den)
+    xs = tuple(x) + (0,) * p
+    ts = [0] * (len(x) + q)
+    for i in range(len(x) - 1, -1, -1):
+        ts[i] = sum(map(mul, num, xs[i : i + p])) - sum(map(mul, tail, ts[i + 1 : i + q]))
+    return ts
+
+
 def mat_vec(m: HTMatrix, v: CountVector) -> CountVector:
     """One production step: exact product m @ v, level incremented.
 
@@ -278,16 +292,7 @@ def mat_vec(m: HTMatrix, v: CountVector) -> CountVector:
     while live and not x[live - 1]:
         live -= 1
     if m.band_gf is not None and m.row0 is None:
-        num, den = m.band_gf
-        tail = den[1:]
-        p, q = len(num), len(den)
-        xs = x[:live] + (0,) * p
-        ts = [0] * (live + q)
-        for i in range(live - 1, -1, -1):
-            ts[i] = sum(map(mul, num, xs[i : i + p])) - sum(
-                map(mul, tail, ts[i + 1 : i + q])
-            )
-        suffix = ts
+        suffix = _suffix_sums(m.band_gf, x[:live])
     else:
         suffix = [sum(map(mul, m.band, x[i:live])) for i in range(live + 1)]
         if m.row0 is not None:

@@ -6,6 +6,13 @@ counter-clockwise convex position, so two chords (a, b) and (c, d) cross
 exactly when a < c < b < d, and a vertex j is hidden from an external point
 inserted between p_n and p_1 exactly when some edge (a, b) spans it,
 a < j < b.  No coordinates, no floating point.
+
+Three shared pieces do the work.  One walker, ``_subsets``, yields every
+non-crossing chord subset once as bitmasks; the graph histograms and the
+graph stream all loop over it.  One union-find, ``_find``, serves both
+connectivity tests and the pruned spanning-structure search.  One gap
+recursion, ``_fillings``, builds non-crossing partitions and k-angulations
+alike: a root piece, then independent fillings of the gaps it leaves.
 """
 from __future__ import annotations
 
@@ -40,6 +47,26 @@ def crossing(e: tuple[int, int], f: tuple[int, int]) -> bool:
     return a < c < b < d
 
 
+def _find(parent: list[int], x: int) -> int:
+    """Root of x.  No path compression, so a union can be undone by
+    resetting the parent of the root it attached."""
+    while parent[x] != x:
+        x = parent[x]
+    return x
+
+
+def _component_count(n: int, edges) -> int:
+    """Connected components of the graph on vertices 1..n."""
+    parent = list(range(n + 1))
+    comps = n
+    for a, b in edges:
+        ra, rb = _find(parent, a), _find(parent, b)
+        if ra != rb:
+            parent[ra] = rb
+            comps -= 1
+    return comps
+
+
 @dataclass(frozen=True)
 class PlaneGraph:
     """Graph on vertices 1..n in convex position with non-crossing edges."""
@@ -63,21 +90,7 @@ class PlaneGraph:
         return deg
 
     def component_count(self) -> int:
-        parent = list(range(self.n + 1))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        comps = self.n
-        for a, b in self.edges:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-                comps -= 1
-        return comps
+        return _component_count(self.n, self.edges)
 
     def is_connected(self) -> bool:
         return self.component_count() == 1
@@ -173,30 +186,27 @@ def _chord_tables(n: int):
     return tuple(chords), tuple(cross), tuple(span), tuple(ends)
 
 
-def _walk_histogram(n: int, leaf):
-    """Drive ``leaf(hist, chosen, spanned, occupied)`` over every non-crossing
-    edge subset and return the histogram it fills."""
-    chords, cross, span, ends = _chord_tables(n)
-    m = len(chords)
-    hist = [0] * (n + 2)
-    stack = [(0, 0, 0, 0, 0)]
+def _subsets(n: int) -> Iterator[tuple[int, int, int]]:
+    """Yield every non-crossing chord subset once, as bitmasks
+    (chosen chords, spanned vertices, edge endpoints).  A subset's children
+    add one chord past its last chosen chord that crosses none of it."""
+    _, cross, span, ends = _chord_tables(n)
+    # (chords a child may add, chosen, spanned, occupied)
+    stack = [((1 << len(cross)) - 1, 0, 0, 0)]
     while stack:
-        i, forbidden, chosen, spanned, occupied = stack.pop()
-        if i == m:
-            leaf(hist, chosen, spanned, occupied)
-            continue
-        stack.append((i + 1, forbidden, chosen, spanned, occupied))
-        if not (forbidden >> i) & 1:
-            stack.append(
-                (
-                    i + 1,
-                    forbidden | cross[i],
-                    chosen | (1 << i),
-                    spanned | span[i],
-                    occupied | ends[i],
-                )
-            )
-    return hist
+        free, chosen, spanned, occupied = stack.pop()
+        yield chosen, spanned, occupied
+        while free:
+            low = free & -free
+            free ^= low
+            i = low.bit_length() - 1
+            stack.append((free & ~cross[i], chosen | low, spanned | span[i], occupied | ends[i]))
+
+
+def _edges(n: int, chosen: int) -> list[tuple[int, int]]:
+    """The chords in the bitmask ``chosen``."""
+    chords = _chord_tables(n)[0]
+    return [chords[i] for i in range(chosen.bit_length()) if (chosen >> i) & 1]
 
 
 def enumerate_noncrossing_graphs(n: int, force: bool = False) -> Iterator[PlaneGraph]:
@@ -204,18 +214,8 @@ def enumerate_noncrossing_graphs(n: int, force: bool = False) -> Iterator[PlaneG
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_guard(n, MAX_GRAPH_VERTICES, "graph enumeration", force)
-    chords, cross, _, _ = _chord_tables(n)
-    m = len(chords)
-
-    def rec(i: int, forbidden: int, chosen: tuple[tuple[int, int], ...]):
-        if i == m:
-            yield PlaneGraph(n, frozenset(chosen))
-            return
-        yield from rec(i + 1, forbidden, chosen)
-        if not (forbidden >> i) & 1:
-            yield from rec(i + 1, forbidden | cross[i], chosen + (chords[i],))
-
-    yield from rec(0, 0, ())
+    for chosen, _, _ in _subsets(n):
+        yield PlaneGraph(n, frozenset(_edges(n, chosen)))
 
 
 def enumerate_connected(n: int, force: bool = False) -> Iterator[PlaneGraph]:
@@ -275,11 +275,10 @@ def visibility_histogram(n: int, force: bool = False) -> list[int]:
     if n < 2:
         raise ValueError("n must be >= 2")
     _check_guard(n, MAX_GRAPH_VERTICES, "graph enumeration", force)
-
-    def leaf(hist, chosen, spanned, occupied):
-        hist[n - spanned.bit_count() - 2] += 1
-
-    return _walk_histogram(n, leaf)[: n - 1]
+    hist = [0] * (n - 1)
+    for _, spanned, _ in _subsets(n):
+        hist[n - 2 - spanned.bit_count()] += 1
+    return hist
 
 
 def isolation_histogram(n: int, include_root: bool = True, force: bool = False) -> list[int]:
@@ -287,16 +286,11 @@ def isolation_histogram(n: int, include_root: bool = True, force: bool = False) 
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_guard(n, MAX_GRAPH_VERTICES, "graph enumeration", force)
-    full = (1 << n) - 1
-    root_bit = 1 << (n - 1)
-
-    def leaf(hist, chosen, spanned, occupied):
-        iso = full & ~(spanned | occupied)
-        if not include_root:
-            iso &= ~root_bit
-        hist[iso.bit_count()] += 1
-
-    return _walk_histogram(n, leaf)[: n + 1]
+    visible = (1 << (n if include_root else n - 1)) - 1
+    hist = [0] * (n + 1)
+    for _, spanned, occupied in _subsets(n):
+        hist[(visible & ~(spanned | occupied)).bit_count()] += 1
+    return hist
 
 
 def connected_visibility_histogram(n: int, force: bool = False) -> list[int]:
@@ -304,33 +298,38 @@ def connected_visibility_histogram(n: int, force: bool = False) -> list[int]:
     if n < 2:
         raise ValueError("n must be >= 2")
     _check_guard(n, MAX_GRAPH_VERTICES, "graph enumeration", force)
-    chords, _, _, _ = _chord_tables(n)
+    hist = [0] * (n - 1)
+    for chosen, spanned, occupied in _subsets(n):
+        # a vertex with no edge leaves the graph disconnected
+        if occupied.bit_count() == n and _component_count(n, _edges(n, chosen)) == 1:
+            hist[n - 2 - spanned.bit_count()] += 1
+    return hist
 
-    def leaf(hist, chosen, spanned, occupied):
-        if occupied.bit_count() != n:
-            return
-        parent = list(range(n + 1))
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+# ---------------------------------------------------------------------------
+# Non-crossing partitions and polygon dissections into k-gons.
 
-        comps = n
-        mask = chosen
-        while mask:
-            i = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            a, b = chords[i]
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-                comps -= 1
-        if comps == 1:
-            hist[n - spanned.bit_count() - 2] += 1
+def _fillings(vs: tuple[int, ...], pieces) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Every filling of ``vs``: a root piece, then an independent filling of
+    each gap it leaves.  ``pieces(vs)`` yields each root piece with its
+    gaps, and lists no gap that needs no filling."""
+    for piece, gaps in pieces(vs):
+        for parts in product(*(list(_fillings(gap, pieces)) for gap in gaps)):
+            filling = (piece,)
+            for part in parts:
+                filling += part
+            yield filling
 
-    return _walk_histogram(n, leaf)[: n - 1]
+
+def _partition_pieces(vs: tuple[int, ...]):
+    # the block of vs[0]; each run of vs between two of its elements, or
+    # after its last, is a gap
+    first, rest = vs[0], vs[1:]
+    for size in range(len(rest) + 1):
+        for pos in combinations(range(len(rest)), size):
+            cuts = (-1,) + pos + (len(rest),)
+            gaps = [rest[a + 1 : b] for a, b in zip(cuts, cuts[1:]) if b - a > 1]
+            yield (first,) + tuple(rest[p] for p in pos), gaps
 
 
 def enumerate_partitions(n: int, force: bool = False) -> Iterator[NonCrossingPartition]:
@@ -338,28 +337,7 @@ def enumerate_partitions(n: int, force: bool = False) -> Iterator[NonCrossingPar
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_guard(n, MAX_PARTITION_SIZE, "partition enumeration", force)
-
-    def rec(seq: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if not seq:
-            yield ()
-            return
-        first, rest = seq[0], seq[1:]
-        for size in range(len(rest) + 1):
-            for pos in combinations(range(len(rest)), size):
-                block = (first,) + tuple(rest[p] for p in pos)
-                gaps = []
-                prev = -1
-                for p in pos:
-                    gaps.append(rest[prev + 1 : p])
-                    prev = p
-                gaps.append(rest[prev + 1 :])
-                for parts in product(*(list(rec(g)) for g in gaps)):
-                    blocks: tuple[tuple[int, ...], ...] = (block,)
-                    for part in parts:
-                        blocks += part
-                    yield blocks
-
-    for blocks in rec(tuple(range(1, n + 1))):
+    for blocks in _fillings(tuple(range(1, n + 1)), _partition_pieces):
         yield NonCrossingPartition(n, tuple(sorted(blocks)))
 
 
@@ -373,9 +351,6 @@ def partition_isolation_histogram(
     return hist
 
 
-# ---------------------------------------------------------------------------
-# Polygon dissections into k-gons.
-
 def enumerate_dissections(k: int, r: int, force: bool = False) -> Iterator[Dissection]:
     """Yield every dissection of the convex ((k-2)r+2)-gon into r k-gons."""
     if k < 3:
@@ -385,30 +360,18 @@ def enumerate_dissections(k: int, r: int, force: bool = False) -> Iterator[Disse
     n = (k - 2) * r + 2
     _check_guard(n, MAX_DISSECTION_VERTICES, "dissection enumeration", force)
 
-    def rec(vs: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if len(vs) == 2:
-            yield ()
-            return
-        last = len(vs) - 1
-        # the face containing the base edge (vs[0], vs[-1]) uses k-2 interior
+    def pieces(vs: tuple[int, ...]):
+        # the face on the base edge (vs[0], vs[-1]) uses k-2 interior
         # vertices; each gap must again hold a whole number of k-gons
+        last = len(vs) - 1
         for combo in combinations(range(1, last), k - 2):
             idx = (0,) + combo + (last,)
-            if any((idx[t + 1] - idx[t] - 1) % (k - 2) for t in range(k - 1)):
+            if any((b - a - 1) % (k - 2) for a, b in zip(idx, idx[1:])):
                 continue
-            subpolys = [
-                vs[idx[t] : idx[t + 1] + 1]
-                for t in range(k - 1)
-                if idx[t + 1] - idx[t] >= 2
-            ]
-            face = tuple(vs[i] for i in idx)
-            for parts in product(*(list(rec(sp)) for sp in subpolys)):
-                faces = (face,)
-                for part in parts:
-                    faces += part
-                yield faces
+            gaps = [vs[a : b + 1] for a, b in zip(idx, idx[1:]) if b - a >= 2]
+            yield tuple(vs[i] for i in idx), gaps
 
-    for faces in rec(tuple(range(1, n + 1))):
+    for faces in _fillings(tuple(range(1, n + 1)), pieces):
         yield Dissection(k, r, faces)
 
 
@@ -448,11 +411,6 @@ def count_spanning_structures(n: int, kind: SpanningKind, force: bool = False) -
     deg = [0] * (n + 1)
     state = {"comps": n, "count": 0}
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
     def rec(i: int, forbidden: int) -> None:
         if i == m:
             if not need_connected or state["comps"] == 1:
@@ -464,9 +422,10 @@ def count_spanning_structures(n: int, kind: SpanningKind, force: bool = False) -
         a, b = chords[i]
         if cap_degree and (deg[a] == 2 or deg[b] == 2):
             return
-        ra, rb = find(a), find(b)
+        ra, rb = _find(parent, a), _find(parent, b)
         if ra == rb:
             return
+        # union by size, undone on the way back
         if size[ra] > size[rb]:
             ra, rb = rb, ra
         parent[ra] = rb

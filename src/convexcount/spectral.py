@@ -20,12 +20,12 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import add, mul
+from operator import add
 from typing import NamedTuple
 
 from mpmath import mp
 
-from .exact import HTMatrix, IntPolynomial, binomial
+from .exact import HTMatrix, IntPolynomial, _suffix_sums, binomial
 
 DEFAULT_PRECISION_BITS = 256
 
@@ -42,23 +42,9 @@ def precision_bits() -> int:
     return bits
 
 
-@dataclass(frozen=True)
-class CharPolySequence:
-    """Characteristic polynomials of the leading principal truncations,
-    index i holding the degree-i polynomial (index 0 is the constant 1)."""
-
-    label: str
-    polys: tuple[IntPolynomial, ...]
-
-    def __getitem__(self, i: int) -> IntPolynomial:
-        return self.polys[i]
-
-    def __len__(self) -> int:
-        return len(self.polys)
-
-
-def charpoly_recurrence(m: HTMatrix, n: int | None = None, label: str = "") -> CharPolySequence:
-    """Characteristic polynomials d_0..d_n of a Hessenberg-Toeplitz matrix.
+def charpoly_recurrence(m: HTMatrix, n: int | None = None) -> tuple[IntPolynomial, ...]:
+    """Characteristic polynomials d_0..d_n of a Hessenberg-Toeplitz matrix:
+    index i holds d_i, that of the leading i x i block (d_0 = 1).
 
     Expanding det(A_s - x I) along its last column gives
 
@@ -101,7 +87,7 @@ def charpoly_recurrence(m: HTMatrix, n: int | None = None, label: str = "") -> C
             del us[0]
         d = ds[j]  # d_{j+1} = -x d_j + U_j
         ds.append(u[:1] + [a - b for a, b in zip(u[1:], d)] + [-d[-1]])
-    return CharPolySequence(label, tuple(IntPolynomial(d) for d in ds))
+    return tuple(IntPolynomial(d) for d in ds)
 
 
 def _recurrence_terms(m: HTMatrix, n: int):
@@ -525,19 +511,13 @@ def eigenvector_from_charpoly(m: HTMatrix, lam) -> EigenPair:
     if not m.is_toeplitz():
         raise ValueError("recurrence requires a pure Toeplitz band")
     n = m.size
-    num, den = m.band_gf or (m.band, (1,))
     with mp.workprec(precision_bits()):
         lam_mp = _to_mp(lam)
         factor = mp.mpf(-1) / m.sub
         ds = _charpoly_values(m, lam_mp, n - 1)
         xs = [d * factor**i for i, d in enumerate(ds)]
         vector = tuple(reversed(xs))  # (x_{n-1}, ..., x_0)
-        padded = vector + (0,) * len(num)
-        ts = [0] * (n + len(den))
-        for i in range(n - 1, -1, -1):
-            ts[i] = sum(map(mul, num, padded[i : i + len(num)])) - sum(
-                map(mul, den[1:], ts[i + 1 : i + len(den)])
-            )
+        ts = _suffix_sums(m.band_gf or (m.band, (1,)), vector)
         resid = mp.mpf(0)
         for i in range(n):
             row_val = m.sub * vector[i - 1] + ts[i] if i else ts[0]
@@ -559,9 +539,9 @@ def matrix_charpoly(m: HTMatrix) -> IntPolynomial:
     with d_k the banded sequence of the Toeplitz matrix.
     """
     if m.is_toeplitz():
-        return charpoly_recurrence(m).polys[m.size]
+        return charpoly_recurrence(m)[m.size]
     n = m.size
-    ds = charpoly_recurrence(HTMatrix(n, m.sub, m.band, band_gf=m.band_gf), n - 1).polys
+    ds = charpoly_recurrence(HTMatrix(n, m.sub, m.band, band_gf=m.band_gf), n - 1)
     acc = IntPolynomial((m.row0[0], -1)) * ds[n - 1]
     for j in range(1, n):
         acc = acc + ds[n - 1 - j] * ((-1) ** j * m.row0[j] * m.sub**j)

@@ -88,8 +88,12 @@ def suite_vectors(n_max: int = 12) -> list[CheckResult]:
     return out
 
 
-def suite_charpoly(det_max: int = 8, closed_max: int = 20) -> list[CheckResult]:
-    """Recurrence, closed form and determinant oracle, coefficient-exact."""
+def suite_charpoly(n_max: int = 20, det_max: int = 8) -> list[CheckResult]:
+    """Recurrence, closed form and determinant oracle, coefficient-exact.
+
+    Closed forms run over 0..max(20, n_max); determinants over 1..det_max,
+    since the cofactor expansion is exponential."""
+    closed_max = max(20, n_max)
     out = []
     for row in CLASSES.values():
         if row.charpoly is None:
@@ -231,28 +235,18 @@ def suite_relation(
     ]
     out.append(_check_levels("relation/connected-to-geometric", pairs))
     top = n_oracle + 2
-    trees = oracle.spanning_counts(top, "tree", force=True if top > oracle.MAX_SPANNING_VERTICES else force)
-    forest_rows = count_sequence(relation_class(trees), n_oracle)
-    pairs = [
-        (
-            f"n={row.level}",
-            (row.total,),
-            (oracle.count_spanning_structures(row.level, "forest", force=force),),
-        )
-        for row in forest_rows
-    ]
-    out.append(_check_levels("relation/trees-to-forests", pairs))
-    paths = oracle.spanning_counts(top, "path", force=True if top > oracle.MAX_SPANNING_VERTICES else force)
-    path_rows = count_sequence(relation_class(paths), n_oracle)
-    pairs = [
-        (
-            f"n={row.level}",
-            (row.total,),
-            (oracle.count_spanning_structures(row.level, "path-forest", force=force),),
-        )
-        for row in path_rows
-    ]
-    out.append(_check_levels("relation/paths-to-path-forests", pairs))
+    weights_force = top > oracle.MAX_SPANNING_VERTICES or force
+    for kind, structure in (("tree", "forest"), ("path", "path-forest")):
+        weights = oracle.spanning_counts(top, kind, force=weights_force)
+        pairs = [
+            (
+                f"n={row.level}",
+                (row.total,),
+                (oracle.count_spanning_structures(row.level, structure, force=force),),
+            )
+            for row in count_sequence(relation_class(weights), n_oracle)
+        ]
+        out.append(_check_levels(f"relation/{kind}s-to-{structure}s", pairs))
     return out
 
 

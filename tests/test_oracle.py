@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from convexcount.oracle import (
@@ -52,11 +54,19 @@ def test_graph_counts():
 
 
 def test_graph_enumeration_duplicate_free():
+    # and equal to the filter of every chord subset by `crossing`
     for n in range(1, 7):
         seen = set()
         for g in enumerate_noncrossing_graphs(n):
             assert g.edges not in seen
             seen.add(g.edges)
+        chords = list(combinations(range(1, n + 1), 2))
+        assert seen == {
+            frozenset(sub)
+            for size in range(len(chords) + 1)
+            for sub in combinations(chords, size)
+            if not any(crossing(e, f) for e, f in combinations(sub, 2))
+        }
 
 
 def test_connected_counts():
@@ -204,3 +214,59 @@ def test_guards_soft():
         next(enumerate_partitions(13))
     with pytest.raises(EnumerationLimitError):
         next(enumerate_dissections(3, 13))
+
+
+def _reachable_all(g: PlaneGraph) -> bool:
+    # connectivity by graph search, independent of the oracle's union-find
+    adj = {v: set() for v in range(1, g.n + 1)}
+    for a, b in g.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    seen, todo = {1}, [1]
+    while todo:
+        for w in adj[todo.pop()] - seen:
+            seen.add(w)
+            todo.append(w)
+    return len(seen) == g.n
+
+
+def test_graph_histograms_equal_classified_stream():
+    for n in range(2, 8):
+        vis, conn = [0] * (n - 1), [0] * (n - 1)
+        iso = {True: [0] * (n + 1), False: [0] * (n + 1)}
+        for g in enumerate_noncrossing_graphs(n):
+            assert g.is_connected() == _reachable_all(g)
+            vis[visibility_degree(g)] += 1
+            conn[visibility_degree(g)] += g.is_connected()
+            for include_root in (True, False):
+                iso[include_root][isolation_degree(g, include_root=include_root)] += 1
+        assert visibility_histogram(n) == vis
+        assert connected_visibility_histogram(n) == conn
+        for include_root in (True, False):
+            assert isolation_histogram(n, include_root=include_root) == iso[include_root]
+
+
+def _set_partitions(items):
+    # every set partition, blocks in order of their least element
+    if not items:
+        yield ()
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        yield ((first,),) + part
+        for i, block in enumerate(part):
+            yield part[:i] + ((first,) + block,) + part[i + 1 :]
+
+
+def test_partitions_equal_filtered_set_partitions():
+    for n in range(1, 8):
+        want = set()
+        for blocks in _set_partitions(tuple(range(1, n + 1))):
+            try:
+                NonCrossingPartition(n, tuple(sorted(blocks)))
+            except ValueError:
+                continue
+            want.add(tuple(sorted(blocks)))
+        got = [p.blocks for p in enumerate_partitions(n)]
+        assert len(got) == len(set(got))
+        assert set(got) == want

@@ -1,13 +1,22 @@
 import pytest
 
-from convexcount.verify import SUITE_NAMES, _check_levels, run_suite, suite_eigen, suite_lemma1
+from convexcount import cli, spectral
+from convexcount.exact import IntPolynomial
+from convexcount.verify import (
+    SUITE_NAMES,
+    _check_levels,
+    run_suite,
+    suite_charpoly,
+    suite_eigen,
+    suite_lemma1,
+)
 
 
 @pytest.mark.parametrize("suite", SUITE_NAMES)
 def test_suites_pass(suite):
     kwargs = {
         "vectors": {"n_max": 8},
-        "charpoly": {"det_max": 6, "closed_max": 12},
+        "charpoly": {"n_max": 12, "det_max": 6},
         "eigen": {"n_max": 4},
         "oracle": {"n_graphs": 5, "n_partitions": 6, "kang_max_vertices": 10},
         "lemma1": {"limit": 8},
@@ -41,3 +50,21 @@ def test_empty_ranges_fail():
     assert not empty.passed and "empty range" in empty.detail
     for results in (suite_lemma1(-1), suite_eigen(0), run_suite("vectors", n_max=0)):
         assert results and not any(r.passed for r in results)
+
+
+def test_charpoly_suite_reads_n_max(monkeypatch, capsys):
+    # a closed form that is wrong only at n = 25 passes the default range
+    # (0..20) and fails once n_max reaches it
+    true = spectral.charpoly_closed_geometric
+    monkeypatch.setattr(
+        spectral,
+        "charpoly_closed_geometric",
+        lambda n: true(n) + IntPolynomial.one() if n == 25 else true(n),
+    )
+    results = {r.name: r for r in suite_charpoly(n_max=30, det_max=2)}
+    assert not results["charpoly/geometric"].passed
+    assert results["charpoly/geometric"].detail == "closed form differs at n=25"
+    assert all(r.passed for name, r in results.items() if name != "charpoly/geometric")
+    assert all(r.passed for r in suite_charpoly(n_max=7, det_max=2))
+    assert cli.main(["verify", "charpoly", "--n-max", "30"]) == 1
+    assert "FAIL charpoly/geometric: closed form differs at n=25\n" in capsys.readouterr().out
