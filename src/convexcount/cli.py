@@ -7,12 +7,9 @@ notation) and identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from fractions import Fraction
-
-from mpmath import mp
 
 from . import spectral, verify
 from .exact import charpoly_determinant
@@ -97,6 +94,8 @@ def _record(command: str, args, payload: dict) -> dict:
 
 
 def _print_json(record: dict) -> None:
+    import json
+
     print(json.dumps(record, indent=2))
 
 
@@ -186,6 +185,8 @@ def cmd_charpoly(args) -> int:
 
 
 def cmd_eigen(args) -> int:
+    from mpmath import mp
+
     n = _size_arg(args)
     digits = args.digits
     if digits < 1:

@@ -82,15 +82,18 @@ def relation_weights(counts: Sequence[int], top: int) -> tuple[int, ...]:
     """Band weights a_2..a_top from a count sequence c_2..c_top.
 
     ``counts[0]`` is c_2.  The weight with index j is
-    sum over i of C(j-2, i-2) * c_i, for i = 2..j.
+    sum over i of C(j-2, i-2) * c_i, for i = 2..j: the binomial transform,
+    taken as the first entries of repeated adjacent sums (Pascal's rule).
     """
     if len(counts) < top - 1:
         raise ValueError(
             f"count sequence too short: need c_2..c_{top}, got {len(counts)} values"
         )
+    row = list(counts[: max(top - 1, 0)])
     out = []
-    for j in range(2, top + 1):
-        out.append(sum(binomial(j - 2, i - 2) * counts[i - 2] for i in range(2, j + 1)))
+    while row:
+        out.append(row[0])
+        row = [a + b for a, b in zip(row, row[1:])]
     return tuple(out)
 
 

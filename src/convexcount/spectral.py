@@ -12,7 +12,8 @@ refinement on the same grid lands on the cell that sign bisection would,
 so the roots are the same.  ``Fraction`` appears only in the tolerance, the
 root bound B and the returned roots.  Eigenvectors and their residuals run
 the band's recurrences at the root, O(n * len(den)) per root, in mpmath at
-CONVEX_COUNT_PRECISION bits (default 256).
+CONVEX_COUNT_PRECISION bits (default 256).  mpmath is imported on first use,
+by the functions that compute with it, so exact work never loads it.
 """
 from __future__ import annotations
 
@@ -22,8 +23,6 @@ from fractions import Fraction
 from math import gcd
 from operator import add
 from typing import NamedTuple
-
-from mpmath import mp
 
 from .exact import HTMatrix, IntPolynomial, _suffix_sums, binomial
 
@@ -478,6 +477,8 @@ class EigenPair:
 
 
 def _to_mp(x):
+    from mpmath import mp
+
     if isinstance(x, Fraction):
         return mp.mpf(x.numerator) / x.denominator
     return mp.mpmathify(x)
@@ -510,6 +511,8 @@ def eigenvector_from_charpoly(m: HTMatrix, lam) -> EigenPair:
         raise ValueError("eigenvector formula requires a nonzero subdiagonal")
     if not m.is_toeplitz():
         raise ValueError("recurrence requires a pure Toeplitz band")
+    from mpmath import mp
+
     n = m.size
     with mp.workprec(precision_bits()):
         lam_mp = _to_mp(lam)
@@ -554,5 +557,7 @@ def dominant_eigenvalue(m: HTMatrix, tol: float | Fraction = 1e-30):
     _, best = _dominant_root(matrix_charpoly(m), Fraction(tol))
     if best is None:
         raise ValueError("no real eigenvalue found")
+    from mpmath import mp
+
     with mp.workprec(precision_bits()):
         return _to_mp(best)

@@ -9,8 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp, mpf
-
 from . import closedform, oracle, spectral
 from .exact import charpoly_determinant
 from .production import (
@@ -122,6 +120,8 @@ def suite_eigen(
     """Every real eigenvalue of every class matrix yields a small residual."""
     if n_max < 1:
         return [CheckResult("eigen/residuals", False, f"empty range: n_max={n_max} < 1")]
+    from mpmath import mp, mpf
+
     with mp.workprec(spectral.precision_bits()):
         bound = mpf(residual_bound)
     counts = connected_totals(max(2, n_max))
@@ -176,7 +176,7 @@ def suite_oracle(
         ),
     }
     out = []
-    counts = connected_totals(n_graphs + 2)
+    counts = connected_totals(max(2, n_graphs + 2))
     for name, (histogram, top, total) in brute.items():
         row = CLASSES[name]
         pairs = []
@@ -189,20 +189,17 @@ def suite_oracle(
                     pairs.append((f"total {pair[0]}", (sum(hist),), (total(param, level.level),)))
         out.append(_check_levels(f"oracle/{name}", pairs))
     audit_n = min(n_graphs, 6)
-    seen = set()
-    dupes = False
-    for g in oracle.enumerate_noncrossing_graphs(audit_n):
-        if g.edges in seen:
-            dupes = True
-            break
-        seen.add(g.edges)
-    out.append(
-        CheckResult(
-            "oracle/duplicate-free",
-            not dupes,
-            "" if not dupes else f"duplicate edge set at n={audit_n}",
-        )
-    )
+    detail = ""
+    if audit_n < 1:
+        detail = f"empty range: n_graphs={n_graphs} < 1"
+    else:
+        seen = set()
+        for g in oracle.enumerate_noncrossing_graphs(audit_n):
+            if g.edges in seen:
+                detail = f"duplicate edge set at n={audit_n}"
+                break
+            seen.add(g.edges)
+    out.append(CheckResult("oracle/duplicate-free", not detail, detail))
     return out
 
 
@@ -227,8 +224,8 @@ def suite_relation(
 ) -> list[CheckResult]:
     """The relation matrix transports one class's counts into another's."""
     out = []
-    geo = count_sequence(geometric_class(), n_connected)
-    rel = count_sequence(relation_class(connected_totals(n_connected + 2)), n_connected)
+    geo = _levels(geometric_class(), n_connected)
+    rel = _levels(relation_class(connected_totals(max(2, n_connected + 2))), n_connected)
     pairs = [
         (f"n={row.level}", (row.total,), (geo_row.total,))
         for row, geo_row in zip(rel[1:], geo)
@@ -244,7 +241,7 @@ def suite_relation(
                 (row.total,),
                 (oracle.count_spanning_structures(row.level, structure, force=force),),
             )
-            for row in count_sequence(relation_class(weights), n_oracle)
+            for row in _levels(relation_class(weights), n_oracle)
         ]
         out.append(_check_levels(f"relation/{kind}s-to-{structure}s", pairs))
     return out

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import convexcount
 from convexcount import verify
 from convexcount.cli import main
 
@@ -219,12 +223,24 @@ def test_big_integers_render_decimal(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [("verify", "vectors", "--n-max", "0"), ("verify", "lemma1", "--max", "-1")]
+    "argv",
+    [
+        ("verify", "vectors", "--n-max", "0"),
+        ("verify", "lemma1", "--max", "-1"),
+        ("verify", "oracle", "--n-max", "0"),
+        ("verify", "relation", "--n-max", "0"),
+        ("verify", "all", "--n-max", "0"),
+    ],
 )
 def test_verify_empty_range_fails(capsys, argv):
-    code, out, _ = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert any(line.startswith("FAIL ") for line in out.splitlines())
+    assert "error:" not in err
+    if argv[1] == "all":
+        # every suite ran to the end: the last one's checks and the summary
+        assert "FAIL relation/paths-to-path-forests: empty range" in out
+        assert out.endswith(" failure(s)\n")
 
 
 def test_verify_reports_oracle_clamp_on_stderr(capsys, monkeypatch):
@@ -334,3 +350,46 @@ def test_option_of_another_class_rejected(capsys, argv, option):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert f"error: {option} only applies to" in err
+
+
+# Commands whose work is exact integer arithmetic: none of them may load
+# mpmath (the floating-point eigenvector layer) or json.
+EXACT_ARGVS = [
+    ["counts", "geometric", "--n-max", "20"],
+    ["counts", "geometric", "--n-max", "20", "--bfile"],
+    *(["charpoly", "connected", "--n", "10", "--method", m] for m in ("recurrence", "closed")),
+    ["charpoly", "connected", "--n", "10", "--method", "determinant", "--force"],
+    ["matrix", "partition", "--n", "5", "--format", "csv"],
+    ["verify", "lemma1", "--max", "3"],
+    ["verify", "vectors", "--n-max", "5"],
+    ["verify", "charpoly", "--n-max", "5"],
+]
+LOADING_ARGVS = [
+    ["eigen", "geometric", "--n", "8", "--all-roots"],
+    ["counts", "geometric", "--n-max", "5", "--format", "json"],
+]
+STARTUP_SCRIPT = """
+import contextlib, io, sys
+from convexcount import cli
+for argv in {exact!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(sorted(m for m in ("mpmath", "json") if m in sys.modules))
+for argv in {loading!r}:
+    assert cli.main(argv) == 0, argv
+print(sorted(m for m in ("mpmath", "json") if m in sys.modules))
+"""
+
+
+def test_exact_commands_load_neither_mpmath_nor_json(capsys):
+    # The test process has imported mpmath already, so a fresh interpreter runs
+    # the commands; the two that need mpmath or json must print the same there.
+    src = os.path.dirname(os.path.dirname(convexcount.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = STARTUP_SCRIPT.format(exact=EXACT_ARGVS, loading=LOADING_ARGVS)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = "".join(run_cli(capsys, *argv)[1] for argv in LOADING_ARGVS)
+    assert proc.stdout == "[]\n" + expected + "['json', 'mpmath']\n"

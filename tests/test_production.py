@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from convexcount.cli import build_parser
-from convexcount.exact import charpoly_determinant
+from convexcount.exact import binomial, charpoly_determinant
 from convexcount.production import (
     CLASS_NAMES,
     CLASSES,
@@ -73,6 +73,35 @@ def test_relation_matrix_weights_from_connected_totals():
     m = build_relation_matrix(5, (1, 4, 23, 156))
     assert m.row(0) == (0, 1, 5, 32, 238)
     assert m.row(1) == (1, 0, 1, 5, 32)
+
+
+def reference_relation_weights(counts, top):
+    """a_j = sum_{i=2..j} C(j-2, i-2) * c_i, one binomial per term."""
+    return tuple(
+        sum(binomial(j - 2, i - 2) * counts[i - 2] for i in range(2, j + 1))
+        for j in range(2, top + 1)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-(10**30), 10**30), max_size=70),
+    st.integers(-2, 60),
+)
+def test_relation_weights_match_binomial_sum(counts, top):
+    # Counts past c_top are ignored; fewer than c_2..c_top are rejected.
+    if len(counts) < top - 1:
+        with pytest.raises(ValueError, match="count sequence too short"):
+            relation_weights(counts, top)
+    else:
+        assert relation_weights(counts, top) == reference_relation_weights(counts, top)
+
+
+def test_relation_weights_on_connected_totals_at_202():
+    counts = connected_totals(202)
+    assert relation_weights(counts, 202) == reference_relation_weights(counts, 202)
+    assert relation_weights(counts + (7, 11), 202) == relation_weights(counts, 202)
+    assert relation_weights(counts, 1) == relation_weights(counts, 0) == ()
 
 
 def test_relation_matrix_zero_counts_is_pure_shift():

@@ -9,6 +9,8 @@ from convexcount.verify import (
     suite_charpoly,
     suite_eigen,
     suite_lemma1,
+    suite_oracle,
+    suite_relation,
 )
 
 
@@ -50,6 +52,18 @@ def test_empty_ranges_fail():
     assert not empty.passed and "empty range" in empty.detail
     for results in (suite_lemma1(-1), suite_eigen(0), run_suite("vectors", n_max=0)):
         assert results and not any(r.passed for r in results)
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_brute_force_suites_fail_on_empty_ranges(n):
+    oracle_checks = {r.name: r for r in suite_oracle(n_graphs=n, n_partitions=5, kang_max_vertices=8)}
+    for name in ("geometric", "connected", "relation", "duplicate-free"):
+        result = oracle_checks[f"oracle/{name}"]
+        assert not result.passed and result.detail.startswith("empty range"), result
+    relation_checks = suite_relation(n_connected=n, n_oracle=n)
+    assert len(relation_checks) == 3
+    for result in relation_checks:
+        assert not result.passed and result.detail.startswith("empty range"), result
 
 
 def test_charpoly_suite_reads_n_max(monkeypatch, capsys):
