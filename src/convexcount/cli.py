@@ -62,7 +62,7 @@ def _class_spec(args, size_hint: int) -> GraphClassSpec:
     value = getattr(args, PARAM_OPTIONS[row.param])
     if row.param == "weights":
         # A count sequence defaults to the connected-graph totals.
-        value = _parse_c_values(value) if value else connected_totals(max(2, size_hint))
+        value = _parse_c_values(value) if value is not None else connected_totals(max(2, size_hint))
     elif value is None:
         raise UsageError(f"{row.name} needs {_flag(PARAM_OPTIONS[row.param])}")
     return row.spec(value)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from operator import mul
 from typing import Sequence
 
@@ -172,10 +171,11 @@ class HTMatrix:
     ``band_gf`` optionally gives the band as the power series of a rational
     function num(x)/den(x), as integer coefficient tuples low-to-high with
     ``den[0] == 1``.  The first ``size`` terms of the series must equal
-    ``band``, or construction fails.  ``mat_vec`` and
-    ``spectral.charpoly_recurrence`` then run linear recurrences of order
-    len(den) - 1 instead of full dot products and convolutions.  It takes
-    no part in equality.
+    ``band``, or construction fails.  It takes no part in equality.
+    ``band_series`` is that pair, or band/1 without one; ``mat_vec``,
+    ``spectral.charpoly_recurrence`` and the eigenvectors run its linear
+    recurrences of order len(den) - 1, which for den = 1 are plain dot
+    products and convolutions.
     """
 
     size: int
@@ -205,6 +205,11 @@ class HTMatrix:
                 series.append(t)
             if tuple(series) != self.band:
                 raise ValueError("band_gf expansion disagrees with band")
+
+    @property
+    def band_series(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The band as (num, den): ``band_gf``, or (band, (1,)) without one."""
+        return self.band_gf or (self.band, (1,))
 
     def entry(self, i: int, j: int) -> int:
         if not (0 <= i < self.size and 0 <= j < self.size):
@@ -259,17 +264,17 @@ class CountVector:
         return CountVector(self.entries + pad, self.level)
 
 
-def _suffix_sums(band_gf, x) -> list:
-    """T_i = sum_r band[r] * x[i+r] for the band num/den = ``band_gf``, from
-    the recurrence T_i = sum_r num[r] * x[i+r] - sum_{r>=1} den[r] * T_{i+r},
-    O(len(x) * len(den)).  The list runs past len(x) with zeros."""
-    num, den = band_gf
+def _suffix_sums(band_series, x) -> list:
+    """T_i = sum_r band[r] * x[i+r] for the band num/den = ``band_series``,
+    from the recurrence T_i = sum_r num[r] * x[i+r] - sum_{r>=1} den[r] * T_{i+r},
+    O(len(x) * len(den)); with den = 1 each T_i is the dot product.  The list
+    runs past len(x) with zeros."""
+    num, den = band_series
     tail = den[1:]
     p, q = len(num), len(den)
-    xs = tuple(x) + (0,) * p
     ts = [0] * (len(x) + q)
     for i in range(len(x) - 1, -1, -1):
-        ts[i] = sum(map(mul, num, xs[i : i + p])) - sum(map(mul, tail, ts[i + 1 : i + q]))
+        ts[i] = sum(map(mul, num, x[i : i + p])) - sum(map(mul, tail, ts[i + 1 : i + q]))
     return ts
 
 
@@ -278,10 +283,10 @@ def mat_vec(m: HTMatrix, v: CountVector) -> CountVector:
 
     Only the live prefix of ``v`` (up to its last nonzero entry, length L)
     is read, and rows past L are zero.  Row i >= 1 is sub * v[i-1] plus the
-    banded suffix product T_i = sum_r band[r] * v[i+r].  With ``band_gf`` and
-    no ``row0``, T_i comes from the recurrence
-    T_i = sum_r num[r] * v[i+r] - sum_{r>=1} den[r] * T_{i+r}, which costs
-    O(L * len(den)) per step; otherwise each T_i is a dot product, O(L^2).
+    banded suffix product T_i = sum_r band[r] * v[i+r], from the recurrence
+    of ``m.band_series``: O(L * len(den)) per step for a band with a
+    generating function, O(L^2) dot products for a band over 1.  A ``row0``
+    override replaces T_0 only.
     """
     x = v.entries
     if len(x) != m.size:
@@ -291,39 +296,15 @@ def mat_vec(m: HTMatrix, v: CountVector) -> CountVector:
     live = len(x)
     while live and not x[live - 1]:
         live -= 1
-    if m.band_gf is not None and m.row0 is None:
-        suffix = _suffix_sums(m.band_gf, x[:live])
-    else:
-        suffix = [sum(map(mul, m.band, x[i:live])) for i in range(live + 1)]
-        if m.row0 is not None:
-            suffix[0] = sum(map(mul, m.row0, x[:live]))
+    x = x[:live]
+    suffix = _suffix_sums(m.band_series, x)
+    if m.row0 is not None:
+        suffix[0] = sum(map(mul, m.row0, x))
     # suffix[live] == 0, so row `live` is just sub * x[live-1].
     sub = m.sub
     rows = min(live + 1, m.size)
     out = suffix[:1] + [sub * x[i - 1] + suffix[i] for i in range(1, rows)]
     return CountVector(tuple(out) + (0,) * (m.size - rows), v.level + 1)
-
-
-@lru_cache(maxsize=None)
-def _det_poly(rows: tuple[tuple[IntPolynomial, ...], ...], colmask: int) -> IntPolynomial:
-    # Laplace expansion along the first remaining row, memoized on the
-    # remaining column set.  Deliberately ignores the Hessenberg structure
-    # so it stays an independent check of the banded recurrence.
-    n = len(rows)
-    row_index = n - colmask.bit_count()
-    if row_index == n:
-        return IntPolynomial.one()
-    acc = IntPolynomial.zero()
-    sign = 1
-    for j in range(n):
-        if not (colmask >> j) & 1:
-            continue
-        e = rows[row_index][j]
-        if not e.is_zero():
-            term = e * _det_poly(rows, colmask & ~(1 << j))
-            acc = acc + (term if sign > 0 else -term)
-        sign = -sign
-    return acc
 
 
 def charpoly_determinant(m: HTMatrix) -> IntPolynomial:
@@ -341,6 +322,25 @@ def charpoly_determinant(m: HTMatrix) -> IntPolynomial:
         )
         for i in range(n)
     )
-    result = _det_poly(rows, (1 << n) - 1)
-    _det_poly.cache_clear()
-    return result
+    memo = {0: IntPolynomial.one()}
+
+    def minor(colmask: int) -> IntPolynomial:
+        # Laplace expansion along the first remaining row, memoized on the
+        # remaining column set.  Deliberately ignores the Hessenberg structure
+        # so it stays an independent check of the banded recurrence.
+        if colmask in memo:
+            return memo[colmask]
+        row = rows[n - colmask.bit_count()]
+        acc = IntPolynomial.zero()
+        sign = 1
+        for j in range(n):
+            if not (colmask >> j) & 1:
+                continue
+            if not row[j].is_zero():
+                term = row[j] * minor(colmask & ~(1 << j))
+                acc = acc + (term if sign > 0 else -term)
+            sign = -sign
+        memo[colmask] = acc
+        return acc
+
+    return minor((1 << n) - 1)

@@ -153,50 +153,42 @@ def riordan_triple_of(m: HTMatrix, d0: int = 1) -> RiordanTriple:
 
 @dataclass(frozen=True)
 class GraphClassSpec:
-    """A countable class: its matrix family, initial vector and start level."""
+    """A countable class: the name of its ``CLASSES`` row and ``param``, the
+    one value the row's matrix builder takes (k for kangulation, a count
+    sequence c_2, c_3, ... for relation, None for the others).  Its start
+    level and initial vector are read from the row.
+    """
 
     name: str
-    start_index: int
-    initial_entries: tuple[int, ...]
-    k: int | None = None
-    weights: tuple[int, ...] | None = None
+    param: Any = None
 
     def __post_init__(self):
         if self.name not in CLASSES:
             raise ValueError(f"unknown class {self.name!r}")
-        row = CLASSES[self.name]
-        if (self.start_index, self.initial_entries) != (row.start_index, row.initial_entries):
-            raise ValueError(
-                f"{self.name} class starts at level {row.start_index} "
-                f"with entries {row.initial_entries}"
-            )
-        for field in ("k", "weights"):
-            if field != row.param and getattr(self, field) is not None:
-                raise ValueError(f"{self.name} class takes no {field}")
-        if row.param is not None and getattr(self, row.param) is None:
-            raise ValueError(f"{self.name} class requires {row.param}")
+        takes = CLASSES[self.name].param
+        if takes is None and self.param is not None:
+            raise ValueError(f"{self.name} class takes no parameter")
+        if takes is not None and self.param is None:
+            raise ValueError(f"{self.name} class requires {takes}")
         # The builder rejects a parameter it cannot use, such as k < 3.
         self.build_matrix(1)
 
     @property
-    def param(self):
-        """The value of the field the class's matrix builder takes, or None."""
-        field = CLASSES[self.name].param
-        return None if field is None else getattr(self, field)
+    def start_index(self) -> int:
+        return CLASSES[self.name].start_index
 
     def build_matrix(self, size: int) -> HTMatrix:
         return CLASSES[self.name].build(size, self.param)
-
-    def initial_vector(self, size: int) -> CountVector:
-        return CountVector(self.initial_entries, self.start_index).padded(size)
 
 
 @dataclass(frozen=True)
 class ClassDef:
     """One row of the class table: everything that differs between classes.
 
-    ``param`` names the ``GraphClassSpec`` field the matrix builder takes
-    (``"k"``, ``"weights"`` or None) and ``size_option`` the CLI option that
+    The class's objects start at level ``start_index`` with count vector
+    ``initial_entries``.  ``param`` names what the matrix builder takes
+    (``"k"``, ``"weights"`` for a count sequence, or None), whose value a
+    ``GraphClassSpec`` carries, and ``size_option`` the CLI option that
     gives the matrix size or level.  ``build(size, param)``,
     ``vector(param, level)`` (the closed-form count vector) and
     ``charpoly(param, n)`` (the closed-form characteristic polynomial) look
@@ -214,8 +206,7 @@ class ClassDef:
     charpoly: Callable[[Any, int], IntPolynomial] | None = None
 
     def spec(self, param=None) -> GraphClassSpec:
-        fields = {} if self.param is None else {self.param: param}
-        return GraphClassSpec(self.name, self.start_index, self.initial_entries, **fields)
+        return GraphClassSpec(self.name, param)
 
 
 CLASSES = {
@@ -297,10 +288,11 @@ def count_sequence(spec: GraphClassSpec, n_max: int) -> list[LevelCount]:
     n-vertex object can reach n, so its vector has a nonzero entry at index
     n+1.
     """
-    if n_max < spec.start_index:
+    row = CLASSES[spec.name]
+    if n_max < row.start_index:
         raise ValueError("n_max must be at least the class start index")
-    size = n_max + 2
-    return iterate_counts(spec.build_matrix(size), spec.initial_vector(size), n_max)
+    initial = CountVector(row.initial_entries, row.start_index)
+    return iterate_counts(spec.build_matrix(n_max + 2), initial, n_max)
 
 
 def k_angulation_total(k: int, r: int) -> int:

@@ -50,7 +50,7 @@ def charpoly_recurrence(m: HTMatrix, n: int | None = None) -> tuple[IntPolynomia
         d_s = -x d_{s-1} + U_{s-1},    U_j = sum_{m=0..j} b_m d_{j-m},
 
     with b_m = (-sub)**m * band[m].  The band is the power series of
-    num(z)/den(z) (``m.band_gf``, or band/1 without one), so
+    num(z)/den(z) (``m.band_series``: ``band_gf``, or band/1), so
     sum_m b_m z**m = num(-sub z)/den(-sub z) and U obeys the recurrence of
     order len(den) - 1
 
@@ -92,7 +92,7 @@ def charpoly_recurrence(m: HTMatrix, n: int | None = None) -> tuple[IntPolynomia
 def _recurrence_terms(m: HTMatrix, n: int):
     """The recurrence's nonzero terms (r, num_r (-sub)**r) for r < n, and
     (r, -den_r (-sub)**r) for r >= 1."""
-    num, den = m.band_gf or (m.band, (1,))
+    num, den = m.band_series
     neg_sub = -m.sub
     ps = [(r, c * neg_sub**r) for r, c in enumerate(num[:n]) if c]
     qs = [(r, -c * neg_sub**r) for r, c in enumerate(den) if c and r]
@@ -520,7 +520,7 @@ def eigenvector_from_charpoly(m: HTMatrix, lam) -> EigenPair:
         ds = _charpoly_values(m, lam_mp, n - 1)
         xs = [d * factor**i for i, d in enumerate(ds)]
         vector = tuple(reversed(xs))  # (x_{n-1}, ..., x_0)
-        ts = _suffix_sums(m.band_gf or (m.band, (1,)), vector)
+        ts = _suffix_sums(m.band_series, vector)
         resid = mp.mpf(0)
         for i in range(n):
             row_val = m.sub * vector[i - 1] + ts[i] if i else ts[0]

@@ -91,6 +91,10 @@ def suite_charpoly(n_max: int = 20, det_max: int = 8) -> list[CheckResult]:
 
     Closed forms run over 0..max(20, n_max); determinants over 1..det_max,
     since the cofactor expansion is exponential."""
+    if n_max < 0:
+        return [CheckResult("charpoly/ranges", False, f"empty range: n_max={n_max} < 0")]
+    if det_max < 1:
+        return [CheckResult("charpoly/ranges", False, f"empty range: det_max={det_max} < 1")]
     closed_max = max(20, n_max)
     out = []
     for row in CLASSES.values():

@@ -206,6 +206,12 @@ def test_c_values_parsing(capsys):
     )
     assert code == 2
     assert "too short" in err
+    # An empty list is a sequence too short, not the connected-graph default.
+    code, out, err = run_cli(
+        capsys, "counts", "relation", "--n-max", "4", "--c-values=", "--bfile"
+    )
+    assert (code, out) == (2, "")
+    assert "count sequence too short" in err
 
 
 def test_deterministic_output(capsys):
@@ -227,6 +233,7 @@ def test_big_integers_render_decimal(capsys):
     [
         ("verify", "vectors", "--n-max", "0"),
         ("verify", "lemma1", "--max", "-1"),
+        ("verify", "charpoly", "--n-max", "-1"),
         ("verify", "oracle", "--n-max", "0"),
         ("verify", "relation", "--n-max", "0"),
         ("verify", "all", "--n-max", "0"),

@@ -189,8 +189,9 @@ def _band_gf_builders():
     st.integers(1, 14),
     st.lists(st.integers(0, 10**9), min_size=14, max_size=14),
     st.integers(0, 14),
+    st.lists(st.integers(0, 50), min_size=14, max_size=14),
 )
-def test_band_gf_matrices_match_reference(n, raw, live):
+def test_band_gf_matrices_match_reference(n, raw, live, row0):
     entries = tuple(raw[:live]) + (0,) * (14 - live)
     v = CountVector(entries[:n], 3)
     for build in _band_gf_builders():
@@ -199,6 +200,9 @@ def test_band_gf_matrices_match_reference(n, raw, live):
         plain = HTMatrix(m.size, m.sub, m.band)
         assert plain == m and plain.band_gf is None
         assert mat_vec(m, v) == mat_vec(plain, v) == reference_mat_vec(m, v)
+        # A first-row override replaces T_0 only, also on the band_gf recurrence.
+        riordan = HTMatrix(n, m.sub, m.band, row0=tuple(row0[:n]), band_gf=m.band_gf)
+        assert mat_vec(riordan, v) == reference_mat_vec(riordan, v)
 
 
 def test_wrong_band_gf_rejected():

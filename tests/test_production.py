@@ -224,18 +224,21 @@ def test_kangulation_class_requires_k():
 
 
 def test_class_spec_must_match_its_row():
-    with pytest.raises(ValueError, match="starts at level 2"):
-        GraphClassSpec("geometric", 1, (7,))
-    with pytest.raises(ValueError, match="starts at level 2"):
-        GraphClassSpec("geometric", 2, (7,))
-    with pytest.raises(ValueError, match="takes no k"):
-        GraphClassSpec("geometric", 2, (2,), k=5)
-    with pytest.raises(ValueError, match="takes no weights"):
-        GraphClassSpec("kangulation", 1, (1,), k=4, weights=(1, 2))
+    with pytest.raises(ValueError, match="takes no parameter"):
+        GraphClassSpec("geometric", 5)
+    with pytest.raises(ValueError, match="requires k"):
+        GraphClassSpec("kangulation")
+    with pytest.raises(ValueError, match="requires weights"):
+        GraphClassSpec("relation")
+    with pytest.raises(ValueError, match="k >= 3"):
+        GraphClassSpec("kangulation", 2)
+    with pytest.raises(ValueError, match="unknown class"):
+        GraphClassSpec("triangulation")
     specs = [k_angulation_class(k) for k in range(3, 10)]
     specs += [geometric_class(), connected_class(), partition_class(), relation_class((1, 2))]
     for spec in specs:
         assert spec.build_matrix(3).size == 3
+        assert spec.start_index == CLASSES[spec.name].start_index
 
 
 def test_trailing_entries_zero():
