@@ -12,12 +12,11 @@ import sys
 from fractions import Fraction
 
 from . import spectral, verify
-from .exact import charpoly_determinant
+from .exact import DETERMINANT_CAP, charpoly_determinant
 from .production import CLASS_NAMES, CLASSES, ClassDef, GraphClassSpec, connected_totals, count_sequence
 
 FORMAT_VERSION = "1"
 MAX_DEFAULT_LEVEL = 64
-DETERMINANT_CAP = 8
 # Largest --n-max that verify passes to its brute-force suites (oracle, relation).
 ORACLE_CLAMP = 7
 # Options that belong to some classes only, by argparse dest.  A row takes
@@ -255,9 +254,9 @@ def cmd_verify(args) -> int:
         "vectors": {"n_max": args.n_max},
         "charpoly": {"n_max": args.n_max},
         "eigen": {"n_max": args.n_max},
-        "oracle": {"n_graphs": oracle_n, "force": args.force},
+        "oracle": {"n_graphs": oracle_n},
         "lemma1": {"limit": args.max},
-        "relation": {"n_oracle": oracle_n, "force": args.force},
+        "relation": {"n_oracle": oracle_n},
     }
     failures = 0
     for suite in suites:
@@ -336,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
         "closed forms run to at least 20)",
     )
     p.add_argument("--max", type=int, default=12, help="lemma1 exhaustive bound")
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -77,20 +77,24 @@ def partition_entry(n: int, j: int) -> int:
     return exact_div(j * acc, n + 1)
 
 
+# Each vector's range holds at least j = 1, so the entry function's input
+# checks run even where the size leaves no entry.
+
+
 def kangulation_vector(k: int, r: int) -> tuple[int, ...]:
-    return tuple(kangulation_entry(k, r, j) for j in range(1, r + 1))
+    return tuple(kangulation_entry(k, r, j) for j in range(1, max(r, 1) + 1))
 
 
 def geometric_vector(n: int) -> tuple[int, ...]:
-    return tuple(geometric_entry(n, j) for j in range(1, n))
+    return tuple(geometric_entry(n, j) for j in range(1, max(n, 2)))
 
 
 def connected_vector(n: int) -> tuple[int, ...]:
-    return tuple(connected_entry(n, j) for j in range(1, n))
+    return tuple(connected_entry(n, j) for j in range(1, max(n, 2)))
 
 
 def partition_vector(n: int) -> tuple[int, ...]:
-    return tuple(partition_entry(n, j) for j in range(1, n + 2))
+    return tuple(partition_entry(n, j) for j in range(1, max(n, 0) + 2))
 
 
 def lemma1_check(t: int, m: int, n: int) -> bool:

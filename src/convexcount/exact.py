@@ -124,9 +124,6 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    def derivative(self) -> IntPolynomial:
-        return IntPolynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
 
@@ -307,11 +304,16 @@ def mat_vec(m: HTMatrix, v: CountVector) -> CountVector:
     return CountVector(tuple(out) + (0,) * (m.size - rows), v.level + 1)
 
 
+# Largest size the CLI's determinant method runs unforced and the size
+# verify's determinant oracle runs to.
+DETERMINANT_CAP = 8
+
+
 def charpoly_determinant(m: HTMatrix) -> IntPolynomial:
     """det(m - x*I) by exact cofactor expansion over integer polynomials.
 
     Exponential in the matrix size; intended as an oracle for sizes up to
-    about 12.
+    DETERMINANT_CAP.
     """
     n = m.size
     rows = tuple(

@@ -33,8 +33,6 @@ def build_k_angulation_matrix(k: int, r: int) -> HTMatrix:
     """
     if k < 3:
         raise ValueError("k-angulations require k >= 3")
-    if r < 1:
-        raise ValueError("matrix size must be >= 1")
     band = tuple(binomial(k - 2 + m, k - 3) for m in range(r))
     # sum_m C(k-2+m, k-3) x^m = (1 - (1-x)^(k-2)) / (x (1-x)^(k-2))
     den = tuple((-1) ** s * binomial(k - 2, s) for s in range(k - 1))
@@ -47,8 +45,6 @@ def build_geometric_matrix(n: int) -> HTMatrix:
     Subdiagonal 2; offset-m band entry 2**(m+1), giving first row
     2, 4, 8, ..., 2**n.
     """
-    if n < 1:
-        raise ValueError("matrix size must be >= 1")
     band = tuple(2 ** (m + 1) for m in range(n))
     return HTMatrix(n, 2, band, band_gf=((2,), (1, -2)))
 
@@ -59,8 +55,6 @@ def build_connected_matrix(n: int) -> HTMatrix:
     Subdiagonal 1; offset-m band entry 2**(m+2) - 1, giving first row
     3, 7, 15, ..., 2**(n+1) - 1.
     """
-    if n < 1:
-        raise ValueError("matrix size must be >= 1")
     band = tuple(2 ** (m + 2) - 1 for m in range(n))
     # 4 / (1 - 2x) - 1 / (1 - x)
     return HTMatrix(n, 1, band, band_gf=((3, -2), (1, -3, 2)))
@@ -72,8 +66,6 @@ def build_partition_matrix(n: int) -> HTMatrix:
     Subdiagonal 1, zero main diagonal, offset-m band entry 2**(m-1) for
     m >= 1, giving first row 0, 1, 2, 4, ..., 2**(n-2).
     """
-    if n < 1:
-        raise ValueError("matrix size must be >= 1")
     band = (0,) + tuple(2 ** (m - 1) for m in range(1, n))
     return HTMatrix(n, 1, band, band_gf=((0, 1), (1, -2)))
 
@@ -105,8 +97,6 @@ def build_relation_matrix(n: int, counts: Sequence[int]) -> HTMatrix:
     it reproduces the plane-graph counts; with spanning-tree totals, forest
     counts; with spanning-path totals, counts of forests of paths.
     """
-    if n < 1:
-        raise ValueError("matrix size must be >= 1")
     weights = relation_weights(counts, n) if n >= 2 else ()
     band = (0,) + weights
     return HTMatrix(n, 1, band)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import closedform, oracle, spectral
-from .exact import charpoly_determinant
+from .exact import DETERMINANT_CAP, charpoly_determinant
 from .production import (
     CLASSES,
     CONNECTED,
@@ -27,7 +27,13 @@ from .production import (
     relation_class,
 )
 
-SUITE_NAMES = ("vectors", "charpoly", "eigen", "oracle", "lemma1", "relation")
+# Fixed ranges and bounds of the suites; each suite takes only the size that
+# ``verify --n-max`` (or ``--max``) sets.
+ROOT_TOL = Fraction(1, 10**48)
+RESIDUAL_BOUND = 1e-30
+N_PARTITIONS = 9
+KANG_MAX_VERTICES = 12
+N_CONNECTED = 10
 
 
 @dataclass(frozen=True)
@@ -86,15 +92,13 @@ def suite_vectors(n_max: int = 12) -> list[CheckResult]:
     return out
 
 
-def suite_charpoly(n_max: int = 20, det_max: int = 8) -> list[CheckResult]:
+def suite_charpoly(n_max: int = 20) -> list[CheckResult]:
     """Recurrence, closed form and determinant oracle, coefficient-exact.
 
-    Closed forms run over 0..max(20, n_max); determinants over 1..det_max,
-    since the cofactor expansion is exponential."""
+    Closed forms run over 0..max(20, n_max); determinants over
+    1..DETERMINANT_CAP, since the cofactor expansion is exponential."""
     if n_max < 0:
         return [CheckResult("charpoly/ranges", False, f"empty range: n_max={n_max} < 0")]
-    if det_max < 1:
-        return [CheckResult("charpoly/ranges", False, f"empty range: det_max={det_max} < 1")]
     closed_max = max(20, n_max)
     out = []
     for row in CLASSES.values():
@@ -105,36 +109,33 @@ def suite_charpoly(n_max: int = 20, det_max: int = 8) -> list[CheckResult]:
             bad = next((n for n in range(closed_max + 1) if row.charpoly(param, n) != seq[n]), None)
             detail = "" if bad is None else f"closed form differs at n={bad}"
             out.append(CheckResult(f"charpoly/{_label(row, param)}", bad is None, detail))
-    counts = connected_totals(det_max)
+    counts = connected_totals(DETERMINANT_CAP)
     for row in CLASSES.values():
         for param in _params(row, (3, 4), counts):
-            seq = spectral.charpoly_recurrence(row.build(det_max, param))
-            dets = (charpoly_determinant(row.build(n, param)) for n in range(1, det_max + 1))
+            seq = spectral.charpoly_recurrence(row.build(DETERMINANT_CAP, param))
+            dets = (charpoly_determinant(row.build(n, param)) for n in range(1, DETERMINANT_CAP + 1))
             bad = next((n for n, det in enumerate(dets, 1) if det != seq[n]), None)
             detail = "" if bad is None else f"differs at n={bad}"
             out.append(CheckResult(f"charpoly-determinant/{_label(row, param)}", bad is None, detail))
     return out
 
 
-def suite_eigen(
-    n_max: int = 6,
-    root_tol: Fraction = Fraction(1, 10**48),
-    residual_bound: float = 1e-30,
-) -> list[CheckResult]:
-    """Every real eigenvalue of every class matrix yields a small residual."""
+def suite_eigen(n_max: int = 6) -> list[CheckResult]:
+    """Every real eigenvalue, to within ROOT_TOL, of every class matrix up to
+    size n_max yields a residual of at most RESIDUAL_BOUND."""
     if n_max < 1:
         return [CheckResult("eigen/residuals", False, f"empty range: n_max={n_max} < 1")]
     from mpmath import mp, mpf
 
     with mp.workprec(spectral.precision_bits()):
-        bound = mpf(residual_bound)
+        bound = mpf(RESIDUAL_BOUND)
     counts = connected_totals(max(2, n_max))
     for n in range(1, n_max + 1):
         for row in CLASSES.values():
             for param in _params(row, (3, 4), counts):
                 matrix = row.build(n, param)
                 poly = spectral.charpoly_recurrence(matrix)[n]
-                for root in spectral.real_roots(poly, root_tol):
+                for root in spectral.real_roots(poly, ROOT_TOL):
                     pair = spectral.eigenvector_from_charpoly(matrix, root)
                     if not pair.residual <= bound:
                         detail = f"{_label(row, param)} n={n} root~{float(root):.6g}: residual {pair.residual}"
@@ -142,39 +143,37 @@ def suite_eigen(
     return [CheckResult("eigen/residuals", True)]
 
 
-def suite_oracle(
-    n_graphs: int = 6,
-    n_partitions: int = 9,
-    kang_max_vertices: int = 12,
-    force: bool = False,
-) -> list[CheckResult]:
-    """Brute-force degree histograms against matrix-generated vectors."""
+def suite_oracle(n_graphs: int = 6) -> list[CheckResult]:
+    """Brute-force degree histograms against matrix-generated vectors: graph
+    classes to n_graphs vertices, partitions to N_PARTITIONS elements and
+    k-angulations to KANG_MAX_VERTICES vertices.  Unforced, so the graph
+    oracle raises past its guard (oracle.MAX_GRAPH_VERTICES)."""
     # Per class, in the order checked: the brute-force histogram at
     # (param, level), the largest level the bounds allow (a k-angulation
     # with r faces has (k-2)r+2 vertices), and a closed-form total, if any.
     brute = {
         GEOMETRIC: (
-            lambda _, n: oracle.visibility_histogram(n, force=force),
+            lambda _, n: oracle.visibility_histogram(n),
             lambda _: n_graphs,
             None,
         ),
         CONNECTED: (
-            lambda _, n: oracle.connected_visibility_histogram(n, force=force),
+            lambda _, n: oracle.connected_visibility_histogram(n),
             lambda _: n_graphs,
             None,
         ),
         PARTITION: (
-            lambda _, n: oracle.partition_isolation_histogram(n, force=force),
-            lambda _: n_partitions,
+            lambda _, n: oracle.partition_isolation_histogram(n),
+            lambda _: N_PARTITIONS,
             None,
         ),
         KANGULATION: (
-            lambda k, r: oracle.dissection_degree_histogram(k, r, force=force),
-            lambda k: (kang_max_vertices - 2) // (k - 2),
+            lambda k, r: oracle.dissection_degree_histogram(k, r),
+            lambda k: (KANG_MAX_VERTICES - 2) // (k - 2),
             k_angulation_total,
         ),
         RELATION: (
-            lambda _, n: oracle.isolation_histogram(n, force=force),
+            lambda _, n: oracle.isolation_histogram(n),
             lambda _: n_graphs,
             None,
         ),
@@ -223,27 +222,27 @@ def suite_lemma1(limit: int = 12) -> list[CheckResult]:
     return [CheckResult("lemma1/exhaustive", True)]
 
 
-def suite_relation(
-    n_connected: int = 10, n_oracle: int = 7, force: bool = False
-) -> list[CheckResult]:
-    """The relation matrix transports one class's counts into another's."""
+def suite_relation(n_oracle: int = 7) -> list[CheckResult]:
+    """The relation matrix transports one class's counts into another's:
+    connected-graph totals into plane-graph totals to N_CONNECTED, and
+    spanning trees and paths into brute-force forests to n_oracle vertices.
+    The spanning weights need n_oracle + 2 vertices, past the oracle's guard
+    at the CLI's clamp of 7, so they are always forced."""
     out = []
-    geo = _levels(geometric_class(), n_connected)
-    rel = _levels(relation_class(connected_totals(max(2, n_connected + 2))), n_connected)
+    geo = _levels(geometric_class(), N_CONNECTED)
+    rel = _levels(relation_class(connected_totals(N_CONNECTED + 2)), N_CONNECTED)
     pairs = [
         (f"n={row.level}", (row.total,), (geo_row.total,))
         for row, geo_row in zip(rel[1:], geo)
     ]
     out.append(_check_levels("relation/connected-to-geometric", pairs))
-    top = n_oracle + 2
-    weights_force = top > oracle.MAX_SPANNING_VERTICES or force
     for kind, structure in (("tree", "forest"), ("path", "path-forest")):
-        weights = oracle.spanning_counts(top, kind, force=weights_force)
+        weights = oracle.spanning_counts(n_oracle + 2, kind, force=True)
         pairs = [
             (
                 f"n={row.level}",
                 (row.total,),
-                (oracle.count_spanning_structures(row.level, structure, force=force),),
+                (oracle.count_spanning_structures(row.level, structure),),
             )
             for row in _levels(relation_class(weights), n_oracle)
         ]
@@ -251,15 +250,18 @@ def suite_relation(
     return out
 
 
+SUITES = {
+    "vectors": suite_vectors,
+    "charpoly": suite_charpoly,
+    "eigen": suite_eigen,
+    "oracle": suite_oracle,
+    "lemma1": suite_lemma1,
+    "relation": suite_relation,
+}
+SUITE_NAMES = tuple(SUITES)
+
+
 def run_suite(name: str, **kwargs) -> list[CheckResult]:
-    suites = {
-        "vectors": suite_vectors,
-        "charpoly": suite_charpoly,
-        "eigen": suite_eigen,
-        "oracle": suite_oracle,
-        "lemma1": suite_lemma1,
-        "relation": suite_relation,
-    }
-    if name not in suites:
+    if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    return suites[name](**kwargs)
+    return SUITES[name](**kwargs)

@@ -108,6 +108,14 @@ def test_charpoly_determinant_cap(capsys):
     assert code == 0
 
 
+def test_verify_has_no_force_option(capsys):
+    # --force belongs to counts and charpoly; verify's brute-force sizes are
+    # clamped under the oracle's guards instead.
+    with pytest.raises(SystemExit):
+        main(["verify", "all", "--force"])
+    assert "unrecognized arguments: --force" in capsys.readouterr().err
+
+
 def test_charpoly_relation_has_no_closed_form(capsys):
     code, _, err = run_cli(capsys, "charpoly", "relation", "--n", "3", "--method", "closed")
     assert code == 2
@@ -261,7 +269,7 @@ def test_verify_reports_oracle_clamp_on_stderr(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "relation", "--n-max", "8")
     assert code == 0
     assert err == "note: --n-max 8 clamped to 7 for suites: relation\n"
-    assert calls[-1] == ("relation", {"n_oracle": 7, "force": False})
+    assert calls[-1] == ("relation", {"n_oracle": 7})
     code, again, err = run_cli(capsys, "verify", "relation", "--n-max", "7")
     assert code == 0 and again == out and err == ""
     code, _, err = run_cli(capsys, "verify", "vectors", "--n-max", "8")

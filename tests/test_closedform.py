@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from convexcount.closedform import (
@@ -86,6 +88,26 @@ def test_closed_form_equals_matrix_iteration():
         for r in range(1, 13):
             row = count_sequence(k_angulation_class(k), r)[-1]
             assert kangulation_vector(k, r) == row.vector.entries[:r]
+
+
+@pytest.mark.parametrize(
+    "vector, entry, args",
+    [
+        (kangulation_vector, kangulation_entry, (2, 0)),
+        (kangulation_vector, kangulation_entry, (3, -2)),
+        (geometric_vector, geometric_entry, (1,)),
+        (geometric_vector, geometric_entry, (-4,)),
+        (connected_vector, connected_entry, (0,)),
+        (partition_vector, partition_entry, (-1,)),
+        (partition_vector, partition_entry, (0,)),
+    ],
+)
+def test_vector_rejects_what_its_entry_rejects(vector, entry, args):
+    # An empty range must not turn an unanswerable size into ().
+    with pytest.raises(ValueError) as want:
+        entry(*args, 1)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+        vector(*args)
 
 
 def test_lemma1_examples():

@@ -119,6 +119,24 @@ def test_relation_matrix_sequence_too_short():
         build_relation_matrix(5, (1, 4))
 
 
+_SIZED_BUILDERS = {
+    "kangulation3": lambda r: build_k_angulation_matrix(3, r),
+    "kangulation4": lambda r: build_k_angulation_matrix(4, r),
+    "geometric": build_geometric_matrix,
+    "connected": build_connected_matrix,
+    "partition": build_partition_matrix,
+    "relation": lambda n: build_relation_matrix(n, connected_totals(12)),
+    "riordan": lambda n: build_from_riordan(RiordanTriple(2, z=(2, 4, 8), a=(2, 2, 4)), n),
+}
+
+
+@pytest.mark.parametrize("size", [0, -1])
+@pytest.mark.parametrize("name", sorted(_SIZED_BUILDERS))
+def test_builders_reject_empty_matrix(name, size):
+    with pytest.raises(ValueError, match=r"^matrix size must be >= 1$"):
+        _SIZED_BUILDERS[name](size)
+
+
 def test_build_from_riordan_geometric():
     t = RiordanTriple(2, z=(2, 4, 8, 16), a=(2, 2, 4, 8))
     assert build_from_riordan(t, 3).to_lists() == build_geometric_matrix(3).to_lists()

@@ -114,10 +114,9 @@ def _ref_deflate(q, r):
     return _ref_trim(out)
 
 
-def reference_real_roots(p, tol):
-    """Distinct real roots of p within tol, by Fraction Sturm isolation on
-    (-B, B) and bisection; kept as the reference for real_roots."""
-    tol = Fraction(tol)
+def _ref_isolate(p):
+    """Fraction Sturm isolation of p's distinct real roots on (-B, B):
+    (exact roots, deflated square-free part q, isolating intervals of q)."""
     q = _ref_squarefree([Fraction(c) for c in p.coeffs])
     exact = []
     isolated = []
@@ -152,22 +151,36 @@ def reference_real_roots(p, tol):
             break
     else:
         isolated = []
-    roots = list(exact)
-    for a, b in isolated:
-        fa = _ref_eval(q, a)
-        while b - a > tol:
-            mid = (a + b) / 2
-            fm = _ref_eval(q, mid)
-            if fm == 0:
-                a = b = mid
-                break
-            if (fa > 0) == (fm > 0):
-                a, fa = mid, fm
-            else:
-                b = mid
-        roots.append((a + b) / 2)
-    roots.sort()
-    return roots
+    return exact, q, isolated
+
+
+def _ref_bisect(q, a, b, tols):
+    """The midpoint bisection of q's root in (a, b) ends at, for each tol in
+    ``tols`` (largest first): one bisection, read off at the first interval
+    of width <= tol; an exact hit ends every tolerance still open."""
+    fa = _ref_eval(q, a)
+    mids = []
+    while True:
+        while len(mids) < len(tols) and b - a <= tols[len(mids)]:
+            mids.append((a + b) / 2)
+        if len(mids) == len(tols):
+            return mids
+        mid = (a + b) / 2
+        fm = _ref_eval(q, mid)
+        if fm == 0:
+            a = b = mid
+        elif (fa > 0) == (fm > 0):
+            a, fa = mid, fm
+        else:
+            b = mid
+
+
+def reference_real_roots(p, tol):
+    """Distinct real roots of p within tol, by Fraction Sturm isolation on
+    (-B, B) and bisection; kept as the reference for real_roots."""
+    exact, q, isolated = _ref_isolate(p)
+    tols = (Fraction(tol),)
+    return sorted(exact + [_ref_bisect(q, a, b, tols)[0] for a, b in isolated])
 
 
 def reference_charpoly_recurrence(m, n=None):
@@ -412,10 +425,16 @@ _CLASS_BUILDERS = {
 
 @pytest.mark.parametrize("name", sorted(_CLASS_BUILDERS))
 def test_real_roots_matches_reference_on_class_charpolys(name):
+    # reference_real_roots at both tolerances, from one isolation and one
+    # bisection per root.
+    tols = (Fraction(1, 10**40), Fraction(1, 10**48))
     seq = charpoly_recurrence(_CLASS_BUILDERS[name](30))
     for n in range(1, 31):
-        for tol in (Fraction(1, 10**40), Fraction(1, 10**48)):
-            assert real_roots(seq[n], tol) == reference_real_roots(seq[n], tol), (n, tol)
+        exact, q, isolated = _ref_isolate(seq[n])
+        mids = [_ref_bisect(q, a, b, tols) for a, b in isolated]
+        for i, tol in enumerate(tols):
+            want = sorted(exact + [m[i] for m in mids])
+            assert real_roots(seq[n], tol) == want, (n, tol)
 
 
 @settings(max_examples=150, deadline=None)

@@ -18,9 +18,9 @@ from convexcount.verify import (
 def test_suites_pass(suite):
     kwargs = {
         "vectors": {"n_max": 8},
-        "charpoly": {"n_max": 12, "det_max": 6},
+        "charpoly": {"n_max": 12},
         "eigen": {"n_max": 4},
-        "oracle": {"n_graphs": 5, "n_partitions": 6, "kang_max_vertices": 10},
+        "oracle": {"n_graphs": 5},
         "lemma1": {"limit": 8},
         "relation": {"n_oracle": 6},
     }[suite]
@@ -56,13 +56,16 @@ def test_empty_ranges_fail():
 
 @pytest.mark.parametrize("n", [0, -2])
 def test_brute_force_suites_fail_on_empty_ranges(n):
-    oracle_checks = {r.name: r for r in suite_oracle(n_graphs=n, n_partitions=5, kang_max_vertices=8)}
+    oracle_checks = {r.name: r for r in suite_oracle(n_graphs=n)}
     for name in ("geometric", "connected", "relation", "duplicate-free"):
         result = oracle_checks[f"oracle/{name}"]
         assert not result.passed and result.detail.startswith("empty range"), result
-    relation_checks = suite_relation(n_connected=n, n_oracle=n)
-    assert len(relation_checks) == 3
-    for result in relation_checks:
+    # connected-to-geometric runs at its fixed range; the spanning checks
+    # read n_oracle.
+    relation_checks = {r.name: r for r in suite_relation(n_oracle=n)}
+    assert relation_checks["relation/connected-to-geometric"].passed
+    for name in ("trees-to-forests", "paths-to-path-forests"):
+        result = relation_checks[f"relation/{name}"]
         assert not result.passed and result.detail.startswith("empty range"), result
 
 
@@ -75,10 +78,10 @@ def test_charpoly_suite_reads_n_max(monkeypatch, capsys):
         "charpoly_closed_geometric",
         lambda n: true(n) + IntPolynomial.one() if n == 25 else true(n),
     )
-    results = {r.name: r for r in suite_charpoly(n_max=30, det_max=2)}
+    results = {r.name: r for r in suite_charpoly(n_max=30)}
     assert not results["charpoly/geometric"].passed
     assert results["charpoly/geometric"].detail == "closed form differs at n=25"
     assert all(r.passed for name, r in results.items() if name != "charpoly/geometric")
-    assert all(r.passed for r in suite_charpoly(n_max=7, det_max=2))
+    assert all(r.passed for r in suite_charpoly(n_max=7))
     assert cli.main(["verify", "charpoly", "--n-max", "30"]) == 1
     assert "FAIL charpoly/geometric: closed form differs at n=25\n" in capsys.readouterr().out
