@@ -1,5 +1,6 @@
-"""Brute-force ground truth: exhaustive enumeration of the graph classes at
-small n, with the visibility- and isolation-degree classifiers.
+"""Ground truth that reads no production matrix: exhaustive enumeration of
+the graph classes at small n, with the visibility- and isolation-degree
+classifiers, and an interval recursion for the spanning structures.
 
 Everything here is purely combinatorial.  Vertices sit at positions 1..n in
 counter-clockwise convex position, so two chords (a, b) and (c, d) cross
@@ -7,15 +8,16 @@ exactly when a < c < b < d, and a vertex j is hidden from an external point
 inserted between p_n and p_1 exactly when some edge (a, b) spans it,
 a < j < b.  No coordinates, no floating point.
 
-Three shared pieces do the work.  One walker, ``_subsets``, yields every
-non-crossing chord subset once as bitmasks; the graph histograms and the
-graph stream all loop over it.  One union-find, ``_find``, serves both
-connectivity tests and the pruned spanning-structure search.  One gap
-recursion, ``_fillings``, builds non-crossing partitions and k-angulations
-alike: a root piece, then independent fillings of the gaps it leaves.
+Three shared pieces do the enumeration.  One walker, ``_subsets``, yields
+every non-crossing chord subset once as bitmasks; the graph histograms and
+the graph stream all loop over it.  One union-find, ``_find``, serves both
+connectivity tests.  One gap recursion, ``_fillings``, builds non-crossing
+partitions and k-angulations alike: a root piece, then independent fillings
+of the gaps it leaves.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -24,7 +26,6 @@ from typing import Iterator, Literal, Sequence
 MAX_GRAPH_VERTICES = 9
 MAX_PARTITION_SIZE = 12
 MAX_DISSECTION_VERTICES = 14
-MAX_SPANNING_VERTICES = 8
 
 SpanningKind = Literal["tree", "path", "forest", "path-forest"]
 SPANNING_KINDS = ("tree", "path", "forest", "path-forest")
@@ -48,8 +49,7 @@ def crossing(e: tuple[int, int], f: tuple[int, int]) -> bool:
 
 
 def _find(parent: list[int], x: int) -> int:
-    """Root of x.  No path compression, so a union can be undone by
-    resetting the parent of the root it attached."""
+    """Root of x in the union-find forest ``parent``."""
     while parent[x] != x:
         x = parent[x]
     return x
@@ -387,63 +387,54 @@ def dissection_degree_histogram(k: int, r: int, force: bool = False) -> list[int
 # ---------------------------------------------------------------------------
 # Spanning structures.
 
-def count_spanning_structures(n: int, kind: SpanningKind, force: bool = False) -> int:
-    """Count spanning structures among the non-crossing graphs on n points.
+def _spanning_totals(n_max: int, kind: SpanningKind) -> list[int]:
+    """Counts of the spanning structures on 1..n_max convex points, from one
+    O(n_max³) interval recursion that reads no production matrix.
 
-    tree: connected with n-1 edges; path: tree with maximum degree 2;
-    forest: acyclic; path-forest: acyclic with maximum degree 2.  Equivalent
-    to filtering the full graph stream, with subtrees that already contain a
-    cycle (or a degree-3 vertex, for the path kinds) skipped since no
-    superset can recover.
+    ``tables[k]`` counts the structures on k consecutive points by (end
+    points joined, degree of the first, degree of the last).  Let c be the
+    largest neighbour of the first point.  The part on 1..c holds chord
+    (1, c), and without it keeps 1 and c apart.  The part on c..k is
+    independent of it: no chord crosses (1, c), and the parts share only c.
+    With no neighbour the first point is isolated and the rest is 2..k.
+    The tree kinds keep only trees (joined) and two-tree forests (apart).
+    Degrees are tracked only for the path kinds, whose cap is 2.
     """
     if kind not in SPANNING_KINDS:
         raise ValueError(f"kind must be one of {SPANNING_KINDS}")
+    forest = kind in ("forest", "path-forest")
+    step = 1 if kind in ("path", "path-forest") else 0
+    tables = [{}, {(1, 0, 0): 1}]  # by length; one point is joined to itself
+    for k in range(2, n_max + 1):
+        table = Counter()
+        for (joined, _, last), x in tables[k - 1].items():
+            if joined or forest:
+                table[0, 0, last] += x
+        tables.append(table)
+        # at c = k the part on 1..c is this table; only its apart entries are
+        # read, and every c < k has added its last one
+        for c in range(2, k + 1):
+            for (joined, first, mid), x in list(tables[c].items()):
+                first, mid = first + step, mid + step
+                if joined or first > 2:
+                    continue
+                for (rest_joined, rest_first, last), y in tables[k - c + 1].items():
+                    if mid + rest_first <= 2:
+                        table[rest_joined, first, last if c < k else mid] += x * y
+    return [sum(x for (joined, _, _), x in t.items() if joined or forest) for t in tables[1:]]
+
+
+def count_spanning_structures(n: int, kind: SpanningKind) -> int:
+    """Count spanning structures among the non-crossing graphs on n points.
+
+    tree: connected with n-1 edges; path: tree with maximum degree 2;
+    forest: acyclic; path-forest: acyclic with maximum degree 2.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_guard(n, MAX_SPANNING_VERTICES, "spanning enumeration", force)
-    chords, cross, _, _ = _chord_tables(n)
-    m = len(chords)
-    need_connected = kind in ("tree", "path")
-    cap_degree = kind in ("path", "path-forest")
-
-    parent = list(range(n + 1))
-    size = [1] * (n + 1)
-    deg = [0] * (n + 1)
-    state = {"comps": n, "count": 0}
-
-    def rec(i: int, forbidden: int) -> None:
-        if i == m:
-            if not need_connected or state["comps"] == 1:
-                state["count"] += 1
-            return
-        rec(i + 1, forbidden)
-        if (forbidden >> i) & 1:
-            return
-        a, b = chords[i]
-        if cap_degree and (deg[a] == 2 or deg[b] == 2):
-            return
-        ra, rb = _find(parent, a), _find(parent, b)
-        if ra == rb:
-            return
-        # union by size, undone on the way back
-        if size[ra] > size[rb]:
-            ra, rb = rb, ra
-        parent[ra] = rb
-        size[rb] += size[ra]
-        deg[a] += 1
-        deg[b] += 1
-        state["comps"] -= 1
-        rec(i + 1, forbidden | cross[i])
-        state["comps"] += 1
-        deg[a] -= 1
-        deg[b] -= 1
-        size[rb] -= size[ra]
-        parent[ra] = ra
-
-    rec(0, 0)
-    return state["count"]
+    return _spanning_totals(n, kind)[-1]
 
 
-def spanning_counts(n_max: int, kind: SpanningKind, force: bool = False) -> tuple[int, ...]:
+def spanning_counts(n_max: int, kind: SpanningKind) -> tuple[int, ...]:
     """Counts for 2..n_max vertices, as weights for the relation matrix."""
-    return tuple(count_spanning_structures(n, kind, force=force) for n in range(2, n_max + 1))
+    return tuple(_spanning_totals(n_max, kind)[1:])

@@ -225,9 +225,8 @@ def suite_lemma1(limit: int = 12) -> list[CheckResult]:
 def suite_relation(n_oracle: int = 7) -> list[CheckResult]:
     """The relation matrix transports one class's counts into another's:
     connected-graph totals into plane-graph totals to N_CONNECTED, and
-    spanning trees and paths into brute-force forests to n_oracle vertices.
-    The spanning weights need n_oracle + 2 vertices, past the oracle's guard
-    at the CLI's clamp of 7, so they are always forced."""
+    spanning trees and paths into the oracle's forests to n_oracle vertices.
+    Each oracle count comes from one fill of its interval recursion."""
     out = []
     geo = _levels(geometric_class(), N_CONNECTED)
     rel = _levels(relation_class(connected_totals(N_CONNECTED + 2)), N_CONNECTED)
@@ -237,14 +236,12 @@ def suite_relation(n_oracle: int = 7) -> list[CheckResult]:
     ]
     out.append(_check_levels("relation/connected-to-geometric", pairs))
     for kind, structure in (("tree", "forest"), ("path", "path-forest")):
-        weights = oracle.spanning_counts(n_oracle + 2, kind, force=True)
+        weights = oracle.spanning_counts(n_oracle + 2, kind)
+        want = (oracle.count_spanning_structures(1, structure),)  # levels start at 1
+        want += oracle.spanning_counts(n_oracle, structure)
         pairs = [
-            (
-                f"n={row.level}",
-                (row.total,),
-                (oracle.count_spanning_structures(row.level, structure),),
-            )
-            for row in _levels(relation_class(weights), n_oracle)
+            (f"n={row.level}", (row.total,), (count,))
+            for row, count in zip(_levels(relation_class(weights), n_oracle), want)
         ]
         out.append(_check_levels(f"relation/{kind}s-to-{structure}s", pairs))
     return out

@@ -168,11 +168,11 @@ def test_criterion_6_relation_matrix():
     rel = count_sequence(relation_class(connected_totals(12)), 10)
     geo = count_sequence(geometric_class(), 10)
     assert [row.total for row in rel[1:]] == [row.total for row in geo]
-    trees = oracle.spanning_counts(9, "tree", force=True)
+    trees = oracle.spanning_counts(9, "tree")
     forest_rows = count_sequence(relation_class(trees), 7)
     for row in forest_rows:
         assert row.total == oracle.count_spanning_structures(row.level, "forest"), row.level
-    paths = oracle.spanning_counts(9, "path", force=True)
+    paths = oracle.spanning_counts(9, "path")
     path_rows = count_sequence(relation_class(paths), 7)
     for row in path_rows:
         assert row.total == oracle.count_spanning_structures(row.level, "path-forest"), row.level

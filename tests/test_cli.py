@@ -266,12 +266,16 @@ def test_verify_reports_oracle_clamp_on_stderr(capsys, monkeypatch):
         return [verify.CheckResult(name, True)]
 
     monkeypatch.setattr(verify, "run_suite", fake_run_suite)
-    code, out, err = run_cli(capsys, "verify", "relation", "--n-max", "8")
+    code, out, err = run_cli(capsys, "verify", "oracle", "--n-max", "8")
     assert code == 0
-    assert err == "note: --n-max 8 clamped to 7 for suites: relation\n"
-    assert calls[-1] == ("relation", {"n_oracle": 7})
-    code, again, err = run_cli(capsys, "verify", "relation", "--n-max", "7")
+    assert err == "note: --n-max 8 clamped to 7 for suites: oracle\n"
+    assert calls[-1] == ("oracle", {"n_graphs": 7})
+    code, again, err = run_cli(capsys, "verify", "oracle", "--n-max", "7")
     assert code == 0 and again == out and err == ""
+    # the relation suite's counts are polynomial, so it takes --n-max as given
+    code, _, err = run_cli(capsys, "verify", "relation", "--n-max", "8")
+    assert code == 0 and err == ""
+    assert calls[-1] == ("relation", {"n_oracle": 8})
     code, _, err = run_cli(capsys, "verify", "vectors", "--n-max", "8")
     assert code == 0 and err == ""
     assert calls[-1] == ("vectors", {"n_max": 8})

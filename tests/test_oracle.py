@@ -1,9 +1,11 @@
 from itertools import combinations
+from math import comb
 
 import pytest
 
 from convexcount.oracle import (
     MAX_DISSECTION_VERTICES,
+    SPANNING_KINDS,
     EnumerationLimitError,
     NonCrossingPartition,
     PlaneGraph,
@@ -21,6 +23,8 @@ from convexcount.oracle import (
     spanning_counts,
     visibility_degree,
     visibility_histogram,
+    _chord_tables,
+    _find,
 )
 from convexcount.production import (
     connected_class,
@@ -204,12 +208,77 @@ def test_spanning_counts_match_literal_filter():
         assert count_spanning_structures(n, "path-forest") == path_forests
 
 
+def reference_count_spanning_structures(n: int, kind: str) -> int:
+    """The pruned include-or-exclude search over every chord, kept as the
+    reference for the interval recursion: subtrees that already contain a
+    cycle (or a degree-3 vertex, for the path kinds) are skipped, since no
+    superset can recover."""
+    chords, cross, _, _ = _chord_tables(n)
+    m = len(chords)
+    need_connected = kind in ("tree", "path")
+    cap_degree = kind in ("path", "path-forest")
+
+    parent = list(range(n + 1))
+    size = [1] * (n + 1)
+    deg = [0] * (n + 1)
+    state = {"comps": n, "count": 0}
+
+    def rec(i: int, forbidden: int) -> None:
+        if i == m:
+            if not need_connected or state["comps"] == 1:
+                state["count"] += 1
+            return
+        rec(i + 1, forbidden)
+        if (forbidden >> i) & 1:
+            return
+        a, b = chords[i]
+        if cap_degree and (deg[a] == 2 or deg[b] == 2):
+            return
+        ra, rb = _find(parent, a), _find(parent, b)
+        if ra == rb:
+            return
+        # union by size, undone on the way back (_find does no path
+        # compression, so resetting the attached root undoes the union)
+        if size[ra] > size[rb]:
+            ra, rb = rb, ra
+        parent[ra] = rb
+        size[rb] += size[ra]
+        deg[a] += 1
+        deg[b] += 1
+        state["comps"] -= 1
+        rec(i + 1, forbidden | cross[i])
+        state["comps"] += 1
+        deg[a] -= 1
+        deg[b] -= 1
+        size[rb] -= size[ra]
+        parent[ra] = ra
+
+    rec(0, 0)
+    return state["count"]
+
+
+def test_spanning_recursion_matches_reference_search():
+    for kind in SPANNING_KINDS:
+        want = tuple(reference_count_spanning_structures(n, kind) for n in range(2, 9))
+        assert spanning_counts(8, kind) == want, kind
+        assert count_spanning_structures(1, kind) == reference_count_spanning_structures(1, kind) == 1
+    # the reference search at n = 9
+    pins = {"tree": 43263, "path": 576, "forest": 305629, "path-forest": 58237}
+    for kind, count in pins.items():
+        assert count_spanning_structures(9, kind) == count
+
+
+def test_spanning_closed_forms():
+    trees, paths = spanning_counts(60, "tree"), spanning_counts(60, "path")
+    for n in range(2, 61):
+        assert trees[n - 2] == comb(3 * n - 3, n - 1) // (2 * n - 1), n
+        assert paths[n - 2] == n * 2**n // 8, n  # n 2^(n-3)
+
+
 def test_guards_soft():
     with pytest.raises(EnumerationLimitError):
         next(enumerate_noncrossing_graphs(10))
-    with pytest.raises(EnumerationLimitError):
-        count_spanning_structures(9, "tree")
-    assert count_spanning_structures(9, "path", force=True) == 576
+    assert count_spanning_structures(9, "path") == 576
     with pytest.raises(EnumerationLimitError):
         next(enumerate_partitions(13))
     with pytest.raises(EnumerationLimitError):
