@@ -25,9 +25,7 @@ from .closedform import (
 from .production import (
     GraphClassSpec,
     LevelCount,
-    RiordanTriple,
     build_connected_matrix,
-    build_from_riordan,
     build_geometric_matrix,
     build_k_angulation_matrix,
     build_partition_matrix,
@@ -42,7 +40,6 @@ from .production import (
     partition_class,
     relation_class,
     relation_weights,
-    riordan_triple_of,
 )
 from .spectral import (
     EigenPair,

@@ -158,12 +158,10 @@ LAMBDA = IntPolynomial((0, 1))
 
 @dataclass(frozen=True)
 class HTMatrix:
-    """Upper Hessenberg matrix with Toeplitz band, optional first-row override.
+    """Upper Hessenberg-Toeplitz matrix: one constant subdiagonal and one band.
 
     ``sub`` is the constant subdiagonal value and ``band[m]`` the constant
-    value on diagonal offset m >= 0.  When ``row0`` is given it replaces the
-    first row (needed for transfer matrices whose row 0 is not the shifted
-    band); every other entry still comes from the band.
+    value on diagonal offset m >= 0, in every row, the first included.
 
     ``band_gf`` optionally gives the band as the power series of a rational
     function num(x)/den(x), as integer coefficient tuples low-to-high with
@@ -178,18 +176,16 @@ class HTMatrix:
     size: int
     sub: int
     band: tuple[int, ...]
-    row0: tuple[int, ...] | None = None
     band_gf: tuple[tuple[int, ...], tuple[int, ...]] | None = field(
         default=None, compare=False
     )
 
     def __post_init__(self):
+        object.__setattr__(self, "band", tuple(self.band))
         if self.size < 1:
             raise ValueError("matrix size must be >= 1")
         if len(self.band) != self.size:
             raise ValueError("band must provide offsets 0..size-1")
-        if self.row0 is not None and len(self.row0) != self.size:
-            raise ValueError("row0 override must have length size")
         if self.band_gf is not None:
             num, den = self.band_gf
             if not den or den[0] != 1:
@@ -215,8 +211,6 @@ class HTMatrix:
             return 0
         if j == i - 1:
             return self.sub
-        if i == 0 and self.row0 is not None:
-            return self.row0[j]
         return self.band[j - i]
 
     def row(self, i: int) -> tuple[int, ...]:
@@ -224,12 +218,6 @@ class HTMatrix:
 
     def to_lists(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.size)]
-
-    def is_toeplitz(self) -> bool:
-        """True when the first row agrees with the Toeplitz band."""
-        return self.row0 is None or all(
-            self.row0[j] == self.band[j] for j in range(self.size)
-        )
 
 
 @dataclass(frozen=True)
@@ -282,8 +270,8 @@ def mat_vec(m: HTMatrix, v: CountVector) -> CountVector:
     is read, and rows past L are zero.  Row i >= 1 is sub * v[i-1] plus the
     banded suffix product T_i = sum_r band[r] * v[i+r], from the recurrence
     of ``m.band_series``: O(L * len(den)) per step for a band with a
-    generating function, O(L^2) dot products for a band over 1.  A ``row0``
-    override replaces T_0 only.
+    generating function, O(L^2) dot products for a band over 1.  Row 0 is
+    T_0 alone.
     """
     x = v.entries
     if len(x) != m.size:
@@ -295,8 +283,6 @@ def mat_vec(m: HTMatrix, v: CountVector) -> CountVector:
         live -= 1
     x = x[:live]
     suffix = _suffix_sums(m.band_series, x)
-    if m.row0 is not None:
-        suffix[0] = sum(map(mul, m.row0, x))
     # suffix[live] == 0, so row `live` is just sub * x[live-1].
     sub = m.sub
     rows = min(live + 1, m.size)

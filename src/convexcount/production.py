@@ -103,45 +103,6 @@ def build_relation_matrix(n: int, counts: Sequence[int]) -> HTMatrix:
 
 
 @dataclass(frozen=True)
-class RiordanTriple:
-    """A proper Riordan transfer-matrix description (d(0), A, Z).
-
-    ``a[0]`` is the subdiagonal value of the associated matrix, ``z`` its
-    first row.  Properness requires a[0] != 0.
-    """
-
-    d0: int
-    z: tuple[int, ...]
-    a: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.a or self.a[0] == 0:
-            raise ValueError("A-sequence must start with a nonzero value")
-
-
-def build_from_riordan(t: RiordanTriple, n: int) -> HTMatrix:
-    """n x n transfer matrix of a Riordan triple: row 0 from the Z-sequence,
-    row i >= 1 the A-sequence shifted right by i-1."""
-    if n < 1:
-        raise ValueError("matrix size must be >= 1")
-    if len(t.a) < n or len(t.z) < n:
-        raise ValueError(f"need at least {n} A- and Z-sequence values")
-    row0 = tuple(t.z[:n])
-    band = list(t.a[1:n]) + [0]
-    band[n - 1] = row0[n - 1]
-    if all(row0[j] == band[j] for j in range(n)):
-        return HTMatrix(n, t.a[0], tuple(band))
-    return HTMatrix(n, t.a[0], tuple(band), row0=row0)
-
-
-def riordan_triple_of(m: HTMatrix, d0: int = 1) -> RiordanTriple:
-    """Read the (d(0), A, Z) triple off a transfer matrix."""
-    a = (m.sub,) + m.band[: m.size - 1]
-    z = m.row(0)
-    return RiordanTriple(d0, z, a)
-
-
-@dataclass(frozen=True)
 class GraphClassSpec:
     """A countable class: the name of its ``CLASSES`` row and ``param``, the
     one value the row's matrix builder takes (k for kangulation, a count
@@ -263,6 +224,8 @@ def iterate_counts(
     m: HTMatrix, initial: CountVector, n_max: int
 ) -> list[LevelCount]:
     """Iterate v -> m v from the initial vector up to level n_max."""
+    if n_max < initial.level:
+        raise ValueError(f"n_max must be at least the start level {initial.level}")
     v = initial.padded(m.size)
     out = [LevelCount(v.level, v, v.total)]
     while v.level < n_max:
@@ -279,8 +242,6 @@ def count_sequence(spec: GraphClassSpec, n_max: int) -> list[LevelCount]:
     n+1.
     """
     row = CLASSES[spec.name]
-    if n_max < row.start_index:
-        raise ValueError("n_max must be at least the class start index")
     initial = CountVector(row.initial_entries, row.start_index)
     return iterate_counts(spec.build_matrix(n_max + 2), initial, n_max)
 

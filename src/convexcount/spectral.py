@@ -63,10 +63,10 @@ def charpoly_recurrence(m: HTMatrix, n: int | None = None) -> tuple[IntPolynomia
     """
     if n is None:
         n = m.size
+    if n < 0:
+        raise ValueError("recurrence order n must be >= 0")
     if n > m.size:
         raise ValueError("recurrence needs band values up to offset n-1")
-    if not m.is_toeplitz():
-        raise ValueError("recurrence requires a pure Toeplitz band")
     ps, qs = _recurrence_terms(m, n)
     history = max((r for r, _ in qs), default=0)
     ds = [[1]]
@@ -509,8 +509,6 @@ def eigenvector_from_charpoly(m: HTMatrix, lam) -> EigenPair:
     """
     if m.sub == 0:
         raise ValueError("eigenvector formula requires a nonzero subdiagonal")
-    if not m.is_toeplitz():
-        raise ValueError("recurrence requires a pure Toeplitz band")
     from mpmath import mp
 
     n = m.size
@@ -530,31 +528,10 @@ def eigenvector_from_charpoly(m: HTMatrix, lam) -> EigenPair:
         return EigenPair(lam_mp, vector, residual)
 
 
-def matrix_charpoly(m: HTMatrix) -> IntPolynomial:
-    """Full-size characteristic polynomial by the banded recurrence.
-
-    When a ``row0`` override breaks the Toeplitz band, det(A - x I) is
-    expanded along row 0.  Deleting column j leaves a block-triangular minor:
-    sub**j times the size n-1-j determinant of the band, so
-
-        det(A - x I) = sum_j (-1)**j (row0[j] - x [j == 0]) sub**j d_{n-1-j}
-
-    with d_k the banded sequence of the Toeplitz matrix.
-    """
-    if m.is_toeplitz():
-        return charpoly_recurrence(m)[m.size]
-    n = m.size
-    ds = charpoly_recurrence(HTMatrix(n, m.sub, m.band, band_gf=m.band_gf), n - 1)
-    acc = IntPolynomial((m.row0[0], -1)) * ds[n - 1]
-    for j in range(1, n):
-        acc = acc + ds[n - 1 - j] * ((-1) ** j * m.row0[j] * m.sub**j)
-    return acc
-
-
 def dominant_eigenvalue(m: HTMatrix, tol: float | Fraction = 1e-30):
     """Largest-modulus real root of the exact characteristic polynomial,
     located to within ``tol`` (ties broken toward the positive root)."""
-    _, best = _dominant_root(matrix_charpoly(m), Fraction(tol))
+    _, best = _dominant_root(charpoly_recurrence(m)[m.size], Fraction(tol))
     if best is None:
         raise ValueError("no real eigenvalue found")
     from mpmath import mp

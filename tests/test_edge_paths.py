@@ -1,6 +1,5 @@
 """Edge paths not covered by the main modules' tests: complex eigenpairs,
-the row-0 expansion for non-Toeplitz matrices, the raw iteration
-engine, and randomized structural properties."""
+the raw iteration engine, and randomized structural properties."""
 from fractions import Fraction
 
 import pytest
@@ -9,18 +8,11 @@ from mpmath import mp, mpc, mpf
 
 from convexcount.exact import CountVector, HTMatrix, IntPolynomial
 from convexcount.oracle import PlaneGraph, enumerate_noncrossing_graphs, visibility_degree
-from convexcount.production import (
-    RiordanTriple,
-    build_from_riordan,
-    build_geometric_matrix,
-    iterate_counts,
-    riordan_triple_of,
-)
+from convexcount.production import build_geometric_matrix, iterate_counts
 from convexcount.spectral import (
     charpoly_recurrence,
     dominant_eigenvalue,
     eigenvector_from_charpoly,
-    matrix_charpoly,
     precision_bits,
 )
 
@@ -35,24 +27,13 @@ def test_complex_eigenpair():
         assert abs(pair.vector[0] - mpc(0, 1)) < mpf(10) ** -70
 
 
-def test_matrix_charpoly_non_toeplitz_fallback():
-    m = HTMatrix(2, 1, (0, 0), row0=(0, 2))
+def test_charpoly_and_dominant_eigenvalue_of_sqrt2_matrix():
+    m = HTMatrix(2, 1, (0, 2))
     # det([[0-x, 2], [1, 0-x]]) = x^2 - 2
-    assert matrix_charpoly(m) == IntPolynomial((-2, 0, 1))
-    with pytest.raises(ValueError):
-        charpoly_recurrence(m)
+    assert charpoly_recurrence(m)[2] == IntPolynomial((-2, 0, 1))
     d = dominant_eigenvalue(m, Fraction(1, 10**35))
     with mp.workprec(precision_bits()):
         assert abs(d * d - 2) < mpf(10) ** -30
-
-
-def test_matrix_charpoly_row0_size_13():
-    # a companion matrix: row 0 all ones over a unit subdiagonal, so
-    # det(A - x I) = -(x^13 - x^12 - ... - 1); no size cap applies
-    m = HTMatrix(13, 1, (0,) * 13, row0=(1,) * 13)
-    assert matrix_charpoly(m) == IntPolynomial((1,) * 13 + (-1,))
-    d = dominant_eigenvalue(m, Fraction(1, 10**35))
-    assert 2 - mpf(10) ** -3 < d < 2
 
 
 def test_dominant_eigenvalue_no_real_root():
@@ -66,29 +47,6 @@ def test_iterate_counts_engine():
     rows = iterate_counts(m, CountVector((2, 0, 0, 0), 2), 4)
     assert [(r.level, r.total) for r in rows] == [(2, 2), (3, 8), (4, 48)]
     assert rows[-1].vector.entries == (24, 16, 8, 0)
-
-
-@st.composite
-def riordan_triples(draw):
-    n = draw(st.integers(2, 6))
-    a = [draw(st.integers(1, 5))] + draw(
-        st.lists(st.integers(0, 9), min_size=n, max_size=n)
-    )
-    z = draw(st.lists(st.integers(0, 9), min_size=n + 1, max_size=n + 1))
-    return RiordanTriple(1, tuple(z), tuple(a)), n
-
-
-@settings(max_examples=100)
-@given(riordan_triples())
-def test_riordan_roundtrip_random(data):
-    triple, n = data
-    m = build_from_riordan(triple, n)
-    assert m.row(0) == tuple(triple.z[:n])
-    for i in range(1, n):
-        expect = (0,) * (i - 1) + tuple(triple.a[: n - i + 1])
-        assert m.row(i) == expect
-    again = build_from_riordan(riordan_triple_of(m), n)
-    assert again.to_lists() == m.to_lists()
 
 
 @settings(max_examples=50, deadline=None)
@@ -107,6 +65,10 @@ def test_count_vector_level_tracking():
     rows = iterate_counts(m, CountVector((2, 0, 0), 2), 6)
     assert [r.level for r in rows] == [2, 3, 4, 5, 6]
     assert [r.vector.level for r in rows] == [2, 3, 4, 5, 6]
+    # The initial vector alone is at level 2, past n_max = 1.
+    with pytest.raises(ValueError):
+        iterate_counts(build_geometric_matrix(4), CountVector((2, 0, 0, 0), 2), 1)
+    assert len(iterate_counts(m, CountVector((2, 0, 0), 2), 2)) == 1
 
 
 def test_concurrent_callers_get_consistent_results():

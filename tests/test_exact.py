@@ -104,18 +104,13 @@ def test_htmatrix_structure():
         for j in range(4):
             if j < i - 1:
                 assert m.entry(i, j) == 0
-    assert m.is_toeplitz()
-
-
-def test_htmatrix_row0_override():
-    m = HTMatrix(3, 1, (1, 1, 1), row0=(5, 6, 7))
-    assert m.row(0) == (5, 6, 7)
-    assert m.row(1) == (1, 1, 1)
-    assert not m.is_toeplitz()
     with pytest.raises(ValueError):
         HTMatrix(3, 1, (1, 1))
-    with pytest.raises(ValueError):
-        HTMatrix(3, 1, (1, 1, 1), row0=(1,))
+    # A list band is stored as a tuple: equal, hashable, checked against band_gf.
+    listed = HTMatrix(2, 2, [2, 4])
+    assert listed == build_geometric_matrix(2)
+    assert hash(listed) == hash(build_geometric_matrix(2))
+    assert HTMatrix(2, 2, [2, 4], band_gf=((2,), (1, -2))).band == (2, 4)
 
 
 def test_count_vector():
@@ -158,15 +153,12 @@ def test_mat_vec_dimension_mismatch():
 def matrices_and_vectors(draw):
     n = draw(st.integers(1, 9))
     band = tuple(draw(st.lists(st.integers(0, 50), min_size=n, max_size=n)))
-    row0 = draw(
-        st.none() | st.lists(st.integers(0, 50), min_size=n, max_size=n).map(tuple)
-    )
     live = draw(st.integers(0, n))
     head = draw(st.lists(st.integers(0, 10**6), min_size=live, max_size=live))
     if live and draw(st.booleans()):
         head[-1] = draw(st.integers(1, 10**6))
     entries = tuple(head) + (0,) * (n - live)
-    return HTMatrix(n, draw(st.integers(0, 5)), band, row0=row0), CountVector(entries, 1)
+    return HTMatrix(n, draw(st.integers(0, 5)), band), CountVector(entries, 1)
 
 
 @settings(max_examples=300)
@@ -189,9 +181,8 @@ def _band_gf_builders():
     st.integers(1, 14),
     st.lists(st.integers(0, 10**9), min_size=14, max_size=14),
     st.integers(0, 14),
-    st.lists(st.integers(0, 50), min_size=14, max_size=14),
 )
-def test_band_gf_matrices_match_reference(n, raw, live, row0):
+def test_band_gf_matrices_match_reference(n, raw, live):
     entries = tuple(raw[:live]) + (0,) * (14 - live)
     v = CountVector(entries[:n], 3)
     for build in _band_gf_builders():
@@ -200,9 +191,6 @@ def test_band_gf_matrices_match_reference(n, raw, live, row0):
         plain = HTMatrix(m.size, m.sub, m.band)
         assert plain == m and plain.band_gf is None
         assert mat_vec(m, v) == mat_vec(plain, v) == reference_mat_vec(m, v)
-        # A first-row override replaces T_0 only, also on the band_gf recurrence.
-        riordan = HTMatrix(n, m.sub, m.band, row0=tuple(row0[:n]), band_gf=m.band_gf)
-        assert mat_vec(riordan, v) == reference_mat_vec(riordan, v)
 
 
 def test_wrong_band_gf_rejected():

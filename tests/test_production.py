@@ -10,9 +10,7 @@ from convexcount.production import (
     CLASS_NAMES,
     CLASSES,
     GraphClassSpec,
-    RiordanTriple,
     build_connected_matrix,
-    build_from_riordan,
     build_geometric_matrix,
     build_k_angulation_matrix,
     build_partition_matrix,
@@ -26,7 +24,6 @@ from convexcount.production import (
     partition_class,
     relation_class,
     relation_weights,
-    riordan_triple_of,
 )
 from convexcount.spectral import charpoly_recurrence
 
@@ -126,7 +123,6 @@ _SIZED_BUILDERS = {
     "connected": build_connected_matrix,
     "partition": build_partition_matrix,
     "relation": lambda n: build_relation_matrix(n, connected_totals(12)),
-    "riordan": lambda n: build_from_riordan(RiordanTriple(2, z=(2, 4, 8), a=(2, 2, 4)), n),
 }
 
 
@@ -135,43 +131,6 @@ _SIZED_BUILDERS = {
 def test_builders_reject_empty_matrix(name, size):
     with pytest.raises(ValueError, match=r"^matrix size must be >= 1$"):
         _SIZED_BUILDERS[name](size)
-
-
-def test_build_from_riordan_geometric():
-    t = RiordanTriple(2, z=(2, 4, 8, 16), a=(2, 2, 4, 8))
-    assert build_from_riordan(t, 3).to_lists() == build_geometric_matrix(3).to_lists()
-
-
-def test_build_from_riordan_connected():
-    t = RiordanTriple(1, z=(3, 7, 15, 31), a=(1, 3, 7, 15))
-    assert build_from_riordan(t, 4).to_lists() == build_connected_matrix(4).to_lists()
-
-
-def test_build_from_riordan_shift():
-    t = RiordanTriple(1, z=(1, 0, 0), a=(1, 0, 0))
-    m = build_from_riordan(t, 3)
-    assert m.row(0) == (1, 0, 0)
-    assert m.row(1) == (1, 0, 0)
-    assert m.row(2) == (0, 1, 0)
-
-
-def test_build_from_riordan_improper():
-    with pytest.raises(ValueError):
-        RiordanTriple(1, z=(1, 1), a=(0, 1))
-
-
-def test_riordan_roundtrip_all_classes():
-    matrices = [
-        build_k_angulation_matrix(3, 12),
-        build_k_angulation_matrix(5, 12),
-        build_geometric_matrix(12),
-        build_connected_matrix(12),
-        build_partition_matrix(12),
-        build_relation_matrix(12, connected_totals(12)),
-    ]
-    for m in matrices:
-        rebuilt = build_from_riordan(riordan_triple_of(m), m.size)
-        assert rebuilt.to_lists() == m.to_lists()
 
 
 def test_count_sequence_geometric():

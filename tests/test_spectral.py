@@ -23,7 +23,6 @@ from convexcount.spectral import (
     charpoly_recurrence,
     dominant_eigenvalue,
     eigenvector_from_charpoly,
-    matrix_charpoly,
     precision_bits,
     real_roots,
 )
@@ -270,10 +269,11 @@ def test_recurrence_structure_invariants():
             assert poly.leading == (-1) ** i if i else poly == IntPolynomial.one()
 
 
-def test_recurrence_rejects_non_toeplitz():
-    m = HTMatrix(3, 1, (1, 1, 1), row0=(9, 9, 9))
-    with pytest.raises(ValueError):
-        charpoly_recurrence(m)
+def test_recurrence_rejects_order_out_of_range():
+    m = build_geometric_matrix(4)
+    for n in (-1, 5):
+        with pytest.raises(ValueError):
+            charpoly_recurrence(m, n)
 
 
 def test_closed_forms_match_golden_tables():
@@ -481,7 +481,7 @@ def test_dominant_root_tie_goes_to_positive_root():
     tol = Fraction(1, 10**40)
     count, best = _dominant_root(p, tol)
     assert count == 2 and best == real_roots(p, tol)[1] > 0
-    assert dominant_eigenvalue(HTMatrix(2, 1, (0, 0), row0=(0, 2)), tol) > 0
+    assert dominant_eigenvalue(HTMatrix(2, 1, (0, 2)), tol) > 0
 
 
 def _vector_strings(vector):
@@ -536,21 +536,13 @@ def test_eigenvector_matches_reference_off_the_real_roots():
         lambda n: st.tuples(
             st.integers(-3, 3).filter(bool),
             st.lists(st.integers(-5, 5), min_size=n, max_size=n),
-            st.lists(st.integers(-5, 5), min_size=n, max_size=n),
         )
     )
 )
-def test_matrix_charpoly_row0_matches_determinant(params):
-    sub, band, row0 = params
-    m = HTMatrix(len(band), sub, tuple(band), row0=tuple(row0))
-    assert matrix_charpoly(m) == charpoly_determinant(m)
-
-
-def test_matrix_charpoly_row0_with_band_gf():
-    g = build_geometric_matrix(8)
-    for row0 in ((1,) * 8, (0, -3, 5, 0, 2, 7, -1, 4)):
-        m = HTMatrix(8, g.sub, g.band, row0=row0, band_gf=g.band_gf)
-        assert matrix_charpoly(m) == charpoly_determinant(HTMatrix(8, g.sub, g.band, row0=row0))
+def test_recurrence_matches_determinant_on_random_bands(params):
+    sub, band = params
+    m = HTMatrix(len(band), sub, band)
+    assert charpoly_recurrence(m)[m.size] == charpoly_determinant(m)
 
 
 def test_real_roots_known_polynomials():
