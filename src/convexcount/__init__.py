@@ -24,7 +24,6 @@ from .closedform import (
 )
 from .production import (
     GraphClassSpec,
-    LevelCount,
     build_connected_matrix,
     build_geometric_matrix,
     build_k_angulation_matrix,
@@ -34,7 +33,6 @@ from .production import (
     connected_totals,
     count_sequence,
     geometric_class,
-    iterate_counts,
     k_angulation_class,
     k_angulation_total,
     partition_class,

@@ -123,30 +123,30 @@ def cmd_counts(args) -> int:
             f"--n-max guard is {MAX_DEFAULT_LEVEL}; pass --force to override"
         )
     spec = _class_spec(args, args.n_max + 2)
-    rows = count_sequence(spec, args.n_max)
+    vectors = count_sequence(spec, args.n_max)
     if args.bfile:
-        for row in rows:
-            print(f"{row.level} {row.total}")
+        for v in vectors:
+            print(f"{v.level} {v.total}")
         return 0
     if args.format == "json":
         payload = {
             "levels": [
                 {
-                    "level": row.level,
-                    "vector": [str(e) for e in row.vector.entries],
-                    "total": str(row.total),
+                    "level": v.level,
+                    "vector": [str(e) for e in v.entries],
+                    "total": str(v.total),
                 }
-                for row in rows
+                for v in vectors
             ]
         }
         _print_json(_record("counts", args, payload))
     elif args.format == "csv":
-        for row in rows:
-            print(",".join([str(row.level)] + [str(e) for e in row.vector.entries] + [str(row.total)]))
+        for v in vectors:
+            print(",".join([str(v.level)] + [str(e) for e in v.entries] + [str(v.total)]))
     else:
-        for row in rows:
-            vec = ", ".join(str(e) for e in row.vector.entries)
-            print(f"level {row.level}: ({vec})  total {row.total}")
+        for v in vectors:
+            vec = ", ".join(str(e) for e in v.entries)
+            print(f"level {v.level}: ({vec})  total {v.total}")
     return 0
 
 

@@ -240,14 +240,6 @@ class CountVector:
     def total(self) -> int:
         return sum(self.entries)
 
-    def padded(self, size: int) -> CountVector:
-        if size < len(self.entries):
-            if any(self.entries[size:]):
-                raise ValueError("cannot truncate nonzero entries")
-            return CountVector(self.entries[:size], self.level)
-        pad = (0,) * (size - len(self.entries))
-        return CountVector(self.entries + pad, self.level)
-
 
 def _suffix_sums(band_series, x) -> list:
     """T_i = sum_r band[r] * x[i+r] for the band num/den = ``band_series``,

@@ -32,14 +32,13 @@ SPANNING_KINDS = ("tree", "path", "forest", "path-forest")
 
 
 class EnumerationLimitError(ValueError):
-    """Raised when an enumeration exceeds its soft size guard."""
+    """Raised when an enumeration exceeds its fixed size limit
+    (MAX_GRAPH_VERTICES, MAX_PARTITION_SIZE or MAX_DISSECTION_VERTICES)."""
 
 
-def _check_guard(value: int, limit: int, what: str, force: bool) -> None:
-    if value > limit and not force:
-        raise EnumerationLimitError(
-            f"{what} guard is {limit} (got {value}); pass force=True to override"
-        )
+def _check_guard(value: int, limit: int, what: str) -> None:
+    if value > limit:
+        raise EnumerationLimitError(f"{what} guard is {limit} (got {value})")
 
 
 def crossing(e: tuple[int, int], f: tuple[int, int]) -> bool:
@@ -209,18 +208,18 @@ def _edges(n: int, chosen: int) -> list[tuple[int, int]]:
     return [chords[i] for i in range(chosen.bit_length()) if (chosen >> i) & 1]
 
 
-def enumerate_noncrossing_graphs(n: int, force: bool = False) -> Iterator[PlaneGraph]:
+def enumerate_noncrossing_graphs(n: int) -> Iterator[PlaneGraph]:
     """Yield every plane (non-crossing) graph on n convex points exactly once."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_guard(n, MAX_GRAPH_VERTICES, "graph enumeration", force)
+    _check_guard(n, MAX_GRAPH_VERTICES, "graph enumeration")
     for chosen, _, _ in _subsets(n):
         yield PlaneGraph(n, frozenset(_edges(n, chosen)))
 
 
-def enumerate_connected(n: int, force: bool = False) -> Iterator[PlaneGraph]:
+def enumerate_connected(n: int) -> Iterator[PlaneGraph]:
     """Connectivity-filtered stream of enumerate_noncrossing_graphs."""
-    for g in enumerate_noncrossing_graphs(n, force=force):
+    for g in enumerate_noncrossing_graphs(n):
         if g.is_connected():
             yield g
 
@@ -237,13 +236,12 @@ def visibility_degree(g: PlaneGraph) -> int:
     return g.n - len(spanned) - 2
 
 
-def isolation_degree(obj: PlaneGraph | NonCrossingPartition, include_root: bool = True) -> int:
+def isolation_degree(obj: PlaneGraph | NonCrossingPartition) -> int:
     """Number of isolated visible vertices seen from the inserted point.
 
     Isolated means degree 0 for graphs, a singleton block for partitions.
-    ``include_root`` counts the root vertex p_n itself when it is isolated;
-    that convention is the one reproducing the partition production matrix,
-    and is the default.
+    The root vertex p_n counts when it is isolated: that convention is the
+    one reproducing the partition production matrix.
     """
     if isinstance(obj, PlaneGraph):
         deg = obj.degrees()
@@ -262,42 +260,40 @@ def isolation_degree(obj: PlaneGraph | NonCrossingPartition, include_root: bool 
         }
     else:
         raise TypeError(f"cannot classify {type(obj).__name__}")
-    if not include_root:
-        isolated.discard(obj.n)
     return len(isolated)
 
 
 # ---------------------------------------------------------------------------
 # Degree histograms (index d = number of objects with root degree d).
 
-def visibility_histogram(n: int, force: bool = False) -> list[int]:
+def visibility_histogram(n: int) -> list[int]:
     """Histogram of visibility degree over all non-crossing graphs."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    _check_guard(n, MAX_GRAPH_VERTICES, "graph enumeration", force)
+    _check_guard(n, MAX_GRAPH_VERTICES, "graph enumeration")
     hist = [0] * (n - 1)
     for _, spanned, _ in _subsets(n):
         hist[n - 2 - spanned.bit_count()] += 1
     return hist
 
 
-def isolation_histogram(n: int, include_root: bool = True, force: bool = False) -> list[int]:
+def isolation_histogram(n: int) -> list[int]:
     """Histogram of isolation degree over all non-crossing graphs."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_guard(n, MAX_GRAPH_VERTICES, "graph enumeration", force)
-    visible = (1 << (n if include_root else n - 1)) - 1
+    _check_guard(n, MAX_GRAPH_VERTICES, "graph enumeration")
+    visible = (1 << n) - 1
     hist = [0] * (n + 1)
     for _, spanned, occupied in _subsets(n):
         hist[(visible & ~(spanned | occupied)).bit_count()] += 1
     return hist
 
 
-def connected_visibility_histogram(n: int, force: bool = False) -> list[int]:
+def connected_visibility_histogram(n: int) -> list[int]:
     """Histogram of visibility degree over connected non-crossing graphs."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    _check_guard(n, MAX_GRAPH_VERTICES, "graph enumeration", force)
+    _check_guard(n, MAX_GRAPH_VERTICES, "graph enumeration")
     hist = [0] * (n - 1)
     for chosen, spanned, occupied in _subsets(n):
         # a vertex with no edge leaves the graph disconnected
@@ -332,33 +328,31 @@ def _partition_pieces(vs: tuple[int, ...]):
             yield (first,) + tuple(rest[p] for p in pos), gaps
 
 
-def enumerate_partitions(n: int, force: bool = False) -> Iterator[NonCrossingPartition]:
+def enumerate_partitions(n: int) -> Iterator[NonCrossingPartition]:
     """Yield every non-crossing partition of {1..n} exactly once."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_guard(n, MAX_PARTITION_SIZE, "partition enumeration", force)
+    _check_guard(n, MAX_PARTITION_SIZE, "partition enumeration")
     for blocks in _fillings(tuple(range(1, n + 1)), _partition_pieces):
         yield NonCrossingPartition(n, tuple(sorted(blocks)))
 
 
-def partition_isolation_histogram(
-    n: int, include_root: bool = True, force: bool = False
-) -> list[int]:
+def partition_isolation_histogram(n: int) -> list[int]:
     """Histogram of isolation degree over non-crossing partitions."""
     hist = [0] * (n + 1)
-    for p in enumerate_partitions(n, force=force):
-        hist[isolation_degree(p, include_root=include_root)] += 1
+    for p in enumerate_partitions(n):
+        hist[isolation_degree(p)] += 1
     return hist
 
 
-def enumerate_dissections(k: int, r: int, force: bool = False) -> Iterator[Dissection]:
+def enumerate_dissections(k: int, r: int) -> Iterator[Dissection]:
     """Yield every dissection of the convex ((k-2)r+2)-gon into r k-gons."""
     if k < 3:
         raise ValueError("k-angulations require k >= 3")
     if r < 1:
         raise ValueError("r must be >= 1")
     n = (k - 2) * r + 2
-    _check_guard(n, MAX_DISSECTION_VERTICES, "dissection enumeration", force)
+    _check_guard(n, MAX_DISSECTION_VERTICES, "dissection enumeration")
 
     def pieces(vs: tuple[int, ...]):
         # the face on the base edge (vs[0], vs[-1]) uses k-2 interior
@@ -375,11 +369,11 @@ def enumerate_dissections(k: int, r: int, force: bool = False) -> Iterator[Disse
         yield Dissection(k, r, faces)
 
 
-def dissection_degree_histogram(k: int, r: int, force: bool = False) -> list[int]:
+def dissection_degree_histogram(k: int, r: int) -> list[int]:
     """Histogram of root degree (incident edges at p_n minus 2) over all
     dissections into r k-gons."""
     hist = [0] * r
-    for d in enumerate_dissections(k, r, force=force):
+    for d in enumerate_dissections(k, r):
         hist[d.root_degree()] += 1
     return hist
 

@@ -13,7 +13,7 @@ verification suites read that table instead of naming classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Sequence
 
 from . import closedform, spectral
 from .exact import CountVector, HTMatrix, IntPolynomial, binomial, exact_div, mat_vec
@@ -106,8 +106,8 @@ def build_relation_matrix(n: int, counts: Sequence[int]) -> HTMatrix:
 class GraphClassSpec:
     """A countable class: the name of its ``CLASSES`` row and ``param``, the
     one value the row's matrix builder takes (k for kangulation, a count
-    sequence c_2, c_3, ... for relation, None for the others).  Its start
-    level and initial vector are read from the row.
+    sequence c_2, c_3, ... for relation, kept as a tuple, None for the
+    others).  Its start level and initial vector are read from the row.
     """
 
     name: str
@@ -121,6 +121,8 @@ class GraphClassSpec:
             raise ValueError(f"{self.name} class takes no parameter")
         if takes is not None and self.param is None:
             raise ValueError(f"{self.name} class requires {takes}")
+        if takes == "weights":  # equal sequences give equal, hashable specs
+            object.__setattr__(self, "param", tuple(self.param))
         # The builder rejects a parameter it cannot use, such as k < 3.
         self.build_matrix(1)
 
@@ -211,39 +213,26 @@ def partition_class() -> GraphClassSpec:
 
 
 def relation_class(counts: Sequence[int]) -> GraphClassSpec:
-    return CLASSES[RELATION].spec(tuple(counts))
+    return CLASSES[RELATION].spec(counts)
 
 
-class LevelCount(NamedTuple):
-    level: int
-    vector: CountVector
-    total: int
-
-
-def iterate_counts(
-    m: HTMatrix, initial: CountVector, n_max: int
-) -> list[LevelCount]:
-    """Iterate v -> m v from the initial vector up to level n_max."""
-    if n_max < initial.level:
-        raise ValueError(f"n_max must be at least the start level {initial.level}")
-    v = initial.padded(m.size)
-    out = [LevelCount(v.level, v, v.total)]
-    while v.level < n_max:
-        v = mat_vec(m, v)
-        out.append(LevelCount(v.level, v, v.total))
-    return out
-
-
-def count_sequence(spec: GraphClassSpec, n_max: int) -> list[LevelCount]:
-    """Per-level count vectors and totals from the class's start level to n_max.
+def count_sequence(spec: GraphClassSpec, n_max: int) -> list[CountVector]:
+    """Count vectors of the class at each level from its start level to
+    n_max: the initial vector, then one production step per level.
 
     The matrix is materialized at ``n_max + 2``: the isolation degree of an
     n-vertex object can reach n, so its vector has a nonzero entry at index
-    n+1.
+    n+1.  Every vector has that length.
     """
     row = CLASSES[spec.name]
-    initial = CountVector(row.initial_entries, row.start_index)
-    return iterate_counts(spec.build_matrix(n_max + 2), initial, n_max)
+    if n_max < row.start_index:
+        raise ValueError(f"n_max must be at least the start level {row.start_index}")
+    m = spec.build_matrix(n_max + 2)
+    pad = (0,) * (m.size - len(row.initial_entries))
+    out = [CountVector(row.initial_entries + pad, row.start_index)]
+    while out[-1].level < n_max:
+        out.append(mat_vec(m, out[-1]))
+    return out
 
 
 def k_angulation_total(k: int, r: int) -> int:
@@ -257,5 +246,4 @@ def k_angulation_total(k: int, r: int) -> int:
 
 def connected_totals(n_max: int) -> tuple[int, ...]:
     """Connected plane graph totals c_2..c_n_max via matrix iteration."""
-    rows = count_sequence(connected_class(), n_max)
-    return tuple(row.total for row in rows)
+    return tuple(v.total for v in count_sequence(connected_class(), n_max))

@@ -4,8 +4,9 @@ The banded recurrence and the closed forms are evaluated in Python integers
 (the closed forms scale away their negative powers of 2 and 3 and divide
 them out exactly at the end).  Real eigenvalues are then located on the
 exact polynomial, never by floating-point matrix solvers, in two steps.
-Isolation is integer throughout: a primitive remainder sequence gives the
-square-free part and the Sturm chain, and signs are taken at dyadic grid
+Isolation is integer throughout: one primitive remainder sequence gives the
+Sturm chain, and dividing it by its last member, the gcd of p and p',
+gives the square-free part at its head.  Signs are taken at dyadic grid
 points by integer Horner evaluation.  Refinement runs per root, so a caller
 that prints one root refines only the candidates for it; quadratic interval
 refinement on the same grid lands on the cell that sign bisection would,
@@ -194,7 +195,8 @@ def charpoly_closed_partition(n: int) -> IntPolynomial:
 # times any nonzero constant: the root bound, the roots and the sign tests
 # below do not see that constant.  The Sturm chain is a primitive remainder
 # sequence whose members are positive multiples of those of the rational
-# Euclidean algorithm, so it counts sign variations exactly as that one does.
+# Euclidean algorithm, so it counts sign variations exactly as that one does;
+# dividing every member by the same g keeps that count wherever g is nonzero.
 # Both steps run on the dyadic grid x = B*s/2**k inside (-B, B); with
 # B = P/Q, a polynomial p of degree d is rescaled once to
 # r(t) = Q**d * p(P*t/Q), whose sign at t = s/2**k is read off the integer
@@ -246,22 +248,24 @@ def _divexact(a: list[int], b: list[int]) -> list[int]:
     return quo
 
 
-def _squarefree(p: list[int]) -> list[int]:
-    """p divided by gcd(p, p'), the gcd taken by a primitive remainder sequence."""
-    a, b = p, _derivative(p)
-    while b:
-        b = _primitive(b)
-        a, b = b, _prem(a, b)
-    return p if len(a) <= 1 else _divexact(p, a)
-
-
 def _sturm_chain(q: list[int]) -> list[list[int]]:
+    """The Sturm chain of q by a primitive remainder sequence, every member
+    divided by the last one, g = gcd(q, q'), when g has degree >= 1.
+
+    The division is exact because g is primitive (Gauss's lemma).  It leaves
+    the sign variations unchanged wherever g is nonzero, and chain[0] is
+    then the square-free part of q.  A constant q gives [q].
+    """
+    if len(q) <= 1:
+        return [q]
     chain = [q, _primitive(_derivative(q))]
     while True:
         r = _prem(chain[-2], chain[-1])
         if not r:
-            return chain
+            break
         chain.append([-c for c in _primitive(r)])
+    g = chain[-1]
+    return [_divexact(r, g) for r in chain] if len(g) > 1 else chain
 
 
 def _on_grid(p: list[int], P: int, Q: int) -> list[int]:
@@ -340,9 +344,11 @@ def _checked_tol(p: IntPolynomial, tol: Fraction | float) -> Fraction:
 
 
 def _isolate_real_roots(p: IntPolynomial) -> _Isolation:
-    """Sturm isolation of the distinct real roots of p.  A split point that
-    is itself a root is divided out and isolation restarts on the quotient."""
-    q = _squarefree(list(p.coeffs))
+    """Sturm isolation of the distinct real roots of p, on the square-free
+    part q that heads its Sturm chain.  A split point that is itself a root
+    is divided out of q and isolation restarts on the quotient's chain."""
+    chain = _sturm_chain(list(p.coeffs))
+    q = chain[0]
     exact: list[Fraction] = []
     P = Q = 1
     f: list[int] = []
@@ -350,14 +356,15 @@ def _isolate_real_roots(p: IntPolynomial) -> _Isolation:
     while len(q) > 2:
         bound = 2 + Fraction(max(abs(c) for c in q[:-1]), abs(q[-1]))
         P, Q = bound.numerator, bound.denominator
-        chain = [_on_grid(r, P, Q) for r in _sturm_chain(q)]
-        f = chain[0]
-        cells, hit = _isolate(chain)
+        grid = [_on_grid(r, P, Q) for r in chain]
+        f = grid[0]
+        cells, hit = _isolate(grid)
         if hit is None:
             break
         root = Fraction(P * hit[0], Q << hit[1])
         exact.append(root)
-        q = _divexact(q, [-root.numerator, root.denominator])
+        chain = _sturm_chain(_divexact(q, [-root.numerator, root.denominator]))
+        q = chain[0]
     if len(q) == 2:
         exact.append(Fraction(-q[0], q[1]))
     return _Isolation(exact, P, Q, f, cells)

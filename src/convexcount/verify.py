@@ -62,9 +62,8 @@ def _levels(spec: GraphClassSpec, top: int):
 def _level_pair(row: ClassDef, param, level, got) -> tuple:
     """(label, got, vector) for one level; ``got`` is padded with zeros, so
     the vector's tail past it must be zero too."""
-    entries = level.vector.entries
     label = f"{_label(row, param)} {row.size_option}={level.level}"
-    return label, tuple(got) + (0,) * (len(entries) - len(got)), entries
+    return label, tuple(got) + (0,) * (len(level.entries) - len(got)), level.entries
 
 
 def _check_levels(name: str, pairs) -> CheckResult:
@@ -146,8 +145,8 @@ def suite_eigen(n_max: int = 6) -> list[CheckResult]:
 def suite_oracle(n_graphs: int = 6) -> list[CheckResult]:
     """Brute-force degree histograms against matrix-generated vectors: graph
     classes to n_graphs vertices, partitions to N_PARTITIONS elements and
-    k-angulations to KANG_MAX_VERTICES vertices.  Unforced, so the graph
-    oracle raises past its guard (oracle.MAX_GRAPH_VERTICES)."""
+    k-angulations to KANG_MAX_VERTICES vertices.  The graph oracle raises
+    past its fixed limit (oracle.MAX_GRAPH_VERTICES)."""
     # Per class, in the order checked: the brute-force histogram at
     # (param, level), the largest level the bounds allow (a k-angulation
     # with r faces has (k-2)r+2 vertices), and a closed-form total, if any.
@@ -231,8 +230,8 @@ def suite_relation(n_oracle: int = 7) -> list[CheckResult]:
     geo = _levels(geometric_class(), N_CONNECTED)
     rel = _levels(relation_class(connected_totals(N_CONNECTED + 2)), N_CONNECTED)
     pairs = [
-        (f"n={row.level}", (row.total,), (geo_row.total,))
-        for row, geo_row in zip(rel[1:], geo)
+        (f"n={v.level}", (v.total,), (geo_v.total,))
+        for v, geo_v in zip(rel[1:], geo)
     ]
     out.append(_check_levels("relation/connected-to-geometric", pairs))
     for kind, structure in (("tree", "forest"), ("path", "path-forest")):
@@ -240,8 +239,8 @@ def suite_relation(n_oracle: int = 7) -> list[CheckResult]:
         want = (oracle.count_spanning_structures(1, structure),)  # levels start at 1
         want += oracle.spanning_counts(n_oracle, structure)
         pairs = [
-            (f"n={row.level}", (row.total,), (count,))
-            for row, count in zip(_levels(relation_class(weights), n_oracle), want)
+            (f"n={v.level}", (v.total,), (count,))
+            for v, count in zip(_levels(relation_class(weights), n_oracle), want)
         ]
         out.append(_check_levels(f"relation/{kind}s-to-{structure}s", pairs))
     return out

@@ -186,6 +186,17 @@ def test_counts_level_guard(capsys):
     assert "--force" in err
 
 
+@pytest.mark.parametrize(
+    "argv, start",
+    [(("geometric", "--n-max", "-3"), 2), (("kangulation", "--k", "4", "--n-max", "-2"), 1)],
+)
+def test_counts_below_start_level(capsys, argv, start):
+    # the level is checked before a matrix of size n_max + 2 is built
+    code, out, err = run_cli(capsys, "counts", *argv)
+    assert (code, out) == (2, "")
+    assert f"error: n_max must be at least the start level {start}" in err
+
+
 def test_bad_class_usage_error(capsys):
     with pytest.raises(SystemExit):
         main(["matrix", "heptagonal", "--n", "3"])

@@ -78,16 +78,16 @@ def test_partition_catalan_sums():
 def test_closed_form_equals_matrix_iteration():
     for n in range(2, 13):
         row = count_sequence(geometric_class(), n)[-1]
-        assert geometric_vector(n) == row.vector.entries[: n - 1]
+        assert geometric_vector(n) == row.entries[: n - 1]
         row = count_sequence(connected_class(), n)[-1]
-        assert connected_vector(n) == row.vector.entries[: n - 1]
+        assert connected_vector(n) == row.entries[: n - 1]
     for n in range(1, 13):
         row = count_sequence(partition_class(), n)[-1]
-        assert partition_vector(n) == row.vector.entries[: n + 1]
+        assert partition_vector(n) == row.entries[: n + 1]
     for k in (3, 4, 5, 6):
         for r in range(1, 13):
             row = count_sequence(k_angulation_class(k), r)[-1]
-            assert kangulation_vector(k, r) == row.vector.entries[:r]
+            assert kangulation_vector(k, r) == row.entries[:r]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,5 @@
 """Edge paths not covered by the main modules' tests: complex eigenpairs,
-the raw iteration engine, and randomized structural properties."""
+the counting loop, and randomized structural properties."""
 from fractions import Fraction
 
 import pytest
@@ -8,7 +8,7 @@ from mpmath import mp, mpc, mpf
 
 from convexcount.exact import CountVector, HTMatrix, IntPolynomial
 from convexcount.oracle import PlaneGraph, enumerate_noncrossing_graphs, visibility_degree
-from convexcount.production import build_geometric_matrix, iterate_counts
+from convexcount.production import build_geometric_matrix, count_sequence, geometric_class
 from convexcount.spectral import (
     charpoly_recurrence,
     dominant_eigenvalue,
@@ -42,11 +42,11 @@ def test_dominant_eigenvalue_no_real_root():
         dominant_eigenvalue(m)
 
 
-def test_iterate_counts_engine():
-    m = build_geometric_matrix(4)
-    rows = iterate_counts(m, CountVector((2, 0, 0, 0), 2), 4)
-    assert [(r.level, r.total) for r in rows] == [(2, 2), (3, 8), (4, 48)]
-    assert rows[-1].vector.entries == (24, 16, 8, 0)
+def test_count_sequence_engine():
+    vectors = count_sequence(geometric_class(), 4)
+    assert [(v.level, v.total) for v in vectors] == [(2, 2), (3, 8), (4, 48)]
+    assert vectors[0] == CountVector((2, 0, 0, 0, 0, 0), 2)
+    assert vectors[-1].entries == (24, 16, 8, 0, 0, 0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -61,14 +61,13 @@ def test_enumerated_graphs_validate_and_bound_degree(n):
 
 
 def test_count_vector_level_tracking():
-    m = build_geometric_matrix(3)
-    rows = iterate_counts(m, CountVector((2, 0, 0), 2), 6)
-    assert [r.level for r in rows] == [2, 3, 4, 5, 6]
-    assert [r.vector.level for r in rows] == [2, 3, 4, 5, 6]
+    vectors = count_sequence(geometric_class(), 6)
+    assert [v.level for v in vectors] == [2, 3, 4, 5, 6]
+    assert {len(v.entries) for v in vectors} == {8}
     # The initial vector alone is at level 2, past n_max = 1.
-    with pytest.raises(ValueError):
-        iterate_counts(build_geometric_matrix(4), CountVector((2, 0, 0, 0), 2), 1)
-    assert len(iterate_counts(m, CountVector((2, 0, 0), 2), 2)) == 1
+    with pytest.raises(ValueError, match="start level 2"):
+        count_sequence(geometric_class(), 1)
+    assert len(count_sequence(geometric_class(), 2)) == 1
 
 
 def test_concurrent_callers_get_consistent_results():

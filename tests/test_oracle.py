@@ -91,10 +91,9 @@ def test_isolation_degree_graphs():
     assert isolation_degree(PlaneGraph(3, frozenset())) == 3
     assert isolation_degree(PlaneGraph(3, frozenset({(1, 3)}))) == 0
     assert isolation_degree(PlaneGraph(3, frozenset({(1, 2)}))) == 1
-    # root vertex itself counts when isolated; the flag drops it
+    # the root vertex itself counts when isolated
     g = PlaneGraph(4, frozenset({(1, 2)}))
     assert isolation_degree(g) == 2
-    assert isolation_degree(g, include_root=False) == 1
 
 
 def test_isolation_degree_partitions():
@@ -102,7 +101,6 @@ def test_isolation_degree_partitions():
     assert isolation_degree(p) == 0
     q = NonCrossingPartition(3, ((1,), (2,), (3,)))
     assert isolation_degree(q) == 3
-    assert isolation_degree(q, include_root=False) == 2
 
 
 def test_partition_validation():
@@ -121,32 +119,28 @@ def test_partition_counts_catalan():
 
 
 def test_partition_histogram_flag_selection():
-    # counting the isolated root reproduces the production matrix vectors;
-    # dropping it does not
+    # counting the isolated root reproduces the production matrix vectors
     for n in range(1, 7):
-        expected = count_sequence(partition_class(), n)[-1].vector.entries
+        expected = count_sequence(partition_class(), n)[-1].entries
         with_root = partition_isolation_histogram(n)
         assert tuple(with_root) == expected[: n + 1]
-    assert tuple(partition_isolation_histogram(3, include_root=False)) != tuple(
-        count_sequence(partition_class(), 3)[-1].vector.entries[:4]
-    )
 
 
 def test_histograms_match_matrices_small():
     for n in range(2, 7):
         assert (
             tuple(visibility_histogram(n))
-            == count_sequence(geometric_class(), n)[-1].vector.entries[: n - 1]
+            == count_sequence(geometric_class(), n)[-1].entries[: n - 1]
         )
         assert (
             tuple(connected_visibility_histogram(n))
-            == count_sequence(connected_class(), n)[-1].vector.entries[: n - 1]
+            == count_sequence(connected_class(), n)[-1].entries[: n - 1]
         )
     weights = connected_totals(8)
     for n in range(1, 7):
         assert (
             tuple(isolation_histogram(n))
-            == count_sequence(relation_class(weights), n)[-1].vector.entries[: n + 1]
+            == count_sequence(relation_class(weights), n)[-1].entries[: n + 1]
         )
 
 
@@ -302,17 +296,15 @@ def _reachable_all(g: PlaneGraph) -> bool:
 def test_graph_histograms_equal_classified_stream():
     for n in range(2, 8):
         vis, conn = [0] * (n - 1), [0] * (n - 1)
-        iso = {True: [0] * (n + 1), False: [0] * (n + 1)}
+        iso = [0] * (n + 1)
         for g in enumerate_noncrossing_graphs(n):
             assert g.is_connected() == _reachable_all(g)
             vis[visibility_degree(g)] += 1
             conn[visibility_degree(g)] += g.is_connected()
-            for include_root in (True, False):
-                iso[include_root][isolation_degree(g, include_root=include_root)] += 1
+            iso[isolation_degree(g)] += 1
         assert visibility_histogram(n) == vis
         assert connected_visibility_histogram(n) == conn
-        for include_root in (True, False):
-            assert isolation_histogram(n, include_root=include_root) == iso[include_root]
+        assert isolation_histogram(n) == iso
 
 
 def _set_partitions(items):

@@ -136,7 +136,7 @@ def test_builders_reject_empty_matrix(name, size):
 def test_count_sequence_geometric():
     rows = count_sequence(geometric_class(), 5)
     assert [r.total for r in rows] == [2, 8, 48, 352]
-    assert rows[2].vector.entries[:3] == (24, 16, 8)
+    assert rows[2].entries[:3] == (24, 16, 8)
 
 
 def test_count_sequence_connected():
@@ -147,7 +147,7 @@ def test_count_sequence_connected():
 def test_count_sequence_partition():
     rows = count_sequence(partition_class(), 4)
     assert [r.total for r in rows] == [1, 2, 5, 14]
-    assert rows[3].vector.entries[:5] == (6, 4, 3, 0, 1)
+    assert rows[3].entries[:5] == (6, 4, 3, 0, 1)
 
 
 def test_count_sequence_start_validation():
@@ -218,6 +218,14 @@ def test_class_spec_must_match_its_row():
         assert spec.start_index == CLASSES[spec.name].start_index
 
 
+def test_relation_spec_stores_weights_as_tuple():
+    # equal count sequences give equal, hashable specs, list or tuple
+    spec = GraphClassSpec("relation", [1, 2, 3])
+    assert spec == relation_class((1, 2, 3))
+    assert spec.param == (1, 2, 3)
+    assert hash(spec) == hash(relation_class([1, 2, 3]))
+
+
 def test_trailing_entries_zero():
     for spec, levels in (
         (geometric_class(), range(2, 9)),
@@ -227,7 +235,7 @@ def test_trailing_entries_zero():
         reach = {"geometric": -1, "connected": -1, "partition": 1}[spec.name]
         for row in count_sequence(spec, max(levels)):
             width = row.level + reach
-            assert all(e == 0 for e in row.vector.entries[width:])
+            assert all(e == 0 for e in row.entries[width:])
 
 
 def test_class_table_is_the_cli_class_list():
@@ -260,6 +268,6 @@ def test_class_rows_agree_across_routes(name, data):
     if row.vector is not None:
         for level in count_sequence(row.spec(param), 30):
             closed = row.vector(param, level.level)
-            entries = level.vector.entries
+            entries = level.entries
             assert entries[: len(closed)] == closed
             assert not any(entries[len(closed):])

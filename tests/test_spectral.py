@@ -566,6 +566,9 @@ def test_real_roots_exact_and_multiplicity():
 
 def test_real_roots_no_real():
     assert real_roots(IntPolynomial((1, 0, 1))) == []
+    # a nonzero constant: its Sturm chain is the constant alone
+    assert real_roots(IntPolynomial((5,))) == []
+    assert _dominant_root(IntPolynomial((5,)), Fraction(1, 10**30)) == (0, None)
 
 
 def test_eigenvector_g2():
