@@ -1,6 +1,7 @@
 """Ground truth that reads no production matrix: exhaustive enumeration of
 the graph classes at small n, with the visibility- and isolation-degree
-classifiers, and an interval recursion for the spanning structures.
+classifiers, and recursions that count partitions, k-angulations and the
+spanning structures without building them.
 
 Everything here is purely combinatorial.  Vertices sit at positions 1..n in
 counter-clockwise convex position, so two chords (a, b) and (c, d) cross
@@ -13,14 +14,15 @@ every non-crossing chord subset once as bitmasks; the graph histograms and
 the graph stream all loop over it.  One union-find, ``_find``, serves both
 connectivity tests.  One gap recursion, ``_fillings``, builds non-crossing
 partitions and k-angulations alike: a root piece, then independent fillings
-of the gaps it leaves.
+of the gaps it leaves; their histograms count the same decompositions.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, product
+from math import prod
 from typing import Iterator, Literal, Sequence
 
 MAX_GRAPH_VERTICES = 9
@@ -33,7 +35,8 @@ SPANNING_KINDS = ("tree", "path", "forest", "path-forest")
 
 class EnumerationLimitError(ValueError):
     """Raised when an enumeration exceeds its fixed size limit
-    (MAX_GRAPH_VERTICES, MAX_PARTITION_SIZE or MAX_DISSECTION_VERTICES)."""
+    (MAX_GRAPH_VERTICES, MAX_PARTITION_SIZE or MAX_DISSECTION_VERTICES);
+    the partition and k-angulation histograms count, and never raise it."""
 
 
 def _check_guard(value: int, limit: int, what: str) -> None:
@@ -338,11 +341,36 @@ def enumerate_partitions(n: int) -> Iterator[NonCrossingPartition]:
 
 
 def partition_isolation_histogram(n: int) -> list[int]:
-    """Histogram of isolation degree over non-crossing partitions."""
-    hist = [0] * (n + 1)
-    for p in enumerate_partitions(n):
-        hist[isolation_degree(p)] += 1
-    return hist
+    """Histogram of isolation degree over non-crossing partitions, counted in
+    O(n³) without building one.  ``hist[m]`` covers a run of m elements that
+    no block spans.  Split it at p, the largest element in the block of its
+    first element: a visible singleton when p = 1, else a block hiding 2..p-1.
+    ``span[p]`` counts the partitions of [p] with 1 and p in one block, split
+    at q, the block's second-largest element."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    hist, total, span = [[1]], [1], [0, 1]  # span[1]: the block {1}
+    for m in range(1, n + 1):
+        h = [0] + hist[m - 1]
+        for p in range(2, m + 1):
+            for d, x in enumerate(hist[m - p]):
+                h[d] += span[p] * x
+        hist.append(h)
+        total.append(sum(h))
+        span.append(sum(span[q] * total[m - q] for q in range(1, m + 1)))
+    return hist[n]
+
+
+def _dissection_pieces(k: int, vs: Sequence[int]):
+    """Each face on the base edge (vs[0], vs[-1]): k-2 interior vertices, with
+    the gaps to fill, each again holding a whole number of k-gons."""
+    last = len(vs) - 1
+    for combo in combinations(range(1, last), k - 2):
+        idx = (0,) + combo + (last,)
+        if any((b - a - 1) % (k - 2) for a, b in zip(idx, idx[1:])):
+            continue
+        gaps = [vs[a : b + 1] for a, b in zip(idx, idx[1:]) if b - a >= 2]
+        yield tuple(vs[i] for i in idx), gaps
 
 
 def enumerate_dissections(k: int, r: int) -> Iterator[Dissection]:
@@ -353,29 +381,31 @@ def enumerate_dissections(k: int, r: int) -> Iterator[Dissection]:
         raise ValueError("r must be >= 1")
     n = (k - 2) * r + 2
     _check_guard(n, MAX_DISSECTION_VERTICES, "dissection enumeration")
-
-    def pieces(vs: tuple[int, ...]):
-        # the face on the base edge (vs[0], vs[-1]) uses k-2 interior
-        # vertices; each gap must again hold a whole number of k-gons
-        last = len(vs) - 1
-        for combo in combinations(range(1, last), k - 2):
-            idx = (0,) + combo + (last,)
-            if any((b - a - 1) % (k - 2) for a, b in zip(idx, idx[1:])):
-                continue
-            gaps = [vs[a : b + 1] for a, b in zip(idx, idx[1:]) if b - a >= 2]
-            yield tuple(vs[i] for i in idx), gaps
-
-    for faces in _fillings(tuple(range(1, n + 1)), pieces):
+    for faces in _fillings(tuple(range(1, n + 1)), partial(_dissection_pieces, k)):
         yield Dissection(k, r, faces)
 
 
 def dissection_degree_histogram(k: int, r: int) -> list[int]:
     """Histogram of root degree (incident edges at p_n minus 2) over all
-    dissections into r k-gons."""
-    hist = [0] * r
-    for d in enumerate_dissections(k, r):
-        hist[d.root_degree()] += 1
-    return hist
+    dissections into r k-gons, counted without building one.  ``hist[m]``
+    covers an m-gon rooted at its last vertex.  Each face on the base edge
+    adds the product of its gaps' counts, at root degree 0 when the gap at
+    the root is one edge, and else at one more than that gap's own."""
+    if k < 3:
+        raise ValueError("k-angulations require k >= 3")
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    n = (k - 2) * r + 2
+    hist, total = {}, {}
+    for m in range(k, n + 1, k - 2):
+        h = [0] * ((m - 2) // (k - 2))
+        for _, gaps in _dissection_pieces(k, range(m)):
+            root = [0] + hist[len(gaps.pop())] if gaps and gaps[-1][-1] == m - 1 else [1]
+            ways = prod(total[len(gap)] for gap in gaps)
+            for d, x in enumerate(root):
+                h[d] += ways * x
+        hist[m], total[m] = h, sum(h)
+    return hist[n]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Cross-module verification suites: every closed form against every matrix,
-every matrix against the brute-force oracle, and the spectral identities.
+every matrix against the oracle, and the spectral identities.
 
 Each suite returns a list of CheckResult so the CLI can print one PASS/FAIL
 line per check; failures carry the first counterexample found.
@@ -31,8 +31,8 @@ from .production import (
 # ``verify --n-max`` (or ``--max``) sets.
 ROOT_TOL = Fraction(1, 10**48)
 RESIDUAL_BOUND = 1e-30
-N_PARTITIONS = 9
-KANG_MAX_VERTICES = 12
+N_PARTITIONS = 20
+KANG_MAX_VERTICES = 22
 N_CONNECTED = 10
 
 
@@ -143,14 +143,14 @@ def suite_eigen(n_max: int = 6) -> list[CheckResult]:
 
 
 def suite_oracle(n_graphs: int = 6) -> list[CheckResult]:
-    """Brute-force degree histograms against matrix-generated vectors: graph
-    classes to n_graphs vertices, partitions to N_PARTITIONS elements and
-    k-angulations to KANG_MAX_VERTICES vertices.  The graph oracle raises
-    past its fixed limit (oracle.MAX_GRAPH_VERTICES)."""
-    # Per class, in the order checked: the brute-force histogram at
+    """Oracle degree histograms against matrix-generated vectors: graph
+    classes to n_graphs vertices by enumeration, which raises past
+    oracle.MAX_GRAPH_VERTICES, partitions to N_PARTITIONS elements and
+    k-angulations to KANG_MAX_VERTICES vertices by their gap recursions."""
+    # Per class, in the order checked: the oracle histogram at
     # (param, level), the largest level the bounds allow (a k-angulation
     # with r faces has (k-2)r+2 vertices), and a closed-form total, if any.
-    brute = {
+    oracles = {
         GEOMETRIC: (
             lambda _, n: oracle.visibility_histogram(n),
             lambda _: n_graphs,
@@ -179,7 +179,7 @@ def suite_oracle(n_graphs: int = 6) -> list[CheckResult]:
     }
     out = []
     counts = connected_totals(max(2, n_graphs + 2))
-    for name, (histogram, top, total) in brute.items():
+    for name, (histogram, top, total) in oracles.items():
         row = CLASSES[name]
         pairs = []
         for param in _params(row, (3, 4, 5), counts):

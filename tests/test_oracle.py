@@ -277,6 +277,56 @@ def test_guards_soft():
         next(enumerate_partitions(13))
     with pytest.raises(EnumerationLimitError):
         next(enumerate_dissections(3, 13))
+    # the guards bound the enumerators only: the histograms count past them
+    assert sum(partition_isolation_histogram(13)) == 742900
+    assert sum(dissection_degree_histogram(3, 13)) == 742900
+
+
+def reference_partition_isolation_histogram(n: int) -> list[int]:
+    """The isolation degree of every enumerated partition, kept as the
+    reference for the first-block recursion."""
+    hist = [0] * (n + 1)
+    for p in enumerate_partitions(n):
+        hist[isolation_degree(p)] += 1
+    return hist
+
+
+def reference_dissection_degree_histogram(k: int, r: int) -> list[int]:
+    """The root degree of every enumerated dissection, kept as the reference
+    for the base-face recursion."""
+    hist = [0] * r
+    for d in enumerate_dissections(k, r):
+        hist[d.root_degree()] += 1
+    return hist
+
+
+def test_partition_recursion_matches_reference():
+    for n in range(1, 11):
+        assert partition_isolation_histogram(n) == reference_partition_isolation_histogram(n), n
+
+
+def test_dissection_recursion_matches_reference():
+    for k in range(3, 7):
+        for r in range(1, (12 - 2) // (k - 2) + 1):
+            want = reference_dissection_degree_histogram(k, r)
+            assert dissection_degree_histogram(k, r) == want, (k, r)
+
+
+def test_histogram_totals_past_the_guards():
+    for n in range(1, 61):
+        assert sum(partition_isolation_histogram(n)) == comb(2 * n, n) // (n + 1), n
+    for k in (3, 4, 5):
+        r = (62 - 2) // (k - 2)
+        fuss_catalan = comb((k - 1) * r, r) // ((k - 2) * r + 1)
+        assert sum(dissection_degree_histogram(k, r)) == fuss_catalan, k
+
+
+def test_histogram_input_checks():
+    with pytest.raises(ValueError):
+        partition_isolation_histogram(0)
+    for k, r in ((2, 3), (3, 0)):
+        with pytest.raises(ValueError):
+            dissection_degree_histogram(k, r)
 
 
 def _reachable_all(g: PlaneGraph) -> bool:
