@@ -166,7 +166,7 @@ def _charpoly(args, spec: GraphClassSpec, n: int):
 
             return IntPolynomial.one()
         return charpoly_determinant(spec.build_matrix(n))
-    return spectral.charpoly_recurrence(spec.build_matrix(max(1, n)), n)[n]
+    return spectral.charpoly_recurrence(spec.build_matrix(max(1, n)))[n]
 
 
 def cmd_charpoly(args) -> int:

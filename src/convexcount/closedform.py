@@ -2,16 +2,12 @@
 
 Each formula multiplies first and divides last, asserting exact divisibility,
 so integrality failures surface instead of being rounded away.  Boundary
-terms of the alternating sums hit binomials with upper index -1 and lower
-index 0; those must evaluate to 1, hence the generalized binomial here.
+terms hit binomials with upper index -1 and lower index 0, which
+``binomial`` evaluates to 1.
 """
 from __future__ import annotations
 
 from .exact import binomial, exact_div
-
-
-def _b(n: int, k: int) -> int:
-    return binomial(n, k, generalized=True)
 
 
 def kangulation_entry(k: int, r: int, j: int) -> int:
@@ -23,7 +19,7 @@ def kangulation_entry(k: int, r: int, j: int) -> int:
         raise ValueError("r must be >= 1")
     if not 1 <= j <= r:
         return 0
-    return exact_div(j * _b((k - 1) * r - j - 1, r - j), r)
+    return exact_div(j * binomial((k - 1) * r - j - 1, r - j), r)
 
 
 def geometric_entry(n: int, j: int) -> int:
@@ -35,7 +31,7 @@ def geometric_entry(n: int, j: int) -> int:
     acc = 0
     for k in range(j, n):
         sign = -1 if (n - 1 - k) % 2 else 1
-        acc += sign * _b(n - 1, k) * _b(n + k - j - 2, k - j) * 2**k
+        acc += sign * binomial(n - 1, k) * binomial(n + k - j - 2, k - j) * 2**k
     return exact_div(j * 2 ** (n - 1 - j) * acc, n - 1)
 
 
@@ -43,24 +39,19 @@ def connected_entry(n: int, j: int) -> int:
     """Number of connected plane graphs on n vertices with root visibility
     degree j-1.
 
-    The (-1/2)**k factor of the alternating outer sum is cleared against the
-    leading 2**(n-1), keeping every intermediate value an integer.
+    The binomial theorem sums the outer sum of the paper's alternating
+    double sum, leaving the Lagrange form (j/(n-1)) [z**m] A(z)**(n-1) of
+    the A-sequence A(z) = 1/((1-z)(1-2z)), m = n-1-j: one convolution of
+    ordinary binomials.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     if not 1 <= j <= n - 1:
         return 0
+    m = n - 1 - j
     acc = 0
-    for k in range(n):
-        inner = 0
-        for ell in range(n - j):
-            inner += (
-                _b(n - 2 - k + ell, ell)
-                * _b(k + n - ell - j - 2, n - ell - j - 1)
-                * 2**ell
-            )
-        sign = -1 if k % 2 else 1
-        acc += sign * _b(n - 1, k) * 2 ** (n - 1 - k) * inner
+    for i in range(m + 1):
+        acc += binomial(n - 2 + i, i) * binomial(n - 2 + m - i, m - i) * 2**i
     return exact_div(j * acc, n - 1)
 
 
@@ -73,7 +64,7 @@ def partition_entry(n: int, j: int) -> int:
     lo = -((n + j + 1) // -2)
     acc = 0
     for k in range(lo, n + 2):
-        acc += _b(n + 1, k) * _b(k - j - 1, 2 * k - n - j - 1) * 2 ** (2 * k - n - j - 1)
+        acc += binomial(n + 1, k) * binomial(k - j - 1, 2 * k - n - j - 1) * 2 ** (2 * k - n - j - 1)
     return exact_div(j * acc, n + 1)
 
 
@@ -109,5 +100,5 @@ def lemma1_check(t: int, m: int, n: int) -> bool:
     lhs = 0
     for j in range(n + 1):
         sign = -1 if j % 2 else 1
-        lhs += sign * _b(j + m - 1, j) * _b(m * (t + 1), n - j - t)
-    return lhs == _b(m * t, n - t)
+        lhs += sign * binomial(j + m - 1, j) * binomial(m * (t + 1), n - j - t)
+    return lhs == binomial(m * t, n - t)

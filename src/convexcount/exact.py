@@ -12,24 +12,18 @@ from operator import mul
 from typing import Sequence
 
 
-def binomial(n: int, k: int, *, generalized: bool = False) -> int:
-    """Binomial coefficient C(n, k) with the out-of-range-is-zero convention.
+def binomial(n: int, k: int) -> int:
+    """Binomial coefficient C(n, k), the coefficient of z**k in (1+z)**n.
 
-    For ``k < 0`` the result is 0, and for ``k > n >= 0`` it is 0.  A
-    negative upper index returns 0 unless ``generalized`` is set, in which
-    case the falling-factorial value n(n-1)...(n-k+1)/k! is returned
-    (so C(-1, 0) = 1, C(-1, 1) = -1, ...).
+    It is 0 for ``k < 0`` and for ``k > n >= 0``.  A negative upper index
+    gives C(n, k) = (-1)**k C(k-n-1, k), the falling-factorial value
+    n(n-1)...(n-k+1)/k!, so C(-1, 0) = 1 and C(-1, 1) = -1.
     """
     if k < 0:
         return 0
-    if n >= 0:
-        return math.comb(n, k) if k <= n else 0
-    if not generalized:
-        return 0
-    num = 1
-    for i in range(k):
-        num *= n - i
-    return num // math.factorial(k)
+    if n < 0:
+        return (-1) ** k * math.comb(k - n - 1, k)
+    return math.comb(n, k)
 
 
 def exact_div(num: int, den: int) -> int:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import prod
 from typing import Iterator, Literal, Sequence
 
@@ -364,11 +364,11 @@ def partition_isolation_histogram(n: int) -> list[int]:
 def _dissection_pieces(k: int, vs: Sequence[int]):
     """Each face on the base edge (vs[0], vs[-1]): k-2 interior vertices, with
     the gaps to fill, each again holding a whole number of k-gons."""
-    last = len(vs) - 1
-    for combo in combinations(range(1, last), k - 2):
-        idx = (0,) + combo + (last,)
-        if any((b - a - 1) % (k - 2) for a, b in zip(idx, idx[1:])):
-            continue
+    # corner i sits at i + (k-2) t_i, t non-decreasing: every gap between
+    # corners then spans a multiple of k-2 vertices
+    step, last = k - 2, len(vs) - 1
+    for ts in combinations_with_replacement(range((len(vs) - k) // step + 1), step):
+        idx = (0,) + tuple(i + step * t for i, t in enumerate(ts, 1)) + (last,)
         gaps = [vs[a : b + 1] for a, b in zip(idx, idx[1:]) if b - a >= 2]
         yield tuple(vs[i] for i in idx), gaps
 

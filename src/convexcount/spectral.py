@@ -42,8 +42,8 @@ def precision_bits() -> int:
     return bits
 
 
-def charpoly_recurrence(m: HTMatrix, n: int | None = None) -> tuple[IntPolynomial, ...]:
-    """Characteristic polynomials d_0..d_n of a Hessenberg-Toeplitz matrix:
+def charpoly_recurrence(m: HTMatrix) -> tuple[IntPolynomial, ...]:
+    """Characteristic polynomials d_0..d_n of an n x n Hessenberg-Toeplitz matrix:
     index i holds d_i, that of the leading i x i block (d_0 = 1).
 
     Expanding det(A_s - x I) along its last column gives
@@ -62,12 +62,7 @@ def charpoly_recurrence(m: HTMatrix, n: int | None = None) -> tuple[IntPolynomia
     operations in all.  Without one, den = 1 and U_j is the plain
     convolution, O(n**3) in all.
     """
-    if n is None:
-        n = m.size
-    if n < 0:
-        raise ValueError("recurrence order n must be >= 0")
-    if n > m.size:
-        raise ValueError("recurrence needs band values up to offset n-1")
+    n = m.size
     ps, qs = _recurrence_terms(m, n)
     history = max((r for r, _ in qs), default=0)
     ds = [[1]]

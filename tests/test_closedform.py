@@ -13,6 +13,7 @@ from convexcount.closedform import (
     partition_entry,
     partition_vector,
 )
+from convexcount.exact import binomial, exact_div
 from convexcount.production import (
     connected_class,
     count_sequence,
@@ -20,6 +21,26 @@ from convexcount.production import (
     k_angulation_class,
     partition_class,
 )
+
+
+def reference_connected_entry(n, j):
+    """The paper's alternating double sum for connected_entry, the
+    (-1/2)**k of its outer sum cleared against the leading 2**(n-1); O(n**2)
+    binomials, kept as the reference for the collapsed form."""
+    if not 1 <= j <= n - 1:
+        return 0
+    acc = 0
+    for k in range(n):
+        inner = 0
+        for ell in range(n - j):
+            inner += (
+                binomial(n - 2 - k + ell, ell)
+                * binomial(k + n - ell - j - 2, n - ell - j - 1)
+                * 2**ell
+            )
+        sign = -1 if k % 2 else 1
+        acc += sign * binomial(n - 1, k) * 2 ** (n - 1 - k) * inner
+    return exact_div(j * acc, n - 1)
 
 
 def test_kangulation_entries():
@@ -56,6 +77,14 @@ def test_connected_entries():
     assert connected_vector(4) == (16, 6, 1)
     assert connected_vector(5) == (105, 41, 9, 1)
     assert connected_entry(4, 4) == 0
+
+
+def test_connected_entry_matches_paper_double_sum():
+    for n in range(2, 41):
+        for j in range(0, n + 1):
+            assert connected_entry(n, j) == reference_connected_entry(n, j), (n, j)
+    for j in (1, 2, 100, 199):
+        assert connected_entry(200, j) == reference_connected_entry(200, j), j
 
 
 def test_partition_entries():

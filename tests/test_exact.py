@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -39,11 +40,17 @@ def test_binomial_basic():
 
 
 def test_binomial_negative_upper_index():
-    assert binomial(-1, 0) == 0
-    assert binomial(-1, 0, generalized=True) == 1
-    assert binomial(-1, 1, generalized=True) == -1
-    assert binomial(-3, 2, generalized=True) == 6
-    assert binomial(-2, -1, generalized=True) == 0
+    # C(n, k) = n(n-1)...(n-k+1)/k!, the coefficient of z**k in (1+z)**n
+    assert binomial(-1, 0) == 1
+    assert binomial(-1, 1) == -1
+    assert binomial(-1, 4) == 1
+    assert binomial(-3, 2) == 6
+    assert binomial(-3, 3) == -10
+    assert binomial(-2, -1) == 0
+    for n in range(-6, 0):
+        for k in range(8):
+            falling = math.prod(range(n - k + 1, n + 1))
+            assert binomial(n, k) == falling // math.factorial(k), (n, k)
 
 
 def test_exact_div():

@@ -52,7 +52,7 @@ PINNED = {
     "matrix-kangulation4": ("matrix", "kangulation", "--k", "4", "--r", "12", "--format", "json"),
     "verify-all": ("verify", "all", "--n-max", "6"),
     # The benchmark's size: the relation suite's spanning weights reach
-    # 9 vertices, past the oracle's 8-vertex guard.
+    # 9 vertices.
     "verify-all-7": ("verify", "all", "--n-max", "7"),
 }
 

@@ -182,12 +182,11 @@ def reference_real_roots(p, tol):
     return sorted(exact + [_ref_bisect(q, a, b, tols)[0] for a, b in isolated])
 
 
-def reference_charpoly_recurrence(m, n=None):
+def reference_charpoly_recurrence(m):
     """d_0..d_n by the full banded convolution over IntPolynomial,
     d_s = (a_0 - x) d_{s-1} + sum_{i=2..s} (-1)**(i+1) a_{i-1} sub**(i-1) d_{s-i},
     O(n**3); kept as the reference for charpoly_recurrence."""
-    if n is None:
-        n = m.size
+    n = m.size
     head = IntPolynomial((m.band[0], -1))
     polys = [IntPolynomial.one()]
     for s in range(1, n + 1):
@@ -208,7 +207,7 @@ def reference_eigenvector(m, lam):
     residual from m.entry dot products, O(n**2) per root; kept as the
     reference for eigenvector_from_charpoly."""
     n = m.size
-    seq = charpoly_recurrence(m, n - 1)
+    seq = charpoly_recurrence(m)
     with mp.workprec(precision_bits()):
         lam_mp = lam if isinstance(lam, (mpf, mpc)) else mpf(lam.numerator) / lam.denominator
         factor = mpf(-1) / m.sub
@@ -267,13 +266,6 @@ def test_recurrence_structure_invariants():
         for i, poly in enumerate(seq):
             assert poly.degree == i
             assert poly.leading == (-1) ** i if i else poly == IntPolynomial.one()
-
-
-def test_recurrence_rejects_order_out_of_range():
-    m = build_geometric_matrix(4)
-    for n in (-1, 5):
-        with pytest.raises(ValueError):
-            charpoly_recurrence(m, n)
 
 
 def test_closed_forms_match_golden_tables():
@@ -343,16 +335,15 @@ def _series(num, den, size):
     st.integers(-4, 4),
     st.lists(st.integers(-6, 6), min_size=1, max_size=4),
     st.lists(st.integers(-4, 4), max_size=3).map(lambda t: (1, *t)),
-    st.integers(0, 25),
+    st.integers(1, 25),
 )
-def test_charpoly_recurrence_matches_reference(sub, num, den, n):
-    size = max(n, 1)
+def test_charpoly_recurrence_matches_reference(sub, num, den, size):
     band = _series(num, den, size)
     with_gf = HTMatrix(size, sub, band, band_gf=(tuple(num), den))
     plain = HTMatrix(size, sub, band)
-    expected = reference_charpoly_recurrence(plain, n)
-    assert list(charpoly_recurrence(with_gf, n)) == expected
-    assert list(charpoly_recurrence(plain, n)) == expected
+    expected = reference_charpoly_recurrence(plain)
+    assert list(charpoly_recurrence(with_gf)) == expected
+    assert list(charpoly_recurrence(plain)) == expected
 
 
 def test_band_gf_builders_match_plain_band():
