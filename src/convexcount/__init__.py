@@ -5,7 +5,6 @@ from .exact import (
     CountVector,
     HTMatrix,
     IntPolynomial,
-    LAMBDA,
     binomial,
     charpoly_determinant,
     exact_div,

@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from . import spectral, verify
-from .exact import DETERMINANT_CAP, charpoly_determinant
+from .exact import charpoly_determinant
 from .production import CLASS_NAMES, CLASSES, ClassDef, GraphClassSpec, connected_totals, count_sequence
 
 FORMAT_VERSION = "1"
@@ -156,17 +156,8 @@ def _charpoly(args, spec: GraphClassSpec, n: int):
         if closed is None:
             raise UsageError(f"no closed form exists for the {spec.name} matrix")
         return closed(spec.param, n)
-    if args.method == "determinant":
-        if n > DETERMINANT_CAP and not args.force:
-            raise UsageError(
-                f"determinant method capped at n={DETERMINANT_CAP}; pass --force to override"
-            )
-        if n == 0:
-            from .exact import IntPolynomial
-
-            return IntPolynomial.one()
-        return charpoly_determinant(spec.build_matrix(n))
-    return spectral.charpoly_recurrence(spec.build_matrix(max(1, n)))[n]
+    route = charpoly_determinant if args.method == "determinant" else spectral.charpoly_recurrence
+    return route(spec.build_matrix(max(1, n)))[n]
 
 
 def cmd_charpoly(args) -> int:
@@ -306,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=("recurrence", "closed", "determinant"), default="recurrence"
     )
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_charpoly)
 
     p = sub.add_parser("eigen", help="dominant eigenvalue, eigenvector and residual")
@@ -327,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="n_max",
         help="largest size for the vectors, charpoly, eigen, oracle and relation "
         f"suites (clamped to {ORACLE_CLAMP} for oracle; charpoly's "
-        "closed forms run to at least 20)",
+        "closed forms and determinants run to at least 20)",
     )
     p.add_argument("--max", type=int, default=12, help="lemma1 exhaustive bound")
     p.set_defaults(func=cmd_verify)

@@ -1,5 +1,6 @@
 """Exact integer arithmetic core: binomials, dense integer polynomials,
-upper Hessenberg-Toeplitz matrices and count vectors.
+upper Hessenberg-Toeplitz matrices, count vectors, and the characteristic
+polynomials of a matrix's leading blocks by Berkowitz's algorithm.
 
 Everything here is immutable and computes with plain Python integers, so
 there is no overflow and no rounding anywhere in the counting pipeline.
@@ -56,10 +57,6 @@ class IntPolynomial:
     @classmethod
     def one(cls) -> IntPolynomial:
         return cls((1,))
-
-    @classmethod
-    def constant(cls, c: int) -> IntPolynomial:
-        return cls((c,))
 
     @property
     def degree(self) -> int:
@@ -144,10 +141,6 @@ class IntPolynomial:
                 body = var if mag == 1 else f"{mag}*{var}"
             parts.append(f"{sign} {body}" if parts else f"{sign}{body}")
         return " ".join(parts)
-
-
-#: The indeterminate, handy for building polynomials in code and tests.
-LAMBDA = IntPolynomial((0, 1))
 
 
 @dataclass(frozen=True)
@@ -276,45 +269,28 @@ def mat_vec(m: HTMatrix, v: CountVector) -> CountVector:
     return CountVector(tuple(out) + (0,) * (m.size - rows), v.level + 1)
 
 
-# Largest size the CLI's determinant method runs unforced and the size
-# verify's determinant oracle runs to.
-DETERMINANT_CAP = 8
+def charpoly_determinant(m: HTMatrix) -> tuple[IntPolynomial, ...]:
+    """d_0..d_n, d_r = det(A_r - x*I) of the leading r x r block A_r of m, by
+    Berkowitz's division-free algorithm, O(n**4) integer operations.
 
-
-def charpoly_determinant(m: HTMatrix) -> IntPolynomial:
-    """det(m - x*I) by exact cofactor expansion over integer polynomials.
-
-    Exponential in the matrix size; intended as an oracle for sizes up to
-    DETERMINANT_CAP.
+    Write A_(r+1) = [[A_r, C], [R, a]] and let c_r hold det(x*I - A_r) high
+    to low, c_0 = [1].  Then c_(r+1) = T c_r with T the lower-triangular
+    Toeplitz matrix whose first column is 1, -a, -R C, -R A_r C, ...,
+    -R A_r**(r-1) C, and d_r = (-1)**r c_r reversed.  It reads only the
+    dense entries of ``m.to_lists()`` and uses neither the Hessenberg nor
+    the Toeplitz structure, so it stays an independent check of
+    ``spectral.charpoly_recurrence``.
     """
-    n = m.size
-    rows = tuple(
-        tuple(
-            IntPolynomial((m.entry(i, j), -1)) if i == j
-            else IntPolynomial.constant(m.entry(i, j))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    memo = {0: IntPolynomial.one()}
-
-    def minor(colmask: int) -> IntPolynomial:
-        # Laplace expansion along the first remaining row, memoized on the
-        # remaining column set.  Deliberately ignores the Hessenberg structure
-        # so it stays an independent check of the banded recurrence.
-        if colmask in memo:
-            return memo[colmask]
-        row = rows[n - colmask.bit_count()]
-        acc = IntPolynomial.zero()
-        sign = 1
-        for j in range(n):
-            if not (colmask >> j) & 1:
-                continue
-            if not row[j].is_zero():
-                term = row[j] * minor(colmask & ~(1 << j))
-                acc = acc + (term if sign > 0 else -term)
-            sign = -sign
-        memo[colmask] = acc
-        return acc
-
-    return minor((1 << n) - 1)
+    a = m.to_lists()
+    c = [1]
+    polys = [IntPolynomial(c)]
+    for r in range(m.size):
+        row, col = a[r][:r], [a[i][r] for i in range(r)]
+        t = [1, -a[r][r]]
+        for _ in range(r):
+            t.append(-sum(map(mul, row, col)))
+            col = [sum(map(mul, a[i], col)) for i in range(r)]
+        c = [sum(map(mul, t[i::-1], c)) for i in range(r + 2)]
+        sign = (-1) ** (r + 1)
+        polys.append(IntPolynomial([sign * x for x in reversed(c)]))
+    return tuple(polys)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import closedform, oracle, spectral
-from .exact import DETERMINANT_CAP, charpoly_determinant
+from .exact import charpoly_determinant
 from .production import (
     CLASSES,
     CONNECTED,
@@ -92,31 +92,27 @@ def suite_vectors(n_max: int = 12) -> list[CheckResult]:
 
 
 def suite_charpoly(n_max: int = 20) -> list[CheckResult]:
-    """Recurrence, closed form and determinant oracle, coefficient-exact.
-
-    Closed forms run over 0..max(20, n_max); determinants over
-    1..DETERMINANT_CAP, since the cofactor expansion is exponential."""
+    """Recurrence against the closed forms and the Berkowitz determinants,
+    coefficient-exact, at every n up to max(20, n_max)."""
     if n_max < 0:
         return [CheckResult("charpoly/ranges", False, f"empty range: n_max={n_max} < 0")]
-    closed_max = max(20, n_max)
-    out = []
-    for row in CLASSES.values():
-        if row.charpoly is None:
-            continue
-        for param in _params(row, (3, 4)):
-            seq = spectral.charpoly_recurrence(row.build(closed_max, param))
-            bad = next((n for n in range(closed_max + 1) if row.charpoly(param, n) != seq[n]), None)
-            detail = "" if bad is None else f"closed form differs at n={bad}"
-            out.append(CheckResult(f"charpoly/{_label(row, param)}", bad is None, detail))
-    counts = connected_totals(DETERMINANT_CAP)
+    top = max(20, n_max)
+    counts = connected_totals(top)
+    closed, dets = [], []
     for row in CLASSES.values():
         for param in _params(row, (3, 4), counts):
-            seq = spectral.charpoly_recurrence(row.build(DETERMINANT_CAP, param))
-            dets = (charpoly_determinant(row.build(n, param)) for n in range(1, DETERMINANT_CAP + 1))
-            bad = next((n for n, det in enumerate(dets, 1) if det != seq[n]), None)
+            matrix = row.build(top, param)
+            seq = spectral.charpoly_recurrence(matrix)
+            label = _label(row, param)
+            if row.charpoly is not None:
+                bad = next((n for n in range(top + 1) if row.charpoly(param, n) != seq[n]), None)
+                detail = "" if bad is None else f"closed form differs at n={bad}"
+                closed.append(CheckResult(f"charpoly/{label}", bad is None, detail))
+            det = charpoly_determinant(matrix)
+            bad = next((n for n in range(1, top + 1) if det[n] != seq[n]), None)
             detail = "" if bad is None else f"differs at n={bad}"
-            out.append(CheckResult(f"charpoly-determinant/{_label(row, param)}", bad is None, detail))
-    return out
+            dets.append(CheckResult(f"charpoly-determinant/{label}", bad is None, detail))
+    return closed + dets
 
 
 def suite_eigen(n_max: int = 6) -> list[CheckResult]:

@@ -96,21 +96,22 @@ def test_charpoly_methods_agree(capsys):
     assert results[0] == results[1] == results[2]
 
 
-def test_charpoly_determinant_cap(capsys):
-    code, _, err = run_cli(
-        capsys, "charpoly", "geometric", "--n", "9", "--method", "determinant"
-    )
-    assert code == 2
-    assert "capped" in err
-    code, out, _ = run_cli(
-        capsys, "charpoly", "geometric", "--n", "9", "--method", "determinant", "--force"
-    )
-    assert code == 0
+def test_charpoly_determinant_has_no_cap(capsys):
+    for n in ("9", "12"):
+        runs = [
+            run_cli(capsys, "charpoly", "geometric", "--n", n, "--method", method)
+            for method in ("determinant", "recurrence")
+        ]
+        assert runs[0][0] == runs[1][0] == 0
+        assert runs[0][1] == runs[1][1]
+    with pytest.raises(SystemExit):
+        main(["charpoly", "geometric", "--n", "9", "--method", "determinant", "--force"])
+    assert "unrecognized arguments: --force" in capsys.readouterr().err
 
 
 def test_verify_has_no_force_option(capsys):
-    # --force belongs to counts and charpoly; verify's brute-force sizes are
-    # clamped under the oracle's guards instead.
+    # --force belongs to counts only; verify's brute-force sizes are clamped
+    # under the oracle's guards instead.
     with pytest.raises(SystemExit):
         main(["verify", "all", "--force"])
     assert "unrecognized arguments: --force" in capsys.readouterr().err
@@ -388,7 +389,7 @@ EXACT_ARGVS = [
     ["counts", "geometric", "--n-max", "20"],
     ["counts", "geometric", "--n-max", "20", "--bfile"],
     *(["charpoly", "connected", "--n", "10", "--method", m] for m in ("recurrence", "closed")),
-    ["charpoly", "connected", "--n", "10", "--method", "determinant", "--force"],
+    ["charpoly", "connected", "--n", "10", "--method", "determinant"],
     ["matrix", "partition", "--n", "5", "--format", "csv"],
     ["verify", "lemma1", "--max", "3"],
     ["verify", "vectors", "--n-max", "5"],

@@ -76,10 +76,10 @@ def test_concurrent_callers_get_consistent_results():
     from convexcount.exact import charpoly_determinant
 
     sizes = [3, 4, 5, 6] * 4
-    expected = {n: charpoly_determinant(build_geometric_matrix(n)) for n in set(sizes)}
+    expected = {n: charpoly_determinant(build_geometric_matrix(n))[n] for n in set(sizes)}
     with ThreadPoolExecutor(max_workers=8) as ex:
         results = list(
-            ex.map(lambda n: (n, charpoly_determinant(build_geometric_matrix(n))), sizes)
+            ex.map(lambda n: (n, charpoly_determinant(build_geometric_matrix(n))[n]), sizes)
         )
     for n, poly in results:
         assert poly == expected[n]

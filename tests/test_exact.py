@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from convexcount.exact import (
-    LAMBDA,
     CountVector,
     HTMatrix,
     IntPolynomial,
@@ -208,10 +207,10 @@ def test_wrong_band_gf_rejected():
 
 
 def test_charpoly_determinant_small():
-    assert charpoly_determinant(build_geometric_matrix(1)) == IntPolynomial((2, -1))
+    assert charpoly_determinant(build_geometric_matrix(1))[1] == IntPolynomial((2, -1))
     identity = HTMatrix(1, 0, (1,))
-    assert charpoly_determinant(identity) == IntPolynomial((1, -1))
-    g4 = charpoly_determinant(build_geometric_matrix(4))
+    assert charpoly_determinant(identity)[1] == IntPolynomial((1, -1))
+    g4 = charpoly_determinant(build_geometric_matrix(4))[4]
     assert g4 == IntPolynomial((-16, 0, 0, -8, 1))
     assert g4.degree == 4
     assert g4.leading == 1
@@ -219,11 +218,12 @@ def test_charpoly_determinant_small():
 
 def test_charpoly_determinant_leading_sign():
     for n in range(1, 6):
-        p = charpoly_determinant(build_partition_matrix(n))
+        p = charpoly_determinant(build_partition_matrix(n))[n]
         assert p.degree == n
         assert p.leading == (-1) ** n
 
 
 def test_lambda_constant():
-    assert LAMBDA(5) == 5
-    assert (LAMBDA * LAMBDA - 2 * LAMBDA).coeffs == (0, -2, 1)
+    lam = IntPolynomial((0, 1))
+    assert lam(5) == 5
+    assert (lam * lam - 2 * lam).coeffs == (0, -2, 1)

@@ -6,6 +6,8 @@ from mpmath import mp, mpc, mpf, polyroots, sqrt
 
 from convexcount.exact import HTMatrix, IntPolynomial, charpoly_determinant
 from convexcount.production import (
+    CLASS_NAMES,
+    CLASSES,
     build_connected_matrix,
     build_geometric_matrix,
     build_k_angulation_matrix,
@@ -202,6 +204,43 @@ def reference_charpoly_recurrence(m):
     return polys
 
 
+def reference_charpoly_determinant(m):
+    """det(m - x*I) by exact cofactor expansion over integer polynomials,
+    memoized on column sets, O(2**n * n) polynomial products; kept as the
+    reference for charpoly_determinant."""
+    n = m.size
+    rows = tuple(
+        tuple(
+            IntPolynomial((m.entry(i, j), -1)) if i == j
+            else IntPolynomial((m.entry(i, j),))
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    memo = {0: IntPolynomial.one()}
+
+    def minor(colmask: int) -> IntPolynomial:
+        # Laplace expansion along the first remaining row, memoized on the
+        # remaining column set.  Deliberately ignores the Hessenberg structure
+        # so it stays an independent check of the banded recurrence.
+        if colmask in memo:
+            return memo[colmask]
+        row = rows[n - colmask.bit_count()]
+        acc = IntPolynomial.zero()
+        sign = 1
+        for j in range(n):
+            if not (colmask >> j) & 1:
+                continue
+            if not row[j].is_zero():
+                term = row[j] * minor(colmask & ~(1 << j))
+                acc = acc + (term if sign > 0 else -term)
+            sign = -sign
+        memo[colmask] = acc
+        return acc
+
+    return minor((1 << n) - 1)
+
+
 def reference_eigenvector(m, lam):
     """x_i = (-1/sub)**i d_i(lam) by Horner on each exact d_i, and the
     residual from m.entry dot products, O(n**2) per root; kept as the
@@ -285,7 +324,7 @@ def test_closed_form_initial_conditions():
 def test_closed_kangulation_small():
     assert charpoly_closed_kangulation(3, 2).coeffs == (0, -2, 1)
     assert charpoly_closed_kangulation(4, 1).coeffs == (2, -1)
-    assert charpoly_determinant(build_k_angulation_matrix(3, 2)).coeffs == (0, -2, 1)
+    assert charpoly_determinant(build_k_angulation_matrix(3, 2))[2].coeffs == (0, -2, 1)
 
 
 def test_triple_agreement_to_8():
@@ -300,7 +339,18 @@ def test_triple_agreement_to_8():
     for build in builders:
         seq = charpoly_recurrence(build(8))
         for n in range(1, 9):
-            assert charpoly_determinant(build(n)) == seq[n]
+            assert charpoly_determinant(build(n))[n] == seq[n]
+
+
+@pytest.mark.parametrize("name", CLASS_NAMES)
+def test_determinant_matches_cofactor_reference_to_8(name):
+    row = CLASSES[name]
+    for param in {"k": (3, 4, 5), "weights": (connected_totals(8),)}.get(row.param, (None,)):
+        for n in range(1, 9):
+            m = row.build(n, param)
+            dets = charpoly_determinant(m)
+            assert len(dets) == n + 1
+            assert dets[n] == reference_charpoly_determinant(m), (name, param, n)
 
 
 def test_closed_equals_recurrence_to_20():
@@ -533,7 +583,10 @@ def test_eigenvector_matches_reference_off_the_real_roots():
 def test_recurrence_matches_determinant_on_random_bands(params):
     sub, band = params
     m = HTMatrix(len(band), sub, band)
-    assert charpoly_recurrence(m)[m.size] == charpoly_determinant(m)
+    blocks = (IntPolynomial.one(),) + tuple(
+        reference_charpoly_determinant(HTMatrix(r, sub, band[:r])) for r in range(1, m.size + 1)
+    )
+    assert charpoly_recurrence(m) == charpoly_determinant(m) == blocks
 
 
 def test_real_roots_known_polynomials():
@@ -553,6 +606,24 @@ def test_real_roots_exact_and_multiplicity():
     assert real_roots(IntPolynomial((0, -1))) == [Fraction(0)]
     with pytest.raises(ValueError):
         real_roots(IntPolynomial.zero())
+
+
+def test_real_roots_of_triangulation_charpolys_are_known_cosines():
+    # The k = 3 matrix (all-ones band, subdiagonal 1): the distinct real roots
+    # of d_n are 0 for n >= 2 and 4 cos^2(j pi / (n + 2)), j = 1..(n + 1) // 2.
+    # This reference needs neither Sturm chains nor a bisection grid.
+    tol = Fraction(1, 10**40)
+    seq = charpoly_recurrence(build_k_angulation_matrix(3, 100))
+    with mp.workprec(400):
+        for n in (*range(1, 41), 100):
+            roots = real_roots(seq[n], tol)
+            want = sorted(4 * mp.cos(j * mp.pi / (n + 2)) ** 2 for j in range(1, (n + 1) // 2 + 1))
+            if n >= 2:
+                assert roots[0] == 0, n
+                roots = roots[1:]
+            assert len(roots) == len(want), n
+            for root, w in zip(roots, want):
+                assert abs(mpf(root.numerator) / root.denominator - w) <= mpf(tol.numerator) / tol.denominator, n
 
 
 def test_real_roots_no_real():
