@@ -1,5 +1,5 @@
 """Exact counting of plane graph classes on convex point sets via production
-matrices, with closed-form, spectral and brute-force verification."""
+matrices, with closed-form, spectral and combinatorial verification."""
 
 from .exact import (
     CountVector,
@@ -51,17 +51,8 @@ from .spectral import (
     real_roots,
 )
 from .oracle import (
-    Dissection,
-    NonCrossingPartition,
-    PlaneGraph,
     count_spanning_structures,
-    enumerate_connected,
-    enumerate_dissections,
-    enumerate_noncrossing_graphs,
-    enumerate_partitions,
-    isolation_degree,
     spanning_counts,
-    visibility_degree,
 )
 
 __version__ = "0.1.0"

@@ -17,8 +17,6 @@ from .production import CLASS_NAMES, CLASSES, ClassDef, GraphClassSpec, connecte
 
 FORMAT_VERSION = "1"
 MAX_DEFAULT_LEVEL = 64
-# Largest --n-max that verify passes to its brute-force oracle suite.
-ORACLE_CLAMP = 7
 # Options that belong to some classes only, by argparse dest.  A row takes
 # its size option and the option of its parameter (PARAM_OPTIONS).
 CLASS_OPTIONS = ("n", "r", "k", "c_values")
@@ -233,14 +231,11 @@ def cmd_eigen(args) -> int:
 
 def cmd_verify(args) -> int:
     suites = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
-    oracle_n = min(args.n_max, ORACLE_CLAMP)
-    if "oracle" in suites and oracle_n < args.n_max:
-        print(f"note: --n-max {args.n_max} clamped to {oracle_n} for suites: oracle", file=sys.stderr)
     kwargs_by_suite = {
         "vectors": {"n_max": args.n_max},
         "charpoly": {"n_max": args.n_max},
         "eigen": {"n_max": args.n_max},
-        "oracle": {"n_graphs": oracle_n},
+        "oracle": {"n_graphs": args.n_max},
         "lemma1": {"limit": args.max},
         "relation": {"n_oracle": args.n_max},
     }
@@ -260,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="convexcount",
         description="Exact counting of plane graph classes on convex point sets "
-        "via production matrices, with closed-form, spectral and brute-force "
+        "via production matrices, with closed-form, spectral and combinatorial "
         "verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -316,8 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=6,
         dest="n_max",
         help="largest size for the vectors, charpoly, eigen, oracle and relation "
-        f"suites (clamped to {ORACLE_CLAMP} for oracle; charpoly's "
-        "closed forms and determinants run to at least 20)",
+        "suites (charpoly's closed forms and determinants run to at least 20)",
     )
     p.add_argument("--max", type=int, default=12, help="lemma1 exhaustive bound")
     p.set_defaults(func=cmd_verify)

@@ -1,7 +1,6 @@
-"""Ground truth that reads no production matrix: exhaustive enumeration of
-the graph classes at small n, with the visibility- and isolation-degree
-classifiers, and recursions that count partitions, k-angulations and the
-spanning structures without building them.
+"""Ground truth that reads no production matrix: polynomial recursions that
+count the objects of each class by root degree, and the spanning structures,
+without building one.
 
 Everything here is purely combinatorial.  Vertices sit at positions 1..n in
 counter-clockwise convex position, so two chords (a, b) and (c, d) cross
@@ -9,336 +8,25 @@ exactly when a < c < b < d, and a vertex j is hidden from an external point
 inserted between p_n and p_1 exactly when some edge (a, b) spans it,
 a < j < b.  No coordinates, no floating point.
 
-Three shared pieces do the enumeration.  One walker, ``_subsets``, yields
-every non-crossing chord subset once as bitmasks; the graph histograms and
-the graph stream all loop over it.  One union-find, ``_find``, serves both
-connectivity tests.  One gap recursion, ``_fillings``, builds non-crossing
-partitions and k-angulations alike: a root piece, then independent fillings
-of the gaps it leaves; their histograms count the same decompositions.
+Every count splits its objects into independent gaps: partitions at the
+block of the first element, k-angulations at the face on the base edge,
+plane graphs at the vertices no chord spans, and the spanning structures at
+the largest neighbour of the first point.  The tests compare each recursion
+with an exhaustive enumeration at small n.
 """
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations_with_replacement
 from math import prod
-from typing import Iterator, Literal, Sequence
-
-MAX_GRAPH_VERTICES = 9
-MAX_PARTITION_SIZE = 12
-MAX_DISSECTION_VERTICES = 14
+from typing import Literal, Sequence
 
 SpanningKind = Literal["tree", "path", "forest", "path-forest"]
 SPANNING_KINDS = ("tree", "path", "forest", "path-forest")
 
 
-class EnumerationLimitError(ValueError):
-    """Raised when an enumeration exceeds its fixed size limit
-    (MAX_GRAPH_VERTICES, MAX_PARTITION_SIZE or MAX_DISSECTION_VERTICES);
-    the partition and k-angulation histograms count, and never raise it."""
-
-
-def _check_guard(value: int, limit: int, what: str) -> None:
-    if value > limit:
-        raise EnumerationLimitError(f"{what} guard is {limit} (got {value})")
-
-
-def crossing(e: tuple[int, int], f: tuple[int, int]) -> bool:
-    """Whether two chords of the convex polygon cross in their interiors."""
-    (a, b), (c, d) = sorted((tuple(sorted(e)), tuple(sorted(f))))
-    return a < c < b < d
-
-
-def _find(parent: list[int], x: int) -> int:
-    """Root of x in the union-find forest ``parent``."""
-    while parent[x] != x:
-        x = parent[x]
-    return x
-
-
-def _component_count(n: int, edges) -> int:
-    """Connected components of the graph on vertices 1..n."""
-    parent = list(range(n + 1))
-    comps = n
-    for a, b in edges:
-        ra, rb = _find(parent, a), _find(parent, b)
-        if ra != rb:
-            parent[ra] = rb
-            comps -= 1
-    return comps
-
-
-@dataclass(frozen=True)
-class PlaneGraph:
-    """Graph on vertices 1..n in convex position with non-crossing edges."""
-
-    n: int
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        for a, b in self.edges:
-            if not (1 <= a < b <= self.n):
-                raise ValueError(f"bad edge ({a}, {b}) for n={self.n}")
-        for e, f in combinations(sorted(self.edges), 2):
-            if crossing(e, f):
-                raise ValueError(f"edges {e} and {f} cross")
-
-    def degrees(self) -> dict[int, int]:
-        deg = {v: 0 for v in range(1, self.n + 1)}
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        return deg
-
-    def component_count(self) -> int:
-        return _component_count(self.n, self.edges)
-
-    def is_connected(self) -> bool:
-        return self.component_count() == 1
-
-    def is_acyclic(self) -> bool:
-        return len(self.edges) + self.component_count() == self.n
-
-
-@dataclass(frozen=True)
-class NonCrossingPartition:
-    """Non-crossing partition of {1..n}, blocks sorted by minimum element."""
-
-    n: int
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        seen: set[int] = set()
-        for block in self.blocks:
-            if not block or list(block) != sorted(block):
-                raise ValueError("blocks must be nonempty and sorted")
-            if seen.intersection(block):
-                raise ValueError("blocks must be disjoint")
-            seen.update(block)
-        if seen != set(range(1, self.n + 1)):
-            raise ValueError("blocks must cover 1..n")
-        for b1, b2 in combinations(self.blocks, 2):
-            if _blocks_cross(b1, b2):
-                raise ValueError(f"blocks {b1} and {b2} cross")
-
-
-def _blocks_cross(b1: Sequence[int], b2: Sequence[int]) -> bool:
-    # b2 crosses b1 iff its elements fall into two different regions cut
-    # out by b1 (the gaps between consecutive b1 elements, or the outside).
-    import bisect
-
-    regions = set()
-    for x in b2:
-        pos = bisect.bisect_left(b1, x)
-        regions.add(0 if pos in (0, len(b1)) else pos)
-        if len(regions) > 1:
-            return True
-    return False
-
-
-@dataclass(frozen=True)
-class Dissection:
-    """Dissection of a convex ((k-2)r+2)-gon into r faces of k sides each."""
-
-    k: int
-    r: int
-    faces: tuple[tuple[int, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return (self.k - 2) * self.r + 2
-
-    def edges(self) -> frozenset[tuple[int, int]]:
-        out = set()
-        for face in self.faces:
-            for i, a in enumerate(face):
-                b = face[(i + 1) % len(face)]
-                out.add((a, b) if a < b else (b, a))
-        return frozenset(out)
-
-    def root_degree(self) -> int:
-        """Edges at p_n minus 2, read from the faces around p_n: its
-        neighbours are the vertices next to it in those faces."""
-        root = self.n
-        neighbours = set()
-        for face in self.faces:
-            if root in face:
-                i = face.index(root)
-                neighbours.update((face[i - 1], face[(i + 1) % len(face)]))
-        return len(neighbours) - 2
-
-
-# ---------------------------------------------------------------------------
-# Plane graph enumeration.
-
-@lru_cache(maxsize=None)
-def _chord_tables(n: int):
-    chords = [(a, b) for a in range(1, n) for b in range(a + 1, n + 1)]
-    cross = [0] * len(chords)
-    span = [0] * len(chords)
-    ends = [0] * len(chords)
-    for i, (a, b) in enumerate(chords):
-        for j, (c, d) in enumerate(chords):
-            if a < c < b < d or c < a < d < b:
-                cross[i] |= 1 << j
-        for v in range(a + 1, b):
-            span[i] |= 1 << (v - 1)
-        ends[i] = (1 << (a - 1)) | (1 << (b - 1))
-    return tuple(chords), tuple(cross), tuple(span), tuple(ends)
-
-
-def _subsets(n: int) -> Iterator[tuple[int, int, int]]:
-    """Yield every non-crossing chord subset once, as bitmasks
-    (chosen chords, spanned vertices, edge endpoints).  A subset's children
-    add one chord past its last chosen chord that crosses none of it."""
-    _, cross, span, ends = _chord_tables(n)
-    # (chords a child may add, chosen, spanned, occupied)
-    stack = [((1 << len(cross)) - 1, 0, 0, 0)]
-    while stack:
-        free, chosen, spanned, occupied = stack.pop()
-        yield chosen, spanned, occupied
-        while free:
-            low = free & -free
-            free ^= low
-            i = low.bit_length() - 1
-            stack.append((free & ~cross[i], chosen | low, spanned | span[i], occupied | ends[i]))
-
-
-def _edges(n: int, chosen: int) -> list[tuple[int, int]]:
-    """The chords in the bitmask ``chosen``."""
-    chords = _chord_tables(n)[0]
-    return [chords[i] for i in range(chosen.bit_length()) if (chosen >> i) & 1]
-
-
-def enumerate_noncrossing_graphs(n: int) -> Iterator[PlaneGraph]:
-    """Yield every plane (non-crossing) graph on n convex points exactly once."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_guard(n, MAX_GRAPH_VERTICES, "graph enumeration")
-    for chosen, _, _ in _subsets(n):
-        yield PlaneGraph(n, frozenset(_edges(n, chosen)))
-
-
-def enumerate_connected(n: int) -> Iterator[PlaneGraph]:
-    """Connectivity-filtered stream of enumerate_noncrossing_graphs."""
-    for g in enumerate_noncrossing_graphs(n):
-        if g.is_connected():
-            yield g
-
-
-def visibility_degree(g: PlaneGraph) -> int:
-    """Number of vertices of g visible from a point inserted between p_n and
-    p_1 outside the hull, minus 2.  A vertex j is hidden exactly when some
-    edge (a, b) spans it, a < j < b."""
-    if g.n < 2:
-        raise ValueError("visibility degree needs n >= 2")
-    spanned: set[int] = set()
-    for a, b in g.edges:
-        spanned.update(range(a + 1, b))
-    return g.n - len(spanned) - 2
-
-
-def isolation_degree(obj: PlaneGraph | NonCrossingPartition) -> int:
-    """Number of isolated visible vertices seen from the inserted point.
-
-    Isolated means degree 0 for graphs, a singleton block for partitions.
-    The root vertex p_n counts when it is isolated: that convention is the
-    one reproducing the partition production matrix.
-    """
-    if isinstance(obj, PlaneGraph):
-        deg = obj.degrees()
-        spanned: set[int] = set()
-        for a, b in obj.edges:
-            spanned.update(range(a + 1, b))
-        isolated = {v for v, d in deg.items() if d == 0 and v not in spanned}
-    elif isinstance(obj, NonCrossingPartition):
-        singles = {block[0] for block in obj.blocks if len(block) == 1}
-        isolated = {
-            j
-            for j in singles
-            if not any(
-                block[0] < j < block[-1] for block in obj.blocks if j not in block
-            )
-        }
-    else:
-        raise TypeError(f"cannot classify {type(obj).__name__}")
-    return len(isolated)
-
-
-# ---------------------------------------------------------------------------
-# Degree histograms (index d = number of objects with root degree d).
-
-def visibility_histogram(n: int) -> list[int]:
-    """Histogram of visibility degree over all non-crossing graphs."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    _check_guard(n, MAX_GRAPH_VERTICES, "graph enumeration")
-    hist = [0] * (n - 1)
-    for _, spanned, _ in _subsets(n):
-        hist[n - 2 - spanned.bit_count()] += 1
-    return hist
-
-
-def isolation_histogram(n: int) -> list[int]:
-    """Histogram of isolation degree over all non-crossing graphs."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_guard(n, MAX_GRAPH_VERTICES, "graph enumeration")
-    visible = (1 << n) - 1
-    hist = [0] * (n + 1)
-    for _, spanned, occupied in _subsets(n):
-        hist[(visible & ~(spanned | occupied)).bit_count()] += 1
-    return hist
-
-
-def connected_visibility_histogram(n: int) -> list[int]:
-    """Histogram of visibility degree over connected non-crossing graphs."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    _check_guard(n, MAX_GRAPH_VERTICES, "graph enumeration")
-    hist = [0] * (n - 1)
-    for chosen, spanned, occupied in _subsets(n):
-        # a vertex with no edge leaves the graph disconnected
-        if occupied.bit_count() == n and _component_count(n, _edges(n, chosen)) == 1:
-            hist[n - 2 - spanned.bit_count()] += 1
-    return hist
-
-
 # ---------------------------------------------------------------------------
 # Non-crossing partitions and polygon dissections into k-gons.
-
-def _fillings(vs: tuple[int, ...], pieces) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Every filling of ``vs``: a root piece, then an independent filling of
-    each gap it leaves.  ``pieces(vs)`` yields each root piece with its
-    gaps, and lists no gap that needs no filling."""
-    for piece, gaps in pieces(vs):
-        for parts in product(*(list(_fillings(gap, pieces)) for gap in gaps)):
-            filling = (piece,)
-            for part in parts:
-                filling += part
-            yield filling
-
-
-def _partition_pieces(vs: tuple[int, ...]):
-    # the block of vs[0]; each run of vs between two of its elements, or
-    # after its last, is a gap
-    first, rest = vs[0], vs[1:]
-    for size in range(len(rest) + 1):
-        for pos in combinations(range(len(rest)), size):
-            cuts = (-1,) + pos + (len(rest),)
-            gaps = [rest[a + 1 : b] for a, b in zip(cuts, cuts[1:]) if b - a > 1]
-            yield (first,) + tuple(rest[p] for p in pos), gaps
-
-
-def enumerate_partitions(n: int) -> Iterator[NonCrossingPartition]:
-    """Yield every non-crossing partition of {1..n} exactly once."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_guard(n, MAX_PARTITION_SIZE, "partition enumeration")
-    for blocks in _fillings(tuple(range(1, n + 1)), _partition_pieces):
-        yield NonCrossingPartition(n, tuple(sorted(blocks)))
-
 
 def partition_isolation_histogram(n: int) -> list[int]:
     """Histogram of isolation degree over non-crossing partitions, counted in
@@ -373,18 +61,6 @@ def _dissection_pieces(k: int, vs: Sequence[int]):
         yield tuple(vs[i] for i in idx), gaps
 
 
-def enumerate_dissections(k: int, r: int) -> Iterator[Dissection]:
-    """Yield every dissection of the convex ((k-2)r+2)-gon into r k-gons."""
-    if k < 3:
-        raise ValueError("k-angulations require k >= 3")
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    n = (k - 2) * r + 2
-    _check_guard(n, MAX_DISSECTION_VERTICES, "dissection enumeration")
-    for faces in _fillings(tuple(range(1, n + 1)), partial(_dissection_pieces, k)):
-        yield Dissection(k, r, faces)
-
-
 def dissection_degree_histogram(k: int, r: int) -> list[int]:
     """Histogram of root degree (incident edges at p_n minus 2) over all
     dissections into r k-gons, counted without building one.  ``hist[m]``
@@ -406,6 +82,94 @@ def dissection_degree_histogram(k: int, r: int) -> list[int]:
                 h[d] += ways * x
         hist[m], total[m] = h, sum(h)
     return hist[n]
+
+
+# ---------------------------------------------------------------------------
+# Plane graphs, split at the vertices that no chord spans.  Between two
+# consecutive unspanned vertices u < u' with u' - u >= 2 the chord (u, u') is
+# present, since two maximal chords sharing an end would leave that end
+# unspanned, and every chord at a vertex between them lies inside [u, u'].
+# So a graph is a sequence of independent gaps, each either a short gap
+# (u' = u + 1) with no edge, or a graph on [u, u'] that holds the chord
+# (u, u').  This is the decomposition of Flajolet and Noy, "Analytic
+# combinatorics of non-crossing configurations" (Discrete Math. 1999).
+
+def _gap_tables(n: int) -> tuple[list[int], list[int]]:
+    """(H, Cp), indexed by k = 2..n: the graphs on k consecutive points that
+    hold the chord (1, k), and the connected ones among them, in O(n²).
+
+    The chord (1, k) crosses nothing, so H[k] also counts the graphs without
+    it, and A[k] = 2·H[k] counts every graph.  Split a graph without it at
+    c, the largest neighbour of 1: the part on 1..c holds (1, c), the part
+    on c..k is any graph, and the two share only c; with no neighbour, 1 is
+    isolated and the rest is 2..k.  C[k] counts the connected graphs, J[k]
+    the connected ones without (1, k), and Ap[k] those without (1, k) whose
+    two components hold 1 and k, so that Cp[k] = J[k] + Ap[k]."""
+    A, C, H, J, Ap, Cp = [0, 1], [0, 1], [0, 0], [0, 0], [0, 0], [0, 0]
+    for k in range(2, n + 1):
+        H.append(A[k - 1] + sum(H[c] * A[k - c + 1] for c in range(2, k)))
+        J.append(sum(Cp[c] * C[k - c + 1] for c in range(2, k)))
+        Ap.append(C[k - 1] + sum(Cp[c] * Ap[k - c + 1] for c in range(2, k)))
+        A.append(2 * H[k])
+        Cp.append(J[k] + Ap[k])
+        C.append(J[k] + Cp[k])
+    return H, Cp
+
+
+def _gap_histogram(n: int, weight: list[int]) -> list[int]:
+    """``hist[d]``: the sum over the splits of 1..n into d + 1 gaps of the
+    product of ``weight[length + 1]`` over the gaps."""
+    rows = [[1]]  # rows[s][m]: the splits of 1..s+1 into m gaps
+    for s in range(1, n):
+        row = [0] * (s + 1)
+        for length in range(1, s + 1):
+            for m, x in enumerate(rows[s - length]):
+                row[m + 1] += weight[length + 1] * x
+        rows.append(row)
+    return rows[n - 1][1:]
+
+
+def visibility_histogram(n: int) -> list[int]:
+    """Histogram of visibility degree over all non-crossing graphs: a graph
+    with d + 1 gaps has d + 2 visible vertices."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    H, _ = _gap_tables(n)
+    H[2] += 1  # a short gap may also be empty
+    return _gap_histogram(n, H)
+
+
+def connected_visibility_histogram(n: int) -> list[int]:
+    """Histogram of visibility degree over connected non-crossing graphs.  A
+    graph is connected exactly when every gap's part is, so no gap is empty."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    return _gap_histogram(n, _gap_tables(n)[1])
+
+
+def isolation_histogram(n: int) -> list[int]:
+    """Histogram of isolation degree over all non-crossing graphs.  An
+    unspanned vertex is isolated exactly when every gap next to it is short
+    and empty.  ``empty[s]`` and ``other[s]`` count the graphs on 1..s+1 by
+    their isolated vertices among 1..s, as the last gap is short and empty or
+    not.  Vertex 1 starts as if it followed an empty gap."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    H, _ = _gap_tables(n)
+    empty, other = [[1] + [0] * n], [[0] * (n + 1)]
+
+    def closed(s: int) -> list[int]:
+        # vertex s + 1 counted too: isolated when the gap before it is empty
+        return [x + y for x, y in zip([0] + empty[s][:-1], other[s])]
+
+    for s in range(1, n):
+        empty.append(closed(s - 1))
+        row = [0] * (n + 1)
+        for length in range(1, s + 1):
+            for d, (x, y) in enumerate(zip(empty[s - length], other[s - length])):
+                row[d] += H[length + 1] * (x + y)
+        other.append(row)
+    return closed(n - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -139,10 +139,9 @@ def suite_eigen(n_max: int = 6) -> list[CheckResult]:
 
 
 def suite_oracle(n_graphs: int = 6) -> list[CheckResult]:
-    """Oracle degree histograms against matrix-generated vectors: graph
-    classes to n_graphs vertices by enumeration, which raises past
-    oracle.MAX_GRAPH_VERTICES, partitions to N_PARTITIONS elements and
-    k-angulations to KANG_MAX_VERTICES vertices by their gap recursions."""
+    """Oracle degree histograms against matrix-generated vectors, each from
+    its gap recursion: graph classes to n_graphs vertices, partitions to
+    N_PARTITIONS elements and k-angulations to KANG_MAX_VERTICES vertices."""
     # Per class, in the order checked: the oracle histogram at
     # (param, level), the largest level the bounds allow (a k-angulation
     # with r faces has (k-2)r+2 vertices), and a closed-form total, if any.
@@ -186,18 +185,6 @@ def suite_oracle(n_graphs: int = 6) -> list[CheckResult]:
                 if total is not None:
                     pairs.append((f"total {pair[0]}", (sum(hist),), (total(param, level.level),)))
         out.append(_check_levels(f"oracle/{name}", pairs))
-    audit_n = min(n_graphs, 6)
-    detail = ""
-    if audit_n < 1:
-        detail = f"empty range: n_graphs={n_graphs} < 1"
-    else:
-        seen = set()
-        for g in oracle.enumerate_noncrossing_graphs(audit_n):
-            if g.edges in seen:
-                detail = f"duplicate edge set at n={audit_n}"
-                break
-            seen.add(g.edges)
-    out.append(CheckResult("oracle/duplicate-free", not detail, detail))
     return out
 
 

@@ -110,8 +110,8 @@ def test_charpoly_determinant_has_no_cap(capsys):
 
 
 def test_verify_has_no_force_option(capsys):
-    # --force belongs to counts only; verify's brute-force sizes are clamped
-    # under the oracle's guards instead.
+    # --force belongs to counts only; every verify suite counts by recursion
+    # and has no size guard to override.
     with pytest.raises(SystemExit):
         main(["verify", "all", "--force"])
     assert "unrecognized arguments: --force" in capsys.readouterr().err
@@ -270,7 +270,11 @@ def test_verify_empty_range_fails(capsys, argv):
         assert out.endswith(" failure(s)\n")
 
 
-def test_verify_reports_oracle_clamp_on_stderr(capsys, monkeypatch):
+def test_verify_oracle_takes_n_max_as_given(capsys, monkeypatch):
+    # the graph histograms are counted by recursion, so nothing is clamped
+    code, out, err = run_cli(capsys, "verify", "oracle", "--n-max", "8")
+    assert (code, err) == (0, "")
+    assert out.endswith("verify: all checks passed\n")
     calls = []
 
     def fake_run_suite(name, **kwargs):
@@ -278,13 +282,10 @@ def test_verify_reports_oracle_clamp_on_stderr(capsys, monkeypatch):
         return [verify.CheckResult(name, True)]
 
     monkeypatch.setattr(verify, "run_suite", fake_run_suite)
-    code, out, err = run_cli(capsys, "verify", "oracle", "--n-max", "8")
-    assert code == 0
-    assert err == "note: --n-max 8 clamped to 7 for suites: oracle\n"
-    assert calls[-1] == ("oracle", {"n_graphs": 7})
-    code, again, err = run_cli(capsys, "verify", "oracle", "--n-max", "7")
-    assert code == 0 and again == out and err == ""
-    # the relation suite's counts are polynomial, so it takes --n-max as given
+    code, _, err = run_cli(capsys, "verify", "oracle", "--n-max", "8")
+    assert code == 0 and err == ""
+    assert calls[-1] == ("oracle", {"n_graphs": 8})
+    # so do the relation and vectors suites
     code, _, err = run_cli(capsys, "verify", "relation", "--n-max", "8")
     assert code == 0 and err == ""
     assert calls[-1] == ("relation", {"n_oracle": 8})

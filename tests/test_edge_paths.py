@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpc, mpf
 
 from convexcount.exact import CountVector, HTMatrix, IntPolynomial
-from convexcount.oracle import PlaneGraph, enumerate_noncrossing_graphs, visibility_degree
 from convexcount.production import build_geometric_matrix, count_sequence, geometric_class
 from convexcount.spectral import (
     charpoly_recurrence,
@@ -15,6 +14,7 @@ from convexcount.spectral import (
     eigenvector_from_charpoly,
     precision_bits,
 )
+from reference_oracle import PlaneGraph, enumerate_noncrossing_graphs, visibility_degree
 
 
 def test_complex_eigenpair():

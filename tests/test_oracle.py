@@ -4,25 +4,28 @@ from math import comb
 import pytest
 
 from convexcount.oracle import (
-    MAX_DISSECTION_VERTICES,
     SPANNING_KINDS,
-    EnumerationLimitError,
-    NonCrossingPartition,
-    PlaneGraph,
     connected_visibility_histogram,
     count_spanning_structures,
-    crossing,
     dissection_degree_histogram,
+    isolation_histogram,
+    partition_isolation_histogram,
+    spanning_counts,
+    visibility_histogram,
+)
+from reference_oracle import (
+    NonCrossingPartition,
+    PlaneGraph,
+    crossing,
     enumerate_connected,
     enumerate_dissections,
     enumerate_noncrossing_graphs,
     enumerate_partitions,
     isolation_degree,
-    isolation_histogram,
-    partition_isolation_histogram,
-    spanning_counts,
+    reference_connected_visibility_histogram,
+    reference_isolation_histogram,
+    reference_visibility_histogram,
     visibility_degree,
-    visibility_histogram,
     _chord_tables,
     _find,
 )
@@ -126,27 +129,26 @@ def test_partition_histogram_flag_selection():
         assert tuple(with_root) == expected[: n + 1]
 
 
-def test_histograms_match_matrices_small():
-    for n in range(2, 7):
-        assert (
-            tuple(visibility_histogram(n))
-            == count_sequence(geometric_class(), n)[-1].entries[: n - 1]
-        )
-        assert (
-            tuple(connected_visibility_histogram(n))
-            == count_sequence(connected_class(), n)[-1].entries[: n - 1]
-        )
-    weights = connected_totals(8)
-    for n in range(1, 7):
-        assert (
-            tuple(isolation_histogram(n))
-            == count_sequence(relation_class(weights), n)[-1].entries[: n + 1]
-        )
+def test_graph_recursions_match_subset_references():
+    for n in range(1, 9):
+        assert isolation_histogram(n) == reference_isolation_histogram(n), n
+        if n >= 2:
+            assert visibility_histogram(n) == reference_visibility_histogram(n), n
+            assert connected_visibility_histogram(n) == reference_connected_visibility_histogram(n), n
 
 
-def test_histogram_parallel_determinism():
-    assert visibility_histogram(6) == visibility_histogram(6)
-    assert isolation_histogram(6) == isolation_histogram(6)
+def test_graph_histograms_match_matrix_vectors():
+    # every level from one count_sequence call per class; a histogram is
+    # the vector's prefix, and the tail past it is zero
+    classes = (
+        (visibility_histogram, geometric_class()),
+        (connected_visibility_histogram, connected_class()),
+        (isolation_histogram, relation_class(connected_totals(62))),
+    )
+    for histogram, spec in classes:
+        for level in count_sequence(spec, 60):
+            hist = tuple(histogram(level.level))
+            assert hist + (0,) * (len(level.entries) - len(hist)) == level.entries, (spec.name, level.level)
 
 
 def test_dissections():
@@ -160,9 +162,9 @@ def test_dissections():
 
 
 def test_root_degree_matches_edge_set_count():
-    # every dissection within the enumeration guard
+    # every dissection with at most 14 vertices
     for k in (3, 4, 5):
-        for r in range(1, (MAX_DISSECTION_VERTICES - 2) // (k - 2) + 1):
+        for r in range(1, (14 - 2) // (k - 2) + 1):
             for d in enumerate_dissections(k, r):
                 root = d.n
                 assert d.root_degree() == sum(1 for e in d.edges() if root in e) - 2
@@ -270,14 +272,8 @@ def test_spanning_closed_forms():
 
 
 def test_guards_soft():
-    with pytest.raises(EnumerationLimitError):
-        next(enumerate_noncrossing_graphs(10))
+    # the recursions have no size limit
     assert count_spanning_structures(9, "path") == 576
-    with pytest.raises(EnumerationLimitError):
-        next(enumerate_partitions(13))
-    with pytest.raises(EnumerationLimitError):
-        next(enumerate_dissections(3, 13))
-    # the guards bound the enumerators only: the histograms count past them
     assert sum(partition_isolation_histogram(13)) == 742900
     assert sum(dissection_degree_histogram(3, 13)) == 742900
 
@@ -322,8 +318,14 @@ def test_histogram_totals_past_the_guards():
 
 
 def test_histogram_input_checks():
-    with pytest.raises(ValueError):
-        partition_isolation_histogram(0)
+    for histogram, n in (
+        (partition_isolation_histogram, 0),
+        (isolation_histogram, 0),
+        (visibility_histogram, 1),
+        (connected_visibility_histogram, 1),
+    ):
+        with pytest.raises(ValueError):
+            histogram(n)
     for k, r in ((2, 3), (3, 0)):
         with pytest.raises(ValueError):
             dissection_degree_histogram(k, r)

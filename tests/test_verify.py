@@ -57,7 +57,7 @@ def test_empty_ranges_fail():
 @pytest.mark.parametrize("n", [0, -2])
 def test_brute_force_suites_fail_on_empty_ranges(n):
     oracle_checks = {r.name: r for r in suite_oracle(n_graphs=n)}
-    for name in ("geometric", "connected", "relation", "duplicate-free"):
+    for name in ("geometric", "connected", "relation"):
         result = oracle_checks[f"oracle/{name}"]
         assert not result.passed and result.detail.startswith("empty range"), result
     # connected-to-geometric runs at its fixed range; the spanning checks
