@@ -231,17 +231,9 @@ def cmd_eigen(args) -> int:
 
 def cmd_verify(args) -> int:
     suites = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
-    kwargs_by_suite = {
-        "vectors": {"n_max": args.n_max},
-        "charpoly": {"n_max": args.n_max},
-        "eigen": {"n_max": args.n_max},
-        "oracle": {"n_graphs": args.n_max},
-        "lemma1": {"limit": args.max},
-        "relation": {"n_oracle": args.n_max},
-    }
     failures = 0
     for suite in suites:
-        for result in verify.run_suite(suite, **kwargs_by_suite[suite]):
+        for result in verify.run_suite(suite, args.n_max):
             if result.passed:
                 print(f"PASS {result.name}")
             else:
@@ -305,15 +297,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=verify.SUITE_NAMES + ("all",))
+    floors = ", ".join(f"{check} {floor}" for check, floor in verify.FLOORS.items())
     p.add_argument(
         "--n-max",
         type=int,
         default=6,
         dest="n_max",
-        help="largest size for the vectors, charpoly, eigen, oracle and relation "
-        "suites (charpoly's closed forms and determinants run to at least 20)",
+        help="the size every check runs to, or its floor if larger: " + floors,
     )
-    p.add_argument("--max", type=int, default=12, help="lemma1 exhaustive bound")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -1,13 +1,16 @@
 """Cross-module verification suites: every closed form against every matrix,
 every matrix against the oracle, and the spectral identities.
 
-Each suite returns a list of CheckResult so the CLI can print one PASS/FAIL
-line per check; failures carry the first counterexample found.
+Each suite takes one size, n_max, and returns a list of CheckResult so the
+CLI can print one PASS/FAIL line per check; failures carry the first
+counterexample found.  A check named in FLOORS runs to max(floor, n_max),
+every other check to n_max, and at a negative n_max every check fails.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from . import closedform, oracle, spectral
 from .exact import charpoly_determinant
@@ -27,13 +30,19 @@ from .production import (
     relation_class,
 )
 
-# Fixed ranges and bounds of the suites; each suite takes only the size that
-# ``verify --n-max`` (or ``--max``) sets.
+# The least size of each check that once ran at a fixed range, so that no
+# default range shrinks: charpoly's n, lemma1's bound on t, m and n, the
+# partitions' elements, the k-angulations' vertices and the relation levels.
+FLOORS = {
+    "charpoly": 20,
+    "lemma1": 12,
+    "oracle/partition": 20,
+    "oracle/kangulation": 22,
+    "relation/connected-to-geometric": 10,
+}
+# The eigen suite's root tolerance and residual bound.
 ROOT_TOL = Fraction(1, 10**48)
 RESIDUAL_BOUND = 1e-30
-N_PARTITIONS = 20
-KANG_MAX_VERTICES = 22
-N_CONNECTED = 10
 
 
 @dataclass(frozen=True)
@@ -53,6 +62,16 @@ def _label(row: ClassDef, param) -> str:
     return f"{row.name}(k={param})" if row.param == "k" else row.name
 
 
+def _top(check: str, n_max: int) -> int:
+    """The size ``check`` runs to: max(floor, n_max), or n_max itself, an
+    empty range, when it is negative."""
+    return max(FLOORS.get(check, n_max), n_max) if n_max >= 0 else n_max
+
+
+def _empty(n_max: int) -> str:
+    return f"empty range: n_max={n_max} < 0" if n_max < 0 else "empty range: nothing was checked"
+
+
 def _levels(spec: GraphClassSpec, top: int):
     """Every level of the class up to ``top`` from one count_sequence call;
     none when ``top`` is below the class's start level."""
@@ -66,17 +85,17 @@ def _level_pair(row: ClassDef, param, level, got) -> tuple:
     return label, tuple(got) + (0,) * (len(level.entries) - len(got)), level.entries
 
 
-def _check_levels(name: str, pairs) -> CheckResult:
+def _check_levels(name: str, pairs, n_max: int) -> CheckResult:
     pairs = list(pairs)
     if not pairs:
-        return CheckResult(name, False, "empty range: nothing was checked")
+        return CheckResult(name, False, _empty(n_max))
     for label, got, want in pairs:
         if tuple(got) != tuple(want):
             return CheckResult(name, False, f"first mismatch at {label}: {got} != {want}")
     return CheckResult(name, True)
 
 
-def suite_vectors(n_max: int = 12) -> list[CheckResult]:
+def suite_vectors(n_max: int) -> list[CheckResult]:
     """Closed-form count vectors against matrix iteration, all classes."""
     out = []
     for row in CLASSES.values():
@@ -87,16 +106,16 @@ def suite_vectors(n_max: int = 12) -> list[CheckResult]:
             for param in _params(row, (3, 4, 5, 6))
             for level in _levels(row.spec(param), n_max)
         ]
-        out.append(_check_levels(f"vectors/{row.name}", pairs))
+        out.append(_check_levels(f"vectors/{row.name}", pairs, n_max))
     return out
 
 
-def suite_charpoly(n_max: int = 20) -> list[CheckResult]:
+def suite_charpoly(n_max: int) -> list[CheckResult]:
     """Recurrence against the closed forms and the Berkowitz determinants,
-    coefficient-exact, at every n up to max(20, n_max)."""
-    if n_max < 0:
-        return [CheckResult("charpoly/ranges", False, f"empty range: n_max={n_max} < 0")]
-    top = max(20, n_max)
+    coefficient-exact, at every n up to the floor or n_max."""
+    top = _top("charpoly", n_max)
+    if top < 0:
+        return [CheckResult("charpoly/ranges", False, _empty(n_max))]
     counts = connected_totals(top)
     closed, dets = [], []
     for row in CLASSES.values():
@@ -115,7 +134,7 @@ def suite_charpoly(n_max: int = 20) -> list[CheckResult]:
     return closed + dets
 
 
-def suite_eigen(n_max: int = 6) -> list[CheckResult]:
+def suite_eigen(n_max: int) -> list[CheckResult]:
     """Every real eigenvalue, to within ROOT_TOL, of every class matrix up to
     size n_max yields a residual of at most RESIDUAL_BOUND."""
     if n_max < 1:
@@ -138,94 +157,74 @@ def suite_eigen(n_max: int = 6) -> list[CheckResult]:
     return [CheckResult("eigen/residuals", True)]
 
 
-def suite_oracle(n_graphs: int = 6) -> list[CheckResult]:
+def suite_oracle(n_max: int) -> list[CheckResult]:
     """Oracle degree histograms against matrix-generated vectors, each from
-    its gap recursion: graph classes to n_graphs vertices, partitions to
-    N_PARTITIONS elements and k-angulations to KANG_MAX_VERTICES vertices."""
+    its gap recursion, to the floor or n_max: vertices for the graph classes
+    and k-angulations, elements for partitions."""
     # Per class, in the order checked: the oracle histogram at
-    # (param, level), the largest level the bounds allow (a k-angulation
-    # with r faces has (k-2)r+2 vertices), and a closed-form total, if any.
+    # (param, level) and a closed-form total, if any.
     oracles = {
-        GEOMETRIC: (
-            lambda _, n: oracle.visibility_histogram(n),
-            lambda _: n_graphs,
-            None,
-        ),
-        CONNECTED: (
-            lambda _, n: oracle.connected_visibility_histogram(n),
-            lambda _: n_graphs,
-            None,
-        ),
-        PARTITION: (
-            lambda _, n: oracle.partition_isolation_histogram(n),
-            lambda _: N_PARTITIONS,
-            None,
-        ),
-        KANGULATION: (
-            lambda k, r: oracle.dissection_degree_histogram(k, r),
-            lambda k: (KANG_MAX_VERTICES - 2) // (k - 2),
-            k_angulation_total,
-        ),
-        RELATION: (
-            lambda _, n: oracle.isolation_histogram(n),
-            lambda _: n_graphs,
-            None,
-        ),
+        GEOMETRIC: (lambda _, n: oracle.visibility_histogram(n), None),
+        CONNECTED: (lambda _, n: oracle.connected_visibility_histogram(n), None),
+        PARTITION: (lambda _, n: oracle.partition_isolation_histogram(n), None),
+        KANGULATION: (lambda k, r: oracle.dissection_degree_histogram(k, r), k_angulation_total),
+        RELATION: (lambda _, n: oracle.isolation_histogram(n), None),
     }
     out = []
-    counts = connected_totals(max(2, n_graphs + 2))
-    for name, (histogram, top, total) in oracles.items():
+    counts = connected_totals(max(2, n_max + 2))
+    for name, (histogram, total) in oracles.items():
         row = CLASSES[name]
+        top = _top(f"oracle/{name}", n_max)
         pairs = []
         for param in _params(row, (3, 4, 5), counts):
-            for level in _levels(row.spec(param), top(param)):
+            # a k-angulation with r faces has (k-2)r+2 vertices
+            last = (top - 2) // (param - 2) if row.param == "k" else top
+            for level in _levels(row.spec(param), last):
                 hist = histogram(param, level.level)
                 pair = _level_pair(row, param, level, hist)
                 pairs.append(pair)
                 if total is not None:
                     pairs.append((f"total {pair[0]}", (sum(hist),), (total(param, level.level),)))
-        out.append(_check_levels(f"oracle/{name}", pairs))
+        out.append(_check_levels(f"oracle/{name}", pairs, n_max))
     return out
 
 
-def suite_lemma1(limit: int = 12) -> list[CheckResult]:
-    """Exhaustive binomial identity check over the argument cube."""
-    if limit < 0:
-        return [CheckResult("lemma1/exhaustive", False, f"empty range: limit={limit} < 0")]
-    for t in range(limit + 1):
-        for m in range(limit + 1):
-            for n in range(limit + 1):
-                if not closedform.lemma1_check(t, m, n):
-                    return [
-                        CheckResult(
-                            "lemma1/exhaustive", False, f"fails at t={t} m={m} n={n}"
-                        )
-                    ]
-    return [CheckResult("lemma1/exhaustive", True)]
+def suite_lemma1(n_max: int) -> list[CheckResult]:
+    """Exhaustive binomial identity check over the argument cube, each of t,
+    m and n to the floor or n_max."""
+    top = _top("lemma1", n_max)
+    if top < 0:
+        return [CheckResult("lemma1/exhaustive", False, _empty(n_max))]
+    cube = product(range(top + 1), repeat=3)
+    bad = next((tmn for tmn in cube if not closedform.lemma1_check(*tmn)), None)
+    detail = "" if bad is None else "fails at t={} m={} n={}".format(*bad)
+    return [CheckResult("lemma1/exhaustive", bad is None, detail)]
 
 
-def suite_relation(n_oracle: int = 7) -> list[CheckResult]:
+def suite_relation(n_max: int) -> list[CheckResult]:
     """The relation matrix transports one class's counts into another's:
-    connected-graph totals into plane-graph totals to N_CONNECTED, and
-    spanning trees and paths into the oracle's forests to n_oracle vertices.
-    Each oracle count comes from one fill of its interval recursion."""
+    connected-graph totals into plane-graph totals to the floor or n_max,
+    and spanning trees and paths into the oracle's forests to n_max
+    vertices.  Each oracle count comes from one fill of its interval
+    recursion."""
     out = []
-    geo = _levels(geometric_class(), N_CONNECTED)
-    rel = _levels(relation_class(connected_totals(N_CONNECTED + 2)), N_CONNECTED)
+    top = _top("relation/connected-to-geometric", n_max)
+    geo = _levels(geometric_class(), top)
+    rel = _levels(relation_class(connected_totals(max(2, top + 2))), top)
     pairs = [
         (f"n={v.level}", (v.total,), (geo_v.total,))
         for v, geo_v in zip(rel[1:], geo)
     ]
-    out.append(_check_levels("relation/connected-to-geometric", pairs))
+    out.append(_check_levels("relation/connected-to-geometric", pairs, n_max))
     for kind, structure in (("tree", "forest"), ("path", "path-forest")):
-        weights = oracle.spanning_counts(n_oracle + 2, kind)
+        weights = oracle.spanning_counts(n_max + 2, kind)
         want = (oracle.count_spanning_structures(1, structure),)  # levels start at 1
-        want += oracle.spanning_counts(n_oracle, structure)
+        want += oracle.spanning_counts(n_max, structure)
         pairs = [
             (f"n={v.level}", (v.total,), (count,))
-            for v, count in zip(_levels(relation_class(weights), n_oracle), want)
+            for v, count in zip(_levels(relation_class(weights), n_max), want)
         ]
-        out.append(_check_levels(f"relation/{kind}s-to-{structure}s", pairs))
+        out.append(_check_levels(f"relation/{kind}s-to-{structure}s", pairs, n_max))
     return out
 
 
@@ -240,7 +239,7 @@ SUITES = {
 SUITE_NAMES = tuple(SUITES)
 
 
-def run_suite(name: str, **kwargs) -> list[CheckResult]:
+def run_suite(name: str, n_max: int) -> list[CheckResult]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    return SUITES[name](**kwargs)
+    return SUITES[name](n_max)

@@ -144,7 +144,7 @@ def test_eigen_all_roots(capsys):
 
 
 def test_verify_lemma1(capsys):
-    code, out, _ = run_cli(capsys, "verify", "lemma1", "--max", "6")
+    code, out, _ = run_cli(capsys, "verify", "lemma1", "--n-max", "6")
     assert code == 0
     assert "PASS lemma1/exhaustive" in out
 
@@ -159,7 +159,7 @@ def test_verify_reports_failures_and_exits_nonzero(capsys, monkeypatch):
     from convexcount import verify as verify_mod
     from convexcount.verify import CheckResult
 
-    def fake_run_suite(name, **kwargs):
+    def fake_run_suite(name, n_max):
         return [
             CheckResult("demo/good", True),
             CheckResult("demo/bad", False, "first mismatch at n=3: (1,) != (2,)"),
@@ -252,7 +252,7 @@ def test_big_integers_render_decimal(capsys):
     "argv",
     [
         ("verify", "vectors", "--n-max", "0"),
-        ("verify", "lemma1", "--max", "-1"),
+        ("verify", "lemma1", "--n-max", "-1"),
         ("verify", "charpoly", "--n-max", "-1"),
         ("verify", "oracle", "--n-max", "0"),
         ("verify", "relation", "--n-max", "0"),
@@ -277,21 +277,18 @@ def test_verify_oracle_takes_n_max_as_given(capsys, monkeypatch):
     assert out.endswith("verify: all checks passed\n")
     calls = []
 
-    def fake_run_suite(name, **kwargs):
-        calls.append((name, kwargs))
+    def fake_run_suite(name, n_max):
+        calls.append((name, n_max))
         return [verify.CheckResult(name, True)]
 
     monkeypatch.setattr(verify, "run_suite", fake_run_suite)
     code, _, err = run_cli(capsys, "verify", "oracle", "--n-max", "8")
     assert code == 0 and err == ""
-    assert calls[-1] == ("oracle", {"n_graphs": 8})
-    # so do the relation and vectors suites
-    code, _, err = run_cli(capsys, "verify", "relation", "--n-max", "8")
+    assert calls == [("oracle", 8)]
+    # every suite gets the one size
+    code, _, err = run_cli(capsys, "verify", "all", "--n-max", "8")
     assert code == 0 and err == ""
-    assert calls[-1] == ("relation", {"n_oracle": 8})
-    code, _, err = run_cli(capsys, "verify", "vectors", "--n-max", "8")
-    assert code == 0 and err == ""
-    assert calls[-1] == ("vectors", {"n_max": 8})
+    assert calls[1:] == [(suite, 8) for suite in verify.SUITE_NAMES]
 
 
 @pytest.mark.parametrize("method", ["recurrence", "closed", "determinant"])
@@ -368,6 +365,17 @@ def test_verify_workers_is_a_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def test_verify_has_one_size_option(capsys):
+    # --n-max sizes every suite, lemma1 included, and its help names the floors
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "lemma1", "--max", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max 3" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert "oracle/kangulation 22" in " ".join(capsys.readouterr().out.split())
+
+
 @pytest.mark.parametrize(
     "argv, option",
     [
@@ -392,7 +400,7 @@ EXACT_ARGVS = [
     *(["charpoly", "connected", "--n", "10", "--method", m] for m in ("recurrence", "closed")),
     ["charpoly", "connected", "--n", "10", "--method", "determinant"],
     ["matrix", "partition", "--n", "5", "--format", "csv"],
-    ["verify", "lemma1", "--max", "3"],
+    ["verify", "lemma1", "--n-max", "3"],
     ["verify", "vectors", "--n-max", "5"],
     ["verify", "charpoly", "--n-max", "5"],
 ]
