@@ -1,58 +1,39 @@
 """Exact counting of plane graph classes on convex point sets via production
-matrices, with closed-form, spectral and combinatorial verification."""
+matrices, with closed-form, spectral and combinatorial verification.
 
-from .exact import (
-    CountVector,
-    HTMatrix,
-    IntPolynomial,
-    binomial,
-    charpoly_determinant,
-    exact_div,
-    mat_vec,
-)
-from .closedform import (
-    connected_entry,
-    connected_vector,
-    geometric_entry,
-    geometric_vector,
-    kangulation_entry,
-    kangulation_vector,
-    lemma1_check,
-    partition_entry,
-    partition_vector,
-)
-from .production import (
-    GraphClassSpec,
-    build_connected_matrix,
-    build_geometric_matrix,
-    build_k_angulation_matrix,
-    build_partition_matrix,
-    build_relation_matrix,
-    connected_class,
-    connected_totals,
-    count_sequence,
-    geometric_class,
-    k_angulation_class,
-    k_angulation_total,
-    partition_class,
-    relation_class,
-    relation_weights,
-)
-from .spectral import (
-    EigenPair,
-    charpoly_closed_connected,
-    charpoly_closed_geometric,
-    charpoly_closed_kangulation,
-    charpoly_closed_partition,
-    charpoly_recurrence,
-    dominant_eigenvalue,
-    eigenvector_from_charpoly,
-    precision_bits,
-    real_roots,
-)
-from .oracle import (
-    count_spanning_structures,
-    spanning_counts,
-)
+The public names below are imported from their layer on first access
+(PEP 562), so importing the package, or the CLI, loads no layer it does not
+use: counting never loads ``spectral`` or ``oracle``.
+"""
+
+_EXPORTS = {
+    "exact": "CountVector HTMatrix IntPolynomial binomial charpoly_determinant exact_div mat_vec",
+    "closedform": "connected_entry connected_vector geometric_entry geometric_vector"
+    " kangulation_entry kangulation_vector lemma1_check partition_entry partition_vector",
+    "production": "GraphClassSpec build_connected_matrix build_geometric_matrix"
+    " build_k_angulation_matrix build_partition_matrix build_relation_matrix connected_class"
+    " connected_totals count_sequence geometric_class k_angulation_class k_angulation_total"
+    " partition_class relation_class relation_weights",
+    "spectral": "EigenPair charpoly_closed_connected charpoly_closed_geometric"
+    " charpoly_closed_kangulation charpoly_closed_partition charpoly_recurrence"
+    " dominant_eigenvalue eigenvector_from_charpoly precision_bits real_roots",
+    "oracle": "count_spanning_structures spanning_counts",
+}
+_LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names.split()}
+__all__ = tuple(_LAYER_OF)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    if name in _LAYER_OF:
+        return getattr(import_module(f"{__name__}.{_LAYER_OF[name]}"), name)
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAYER_OF))

@@ -9,9 +9,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from fractions import Fraction
 
-from . import spectral, verify
+from . import verify
 from .exact import charpoly_determinant
 from .production import CLASS_NAMES, CLASSES, ClassDef, GraphClassSpec, connected_totals, count_sequence
 
@@ -127,17 +126,11 @@ def cmd_counts(args) -> int:
             print(f"{v.level} {v.total}")
         return 0
     if args.format == "json":
-        payload = {
-            "levels": [
-                {
-                    "level": v.level,
-                    "vector": [str(e) for e in v.entries],
-                    "total": str(v.total),
-                }
-                for v in vectors
-            ]
-        }
-        _print_json(_record("counts", args, payload))
+        levels = [
+            {"level": v.level, "vector": [str(e) for e in v.entries], "total": str(v.total)}
+            for v in vectors
+        ]
+        _print_json(_record("counts", args, {"levels": levels}))
     elif args.format == "csv":
         for v in vectors:
             print(",".join([str(v.level)] + [str(e) for e in v.entries] + [str(v.total)]))
@@ -154,8 +147,12 @@ def _charpoly(args, spec: GraphClassSpec, n: int):
         if closed is None:
             raise UsageError(f"no closed form exists for the {spec.name} matrix")
         return closed(spec.param, n)
-    route = charpoly_determinant if args.method == "determinant" else spectral.charpoly_recurrence
-    return route(spec.build_matrix(max(1, n)))[n]
+    matrix = spec.build_matrix(max(1, n))
+    if args.method == "determinant":
+        return charpoly_determinant(matrix)[n]
+    from . import spectral
+
+    return spectral.charpoly_recurrence(matrix)[n]
 
 
 def cmd_charpoly(args) -> int:
@@ -173,6 +170,9 @@ def cmd_charpoly(args) -> int:
 
 
 def cmd_eigen(args) -> int:
+    from fractions import Fraction
+    # spectral before mpmath: compiled on top of mpmath's heap, it raises the peak RSS.
+    from . import spectral
     from mpmath import mp
 
     n = _size_arg(args)

@@ -8,7 +8,7 @@ there is no overflow and no rounding anywhere in the counting pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from operator import mul
 from typing import Sequence
 
@@ -143,8 +143,7 @@ class IntPolynomial:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class HTMatrix:
+class HTMatrix(namedtuple("HTMatrix", "size sub band band_gf", defaults=(None,))):
     """Upper Hessenberg-Toeplitz matrix: one constant subdiagonal and one band.
 
     ``sub`` is the constant subdiagonal value and ``band[m]`` the constant
@@ -153,38 +152,44 @@ class HTMatrix:
     ``band_gf`` optionally gives the band as the power series of a rational
     function num(x)/den(x), as integer coefficient tuples low-to-high with
     ``den[0] == 1``.  The first ``size`` terms of the series must equal
-    ``band``, or construction fails.  It takes no part in equality.
+    ``band``, or construction fails.  It takes no part in equality or hash.
     ``band_series`` is that pair, or band/1 without one; ``mat_vec``,
     ``spectral.charpoly_recurrence`` and the eigenvectors run its linear
     recurrences of order len(den) - 1, which for den = 1 are plain dot
     products and convolutions.
     """
 
-    size: int
-    sub: int
-    band: tuple[int, ...]
-    band_gf: tuple[tuple[int, ...], tuple[int, ...]] | None = field(
-        default=None, compare=False
-    )
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "band", tuple(self.band))
-        if self.size < 1:
+    def __new__(cls, size: int, sub: int, band: Sequence[int], band_gf=None):
+        self = super().__new__(cls, size, sub, tuple(band), band_gf)
+        if size < 1:
             raise ValueError("matrix size must be >= 1")
-        if len(self.band) != self.size:
+        if len(self.band) != size:
             raise ValueError("band must provide offsets 0..size-1")
-        if self.band_gf is not None:
-            num, den = self.band_gf
+        if band_gf is not None:
+            num, den = band_gf
             if not den or den[0] != 1:
                 raise ValueError("band_gf denominator must start with 1")
             series: list[int] = []
-            for m in range(self.size):
+            for m in range(size):
                 t = num[m] if m < len(num) else 0
                 for s in range(1, min(m, len(den) - 1) + 1):
                     t -= den[s] * series[m - s]
                 series.append(t)
             if tuple(series) != self.band:
                 raise ValueError("band_gf expansion disagrees with band")
+        return self
+
+    # A tuple compares every field; a matrix compares all but band_gf.
+    def __eq__(self, other) -> bool:
+        return isinstance(other, HTMatrix) and self[:3] == other[:3]
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:3])
 
     @property
     def band_series(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -207,8 +212,7 @@ class HTMatrix:
         return [list(self.row(i)) for i in range(self.size)]
 
 
-@dataclass(frozen=True)
-class CountVector:
+class CountVector(namedtuple("CountVector", "entries level")):
     """Exact graph counts partitioned by root degree.
 
     ``entries[j-1]`` (1-based index j) counts objects whose root vertex has
@@ -216,12 +220,12 @@ class CountVector:
     face-parameterized classes).
     """
 
-    entries: tuple[int, ...]
-    level: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(e < 0 for e in self.entries):
+    def __new__(cls, entries: tuple[int, ...], level: int):
+        if any(e < 0 for e in entries):
             raise ValueError("count vector entries must be non-negative")
+        return super().__new__(cls, entries, level)
 
     @property
     def total(self) -> int:

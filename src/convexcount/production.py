@@ -12,11 +12,11 @@ verification suites read that table instead of naming classes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from collections import namedtuple
+from typing import Sequence
 
-from . import closedform, spectral
-from .exact import CountVector, HTMatrix, IntPolynomial, binomial, exact_div, mat_vec
+from . import closedform
+from .exact import CountVector, HTMatrix, binomial, exact_div, mat_vec
 
 KANGULATION = "kangulation"
 GEOMETRIC = "geometric"
@@ -70,6 +70,11 @@ def build_partition_matrix(n: int) -> HTMatrix:
     return HTMatrix(n, 1, band, band_gf=((0, 1), (1, -2)))
 
 
+def _check_counts(counts: Sequence[int], top: int) -> None:
+    if len(counts) < top - 1:
+        raise ValueError(f"count sequence too short: need c_2..c_{top}, got {len(counts)} values")
+
+
 def relation_weights(counts: Sequence[int], top: int) -> tuple[int, ...]:
     """Band weights a_2..a_top from a count sequence c_2..c_top.
 
@@ -77,10 +82,7 @@ def relation_weights(counts: Sequence[int], top: int) -> tuple[int, ...]:
     sum over i of C(j-2, i-2) * c_i, for i = 2..j: the binomial transform,
     taken as the first entries of repeated adjacent sums (Pascal's rule).
     """
-    if len(counts) < top - 1:
-        raise ValueError(
-            f"count sequence too short: need c_2..c_{top}, got {len(counts)} values"
-        )
+    _check_counts(counts, top)
     row = list(counts[: max(top - 1, 0)])
     out = []
     while row:
@@ -102,29 +104,28 @@ def build_relation_matrix(n: int, counts: Sequence[int]) -> HTMatrix:
     return HTMatrix(n, 1, band)
 
 
-@dataclass(frozen=True)
-class GraphClassSpec:
+class GraphClassSpec(namedtuple("GraphClassSpec", "name param", defaults=(None,))):
     """A countable class: the name of its ``CLASSES`` row and ``param``, the
     one value the row's matrix builder takes (k for kangulation, a count
     sequence c_2, c_3, ... for relation, kept as a tuple, None for the
     others).  Its start level and initial vector are read from the row.
     """
 
-    name: str
-    param: Any = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.name not in CLASSES:
-            raise ValueError(f"unknown class {self.name!r}")
-        takes = CLASSES[self.name].param
-        if takes is None and self.param is not None:
-            raise ValueError(f"{self.name} class takes no parameter")
-        if takes is not None and self.param is None:
-            raise ValueError(f"{self.name} class requires {takes}")
+    def __new__(cls, name: str, param=None):
+        if name not in CLASSES:
+            raise ValueError(f"unknown class {name!r}")
+        takes = CLASSES[name].param
+        if takes is None and param is not None:
+            raise ValueError(f"{name} class takes no parameter")
+        if takes is not None and param is None:
+            raise ValueError(f"{name} class requires {takes}")
         if takes == "weights":  # equal sequences give equal, hashable specs
-            object.__setattr__(self, "param", tuple(self.param))
+            param = tuple(param)
         # The builder rejects a parameter it cannot use, such as k < 3.
-        self.build_matrix(1)
+        CLASSES[name].build(1, param)
+        return super().__new__(cls, name, param)
 
     @property
     def start_index(self) -> int:
@@ -134,8 +135,11 @@ class GraphClassSpec:
         return CLASSES[self.name].build(size, self.param)
 
 
-@dataclass(frozen=True)
-class ClassDef:
+class ClassDef(namedtuple(
+    "ClassDef",
+    "name start_index initial_entries param size_option build vector charpoly",
+    defaults=(None, None),
+)):
     """One row of the class table: everything that differs between classes.
 
     The class's objects start at level ``start_index`` with count vector
@@ -146,20 +150,20 @@ class ClassDef:
     ``vector(param, level)`` (the closed-form count vector) and
     ``charpoly(param, n)`` (the closed-form characteristic polynomial) look
     up the functions they call at call time, so a function patched on its
-    module, as the bench tracer does, is the one that runs.
+    module, as the bench tracer does, is the one that runs, and ``spectral``
+    is imported only when a closed-form charpoly is asked for.
     """
 
-    name: str
-    start_index: int
-    initial_entries: tuple[int, ...]
-    param: str | None
-    size_option: str
-    build: Callable[[int, Any], HTMatrix]
-    vector: Callable[[Any, int], tuple[int, ...]] | None = None
-    charpoly: Callable[[Any, int], IntPolynomial] | None = None
+    __slots__ = ()
 
     def spec(self, param=None) -> GraphClassSpec:
         return GraphClassSpec(self.name, param)
+
+
+def _spectral():
+    from . import spectral
+
+    return spectral
 
 
 CLASSES = {
@@ -168,25 +172,25 @@ CLASSES = {
         KANGULATION, 1, (1,), "k", "r",
         lambda size, k: build_k_angulation_matrix(k, size),
         lambda k, r: closedform.kangulation_vector(k, r),
-        lambda k, r: spectral.charpoly_closed_kangulation(k, r),
+        lambda k, r: _spectral().charpoly_closed_kangulation(k, r),
     ),
     GEOMETRIC: ClassDef(
         GEOMETRIC, 2, (2,), None, "n",
         lambda size, _: build_geometric_matrix(size),
         lambda _, n: closedform.geometric_vector(n),
-        lambda _, n: spectral.charpoly_closed_geometric(n),
+        lambda _, n: _spectral().charpoly_closed_geometric(n),
     ),
     CONNECTED: ClassDef(
         CONNECTED, 2, (1,), None, "n",
         lambda size, _: build_connected_matrix(size),
         lambda _, n: closedform.connected_vector(n),
-        lambda _, n: spectral.charpoly_closed_connected(n),
+        lambda _, n: _spectral().charpoly_closed_connected(n),
     ),
     PARTITION: ClassDef(
         PARTITION, 1, (0, 1), None, "n",
         lambda size, _: build_partition_matrix(size),
         lambda _, n: closedform.partition_vector(n),
-        lambda _, n: spectral.charpoly_closed_partition(n),
+        lambda _, n: _spectral().charpoly_closed_partition(n),
     ),
     RELATION: ClassDef(
         RELATION, 1, (0, 1), "weights", "n",
@@ -222,12 +226,18 @@ def count_sequence(spec: GraphClassSpec, n_max: int) -> list[CountVector]:
 
     The matrix is materialized at ``n_max + 2``: the isolation degree of an
     n-vertex object can reach n, so its vector has a nonzero entry at index
-    n+1.  Every vector has that length.
+    n+1.  Every vector has that length.  The steps read the band below
+    offset n_max only, so of a count sequence only c_2..c_n_max are needed;
+    the counts past them, which no step reads, are taken as 0.
     """
     row = CLASSES[spec.name]
     if n_max < row.start_index:
         raise ValueError(f"n_max must be at least the start level {row.start_index}")
-    m = spec.build_matrix(n_max + 2)
+    param = spec.param
+    if row.param == "weights":
+        _check_counts(param, n_max)
+        param = param[: n_max - 1] + (0, 0)
+    m = row.build(n_max + 2, param)
     pad = (0,) * (m.size - len(row.initial_entries))
     out = [CountVector(row.initial_entries + pad, row.start_index)]
     while out[-1].level < n_max:

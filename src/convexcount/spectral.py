@@ -19,7 +19,6 @@ by the functions that compute with it, so exact work never loads it.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import add
@@ -468,8 +467,7 @@ def _dominant_root(p: IntPolynomial, tol: Fraction | float) -> tuple[int, Fracti
 # ---------------------------------------------------------------------------
 # Eigenpairs.
 
-@dataclass(frozen=True)
-class EigenPair:
+class EigenPair(NamedTuple):
     """Candidate eigenpair with its relative residual max|Ax - lx| / max|x|.
     The vector is ordered (x_{n-1}, ..., x_0), matching the matrix rows."""
 

@@ -8,11 +8,10 @@ every other check to n_max, and at a negative n_max every check fails.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
-from . import closedform, oracle, spectral
+from . import closedform
 from .exact import charpoly_determinant
 from .production import (
     CLASSES,
@@ -40,13 +39,11 @@ FLOORS = {
     "oracle/kangulation": 22,
     "relation/connected-to-geometric": 10,
 }
-# The eigen suite's root tolerance and residual bound.
-ROOT_TOL = Fraction(1, 10**48)
+# The eigen suite's residual bound; it refines every root to within 10**-48.
 RESIDUAL_BOUND = 1e-30
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -116,6 +113,8 @@ def suite_charpoly(n_max: int) -> list[CheckResult]:
     top = _top("charpoly", n_max)
     if top < 0:
         return [CheckResult("charpoly/ranges", False, _empty(n_max))]
+    from . import spectral
+
     counts = connected_totals(top)
     closed, dets = [], []
     for row in CLASSES.values():
@@ -135,12 +134,16 @@ def suite_charpoly(n_max: int) -> list[CheckResult]:
 
 
 def suite_eigen(n_max: int) -> list[CheckResult]:
-    """Every real eigenvalue, to within ROOT_TOL, of every class matrix up to
+    """Every real eigenvalue, to within 10**-48, of every class matrix up to
     size n_max yields a residual of at most RESIDUAL_BOUND."""
     if n_max < 1:
         return [CheckResult("eigen/residuals", False, f"empty range: n_max={n_max} < 1")]
+    from fractions import Fraction
+    # spectral before mpmath: compiled on top of mpmath's heap, it raises the peak RSS.
+    from . import spectral
     from mpmath import mp, mpf
 
+    tol = Fraction(1, 10**48)
     with mp.workprec(spectral.precision_bits()):
         bound = mpf(RESIDUAL_BOUND)
     counts = connected_totals(max(2, n_max))
@@ -149,7 +152,7 @@ def suite_eigen(n_max: int) -> list[CheckResult]:
             for param in _params(row, (3, 4), counts):
                 matrix = row.build(n, param)
                 poly = spectral.charpoly_recurrence(matrix)[n]
-                for root in spectral.real_roots(poly, ROOT_TOL):
+                for root in spectral.real_roots(poly, tol):
                     pair = spectral.eigenvector_from_charpoly(matrix, root)
                     if not pair.residual <= bound:
                         detail = f"{_label(row, param)} n={n} root~{float(root):.6g}: residual {pair.residual}"
@@ -161,6 +164,8 @@ def suite_oracle(n_max: int) -> list[CheckResult]:
     """Oracle degree histograms against matrix-generated vectors, each from
     its gap recursion, to the floor or n_max: vertices for the graph classes
     and k-angulations, elements for partitions."""
+    from . import oracle
+
     # Per class, in the order checked: the oracle histogram at
     # (param, level) and a closed-form total, if any.
     oracles = {
@@ -171,7 +176,7 @@ def suite_oracle(n_max: int) -> list[CheckResult]:
         RELATION: (lambda _, n: oracle.isolation_histogram(n), None),
     }
     out = []
-    counts = connected_totals(max(2, n_max + 2))
+    counts = connected_totals(max(2, n_max))
     for name, (histogram, total) in oracles.items():
         row = CLASSES[name]
         top = _top(f"oracle/{name}", n_max)
@@ -207,17 +212,19 @@ def suite_relation(n_max: int) -> list[CheckResult]:
     and spanning trees and paths into the oracle's forests to n_max
     vertices.  Each oracle count comes from one fill of its interval
     recursion."""
+    from . import oracle
+
     out = []
     top = _top("relation/connected-to-geometric", n_max)
     geo = _levels(geometric_class(), top)
-    rel = _levels(relation_class(connected_totals(max(2, top + 2))), top)
+    rel = _levels(relation_class(connected_totals(max(2, top))), top)
     pairs = [
         (f"n={v.level}", (v.total,), (geo_v.total,))
         for v, geo_v in zip(rel[1:], geo)
     ]
     out.append(_check_levels("relation/connected-to-geometric", pairs, n_max))
     for kind, structure in (("tree", "forest"), ("path", "path-forest")):
-        weights = oracle.spanning_counts(n_max + 2, kind)
+        weights = oracle.spanning_counts(n_max, kind)
         want = (oracle.count_spanning_structures(1, structure),)  # levels start at 1
         want += oracle.spanning_counts(n_max, structure)
         pairs = [

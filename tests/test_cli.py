@@ -222,16 +222,34 @@ def test_c_values_parsing(capsys):
     )
     assert code == 2
     code, _, err = run_cli(
-        capsys, "counts", "relation", "--c-values", "1,4", "--n-max", "3"
+        capsys, "counts", "relation", "--c-values", "1", "--n-max", "3"
     )
     assert code == 2
-    assert "too short" in err
+    assert "too short: need c_2..c_3, got 1 values" in err
     # An empty list is a sequence too short, not the connected-graph default.
     code, out, err = run_cli(
         capsys, "counts", "relation", "--n-max", "4", "--c-values=", "--bfile"
     )
     assert (code, out) == (2, "")
     assert "count sequence too short" in err
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json", "bfile"])
+def test_counts_read_c_values_to_n_max_only(capsys, fmt):
+    # Levels up to n_max read c_2..c_n_max; later values change no output
+    # (JSON echoes --c-values in its parameters, so its payloads are compared).
+    opts = ["--bfile"] if fmt == "bfile" else ["--format", fmt]
+    outs = {}
+    for values in ("1", "1,1", "1,1,4", "1,1,4,23", "1,1,999,999", "1,2"):
+        code, out, err = run_cli(capsys, "counts", "relation", "--c-values", values, "--n-max", "3", *opts)
+        if fmt == "json" and code == 0:
+            out = json.dumps(json.loads(out)["payload"])
+        outs[values] = code, out, err
+    code, out, err = outs.pop("1")
+    assert (code, out) == (2, "") and "need c_2..c_3, got 1 values" in err
+    assert outs.pop("1,2") != outs["1,1"]
+    assert outs["1,1"][0] == 0
+    assert len(set(outs.values())) == 1
 
 
 def test_deterministic_output(capsys):
@@ -421,15 +439,50 @@ print(sorted(m for m in ("mpmath", "json") if m in sys.modules))
 """
 
 
-def test_exact_commands_load_neither_mpmath_nor_json(capsys):
-    # The test process has imported mpmath already, so a fresh interpreter runs
-    # the commands; the two that need mpmath or json must print the same there.
+def run_fresh(script):
+    """Run ``script`` in a fresh interpreter that imports this package."""
     src = os.path.dirname(os.path.dirname(convexcount.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    script = STARTUP_SCRIPT.format(exact=EXACT_ARGVS, loading=LOADING_ARGVS)
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_exact_commands_load_neither_mpmath_nor_json(capsys):
+    # The test process has imported mpmath already, so a fresh interpreter runs
+    # the commands; the two that need mpmath or json must print the same there.
+    proc = run_fresh(STARTUP_SCRIPT.format(exact=EXACT_ARGVS, loading=LOADING_ARGVS))
     expected = "".join(run_cli(capsys, *argv)[1] for argv in LOADING_ARGVS)
     assert proc.stdout == "[]\n" + expected + "['json', 'mpmath']\n"
+
+
+# Commands that need neither the spectral nor the oracle layer, nor the
+# standard modules that only those layers (or dataclasses) bring in.
+LIGHT_ARGVS = [
+    ["counts", "geometric", "--n-max", "20"],
+    ["counts", "relation", "--n-max", "8", "--format", "csv"],
+    ["counts", "kangulation", "--k", "4", "--n-max", "6", "--bfile"],
+    ["matrix", "partition", "--n", "5", "--format", "csv"],
+    ["charpoly", "connected", "--n", "10", "--method", "determinant"],
+]
+LIGHT_VERIFY_ARGVS = [["verify", "vectors", "--n-max", "5"], ["verify", "lemma1", "--n-max", "3"]]
+LAYERS_SCRIPT = """
+import contextlib, io, sys
+before = set(sys.modules)
+from convexcount import cli
+for argvs, watched in (
+    ({light!r}, ("convexcount.spectral", "convexcount.oracle", "dataclasses", "inspect", "fractions")),
+    ({verify!r}, ("convexcount.spectral", "convexcount.oracle")),
+):
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0, argv
+    print(sorted(m for m in watched if m in sys.modules and m not in before))
+"""
+
+
+def test_commands_load_only_their_layers():
+    proc = run_fresh(LAYERS_SCRIPT.format(light=LIGHT_ARGVS, verify=LIGHT_VERIFY_ARGVS))
+    assert proc.stdout == "[]\n[]\n"

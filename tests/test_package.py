@@ -1,0 +1,97 @@
+"""The package's lazy exports and its immutable value types."""
+import os
+import re
+from importlib import import_module
+
+import pytest
+
+import convexcount
+from convexcount import verify
+from convexcount.exact import CountVector, HTMatrix
+from convexcount.production import CLASSES, geometric_class, relation_class
+from convexcount.spectral import EigenPair
+
+# Every name the package exports, by the layer that defines it.
+EXPORTS = {
+    "exact": [
+        "CountVector", "HTMatrix", "IntPolynomial", "binomial", "charpoly_determinant",
+        "exact_div", "mat_vec",
+    ],
+    "closedform": [
+        "connected_entry", "connected_vector", "geometric_entry", "geometric_vector",
+        "kangulation_entry", "kangulation_vector", "lemma1_check", "partition_entry",
+        "partition_vector",
+    ],
+    "production": [
+        "GraphClassSpec", "build_connected_matrix", "build_geometric_matrix",
+        "build_k_angulation_matrix", "build_partition_matrix", "build_relation_matrix",
+        "connected_class", "connected_totals", "count_sequence", "geometric_class",
+        "k_angulation_class", "k_angulation_total", "partition_class", "relation_class",
+        "relation_weights",
+    ],
+    "spectral": [
+        "EigenPair", "charpoly_closed_connected", "charpoly_closed_geometric",
+        "charpoly_closed_kangulation", "charpoly_closed_partition", "charpoly_recurrence",
+        "dominant_eigenvalue", "eigenvector_from_charpoly", "precision_bits", "real_roots",
+    ],
+    "oracle": ["count_spanning_structures", "spanning_counts"],
+}
+
+
+@pytest.mark.parametrize("layer", EXPORTS)
+def test_exports_resolve_to_their_layer(layer):
+    module = import_module(f"convexcount.{layer}")
+    assert getattr(convexcount, layer) is module
+    listed = dir(convexcount)
+    for name in EXPORTS[layer]:
+        assert getattr(convexcount, name) is getattr(module, name)
+        assert name in listed and name in convexcount.__all__
+    namespace = {}
+    exec(f"from convexcount import {', '.join(EXPORTS[layer])}", namespace)
+    assert all(namespace[name] is getattr(module, name) for name in EXPORTS[layer])
+
+
+def test_unknown_export_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        convexcount.no_such_name
+
+
+def test_readme_library_snippet_runs():
+    path = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(path, encoding="utf-8") as fh:
+        readme = fh.read()
+    snippet = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(snippet, "README.md", "exec"), {})
+
+
+@pytest.mark.parametrize(
+    "value, attr",
+    [
+        (HTMatrix(2, 2, (2, 4)), "band"),
+        (CountVector((2, 0), 2), "entries"),
+        (geometric_class(), "param"),
+        (CLASSES["geometric"], "build"),
+        (verify.CheckResult("demo", True), "passed"),
+        (EigenPair(1, (1,), 0), "residual"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else type(v).__name__,
+)
+def test_value_types_are_immutable(value, attr):
+    with pytest.raises(AttributeError):
+        setattr(value, attr, None)
+    with pytest.raises(AttributeError):
+        value.extra = None
+
+
+def test_htmatrix_equality_and_hash_ignore_band_gf():
+    plain, with_gf = HTMatrix(3, 2, (2, 4, 8)), HTMatrix(3, 2, [2, 4, 8], ((2,), (1, -2)))
+    assert plain == with_gf and not plain != with_gf and hash(plain) == hash(with_gf)
+    assert plain != HTMatrix(3, 1, (2, 4, 8)) and plain != (3, 2, (2, 4, 8), None)
+    with pytest.raises(ValueError, match="disagrees"):
+        HTMatrix(3, 2, (2, 4, 9), ((2,), (1, -2)))
+
+
+def test_relation_specs_stay_hashable():
+    assert {relation_class([1, 2]): 1}[relation_class((1, 2))] == 1
+    with pytest.raises(ValueError, match="takes no parameter"):
+        type(geometric_class())("geometric", 3)

@@ -195,6 +195,20 @@ def test_relation_from_connected_matches_geometric():
     assert [r.total for r in rel[1:]] == [g.total for g in geo]
 
 
+def test_relation_counts_read_c_values_to_n_max_only():
+    counts = connected_totals(40)  # c_2..c_40
+    want = count_sequence(relation_class(counts), 38)
+    assert len(want[-1].entries) == 40
+    assert count_sequence(relation_class(counts[:37]), 38) == want
+    assert count_sequence(relation_class(counts[:37] + (5, 7)), 38) == want
+    assert count_sequence(relation_class(counts[:36] + (5,)), 38) != want
+    with pytest.raises(ValueError, match=r"need c_2\.\.c_38, got 36 values"):
+        count_sequence(relation_class(counts[:36]), 38)
+    # A matrix still reads its whole band.
+    with pytest.raises(ValueError, match=r"need c_2\.\.c_40, got 37 values"):
+        relation_class(counts[:37]).build_matrix(40)
+
+
 def test_kangulation_class_requires_k():
     with pytest.raises(ValueError):
         k_angulation_class(2)
