@@ -1,9 +1,13 @@
 """Closed-form counts by root degree, evaluated independently of any matrix.
 
-Each formula multiplies first and divides last, asserting exact divisibility,
-so integrality failures surface instead of being rounded away.  Boundary
-terms hit binomials with upper index -1 and lower index 0, which
-``binomial`` evaluates to 1.
+The geometric, connected and partition vectors are Lagrange forms: entry j
+of a level is (j/N) [z**(N-j)] A(z)**N, with a power N and an A-sequence
+A = c (1-z)**a (1-2z)**b fixed per class.  A'/A has the denominator
+(1-z)(1-2z), so the coefficients of P = A**N obey a two-term recurrence
+(J. C. P. Miller's rule; Knuth, TAOCP vol. 2, 4.7) and a vector costs O(n)
+big-integer steps.  Every formula multiplies first and divides last,
+asserting exact divisibility, so integrality failures surface instead of
+being rounded away.  Each entry reads its vector.
 """
 from __future__ import annotations
 
@@ -22,70 +26,68 @@ def kangulation_entry(k: int, r: int, j: int) -> int:
     return exact_div(j * binomial((k - 1) * r - j - 1, r - j), r)
 
 
-def geometric_entry(n: int, j: int) -> int:
-    """Number of plane graphs on n vertices with root visibility degree j-1."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if not 1 <= j <= n - 1:
-        return 0
-    acc = 0
-    for k in range(j, n):
-        sign = -1 if (n - 1 - k) % 2 else 1
-        acc += sign * binomial(n - 1, k) * binomial(n + k - j - 2, k - j) * 2**k
-    return exact_div(j * 2 ** (n - 1 - j) * acc, n - 1)
+def _lagrange_vector(N: int, a: int, b: int, c: int = 1) -> tuple[int, ...]:
+    """(j/N) [z**(N-j)] A(z)**N for j = 1..N, with A = c (1-z)**a (1-2z)**b.
 
-
-def connected_entry(n: int, j: int) -> int:
-    """Number of connected plane graphs on n vertices with root visibility
-    degree j-1.
-
-    The binomial theorem sums the outer sum of the paper's alternating
-    double sum, leaving the Lagrange form (j/(n-1)) [z**m] A(z)**(n-1) of
-    the A-sequence A(z) = 1/((1-z)(1-2z)), m = n-1-j: one convolution of
-    ordinary binomials.
+    A'/A = ((2a+2b) z - a - 2b) / ((1-z)(1-2z)), so p_k = [z**k] A**N obey
+    (k+1) p_(k+1) = (3k - N(a+2b)) p_k + (2N(a+b) - 2(k-1)) p_(k-1),
+    p_0 = c**N.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if not 1 <= j <= n - 1:
-        return 0
-    m = n - 1 - j
-    acc = 0
-    for i in range(m + 1):
-        acc += binomial(n - 2 + i, i) * binomial(n - 2 + m - i, m - i) * 2**i
-    return exact_div(j * acc, n - 1)
+    u, v = -N * (a + 2 * b), 2 * N * (a + b) + 2
+    ps = [0, c**N]  # p_(-1), p_0, p_1, ...
+    for k in range(N - 1):
+        ps.append(exact_div((3 * k + u) * ps[-1] + (v - 2 * k) * ps[-2], k + 1))
+    return tuple(exact_div(j * ps[N - j + 1], N) for j in range(1, N + 1))
 
 
-def partition_entry(n: int, j: int) -> int:
-    """Number of non-crossing partitions of [n] with root isolation degree j-1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 1 <= j <= n + 1:
-        return 0
-    lo = -((n + j + 1) // -2)
-    acc = 0
-    for k in range(lo, n + 2):
-        acc += binomial(n + 1, k) * binomial(k - j - 1, 2 * k - n - j - 1) * 2 ** (2 * k - n - j - 1)
-    return exact_div(j * acc, n + 1)
-
-
-# Each vector's range holds at least j = 1, so the entry function's input
-# checks run even where the size leaves no entry.
+def _pick(vector: tuple[int, ...], j: int) -> int:
+    return vector[j - 1] if 1 <= j <= len(vector) else 0
 
 
 def kangulation_vector(k: int, r: int) -> tuple[int, ...]:
+    # The range holds at least j = 1, so the entry's input checks run even
+    # where r leaves no entry.
     return tuple(kangulation_entry(k, r, j) for j in range(1, max(r, 1) + 1))
 
 
 def geometric_vector(n: int) -> tuple[int, ...]:
-    return tuple(geometric_entry(n, j) for j in range(1, max(n, 2)))
+    """Plane graphs on n vertices by root visibility degree j-1, j = 1..n-1:
+    N = n-1 and A = 2(1-z)/(1-2z)."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    return _lagrange_vector(n - 1, 1, -1, 2)
 
 
 def connected_vector(n: int) -> tuple[int, ...]:
-    return tuple(connected_entry(n, j) for j in range(1, max(n, 2)))
+    """Connected plane graphs on n vertices by root visibility degree j-1,
+    j = 1..n-1: N = n-1 and A = 1/((1-z)(1-2z))."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    return _lagrange_vector(n - 1, -1, -1)
 
 
 def partition_vector(n: int) -> tuple[int, ...]:
-    return tuple(partition_entry(n, j) for j in range(1, max(n, 0) + 2))
+    """Non-crossing partitions of [n] by root isolation degree j-1,
+    j = 1..n+1: N = n+1 and A = (1-z)**2/(1-2z)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return _lagrange_vector(n + 1, 2, -1)
+
+
+def geometric_entry(n: int, j: int) -> int:
+    """Number of plane graphs on n vertices with root visibility degree j-1."""
+    return _pick(geometric_vector(n), j)
+
+
+def connected_entry(n: int, j: int) -> int:
+    """Number of connected plane graphs on n vertices with root visibility
+    degree j-1."""
+    return _pick(connected_vector(n), j)
+
+
+def partition_entry(n: int, j: int) -> int:
+    """Number of non-crossing partitions of [n] with root isolation degree j-1."""
+    return _pick(partition_vector(n), j)
 
 
 def lemma1_check(t: int, m: int, n: int) -> bool:

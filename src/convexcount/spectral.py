@@ -1,12 +1,12 @@
 """Characteristic polynomials and eigenpairs of the production matrices.
 
 The banded recurrence and the closed forms are evaluated in Python integers
-(the closed forms scale away their negative powers of 2 and 3 and divide
-them out exactly at the end).  Real eigenvalues are then located on the
-exact polynomial, never by floating-point matrix solvers, in two steps.
-Isolation is integer throughout: one primitive remainder sequence gives the
-Sturm chain, and dividing it by its last member, the gcd of p and p',
-gives the square-free part at its head.  Signs are taken at dyadic grid
+(each closed-form coefficient is one sum of ordinary binomials, every
+division asserted exact).  Real eigenvalues are then located on the exact polynomial,
+never by floating-point matrix solvers, in two steps.  Isolation is
+integer throughout: one primitive remainder sequence gives the Sturm
+chain, and dividing it by its last member, the gcd of p and p', gives the
+square-free part at its head.  Signs are taken at dyadic grid
 points by integer Horner evaluation.  Refinement runs per root, so a caller
 that prints one root refines only the candidates for it; quadratic interval
 refinement on the same grid lands on the cell that sign bisection would,
@@ -24,7 +24,7 @@ from math import gcd
 from operator import add
 from typing import NamedTuple
 
-from .exact import HTMatrix, IntPolynomial, _suffix_sums, binomial
+from .exact import HTMatrix, IntPolynomial, _suffix_sums, binomial, exact_div
 
 DEFAULT_PRECISION_BITS = 256
 
@@ -99,9 +99,15 @@ def _axpy(acc: list[int], c: int, p: list[int]) -> None:
     acc[: len(p)] = map(add, acc, map(c.__mul__, p))
 
 
+# Closed forms.  The expansion in charpoly_recurrence gives
+# sum_s d_s z**s = 1/(1 + x z - z B(z)), B(z) = sum_m b_m z**m, so
+# [x**t] d_n = (-1)**t [u**(n-t)] Q(u)**(t+1) with Q = 1/(1 - u B(u)): a
+# rational function fixed per class, written out below without any band.
+
+
 def charpoly_closed_kangulation(k: int, r: int) -> IntPolynomial:
-    """Closed form for the k-angulation matrix:
-    sum_l (-1)**l C((k-2)(l+1), r-l) x**l."""
+    """Closed form for the k-angulation matrix: Q(u) = (1+u)**(k-2), so
+    [x**l] = (-1)**l C((k-2)(l+1), r-l)."""
     if k < 3:
         raise ValueError("k-angulations require k >= 3")
     if r < 0:
@@ -113,72 +119,46 @@ def charpoly_closed_kangulation(k: int, r: int) -> IntPolynomial:
     return IntPolynomial(coeffs)
 
 
-def charpoly_closed_geometric(n: int) -> IntPolynomial:
-    """Closed form for the plane-graph matrix:
-    sum_t sum_{k=t..n} (-1)**k C(k,t) C(t+1,n-k) 2**(2n-t-k) x**t."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    coeffs = []
-    for t in range(n + 1):
-        c = 0
-        for k in range(t, n + 1):
-            term = binomial(k, t) * binomial(t + 1, n - k) * 2 ** (2 * n - t - k)
-            c += -term if k % 2 else term
-        coeffs.append(c)
-    return IntPolynomial(coeffs)
+def _charpoly_lagrange(n: int, e: int, s: int = 1) -> IntPolynomial:
+    """The closed form for Q(u) = (1+2su)(1+su)**e: the coefficient of x**t
+    is (-1)**t s**(n-t) sum_i C(t+1, i) 2**i C(e(t+1), n-t-i).
 
-
-def charpoly_closed_connected(n: int) -> IntPolynomial:
-    """Closed form for the connected-graph matrix.
-
-    Powers of 3 can carry a negative exponent next to a vanishing binomial
-    bracket.  Each coefficient is summed in integers scaled by the power of
-    3 that clears the most negative exponent, and must be divisible by it.
+    Each term comes from the one before by its ratio, from the first i at
+    which C(e(t+1), n-t-i) is nonzero; no denominator in the ratio vanishes
+    from there on.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     coeffs = []
     for t in range(n + 1):
-        shift = max(0, 3 * t + 2 - n)
-        c = 0
-        for ell in range(t + 1):
-            bracket = 2 * binomial(ell, n + 2 * ell - 3 * t - 2) + 9 * binomial(
-                ell + 1, n + 2 * ell - 3 * t
-            )
-            if bracket == 0:
-                continue
-            power = n + 2 * ell - 3 * t - 2 + shift
-            c += binomial(t, ell) * 2 ** (t - ell) * 3**power * bracket
-        c, rest = divmod(c, 3**shift)
-        if rest:
-            raise ArithmeticError(f"non-integer coefficient at degree {t}")
-        coeffs.append(-c if t % 2 else c)
+        m, a = n - t, e * (t + 1)
+        lo = max(0, m - a) if a >= 0 else 0
+        term = (binomial(t + 1, lo) * binomial(a, m - lo)) << lo
+        c = term
+        for i in range(lo, min(t + 1, m)):
+            term = exact_div(2 * (t + 1 - i) * (m - i) * term, (i + 1) * (a - m + i + 1))
+            c += term
+        coeffs.append((-c if t % 2 else c) * s**m)
     return IntPolynomial(coeffs)
+
+
+def charpoly_closed_geometric(n: int) -> IntPolynomial:
+    """Closed form for the plane-graph matrix: Q(u) = (1+4u)/(1+2u), so
+    [x**t] = (-1)**t 2**(n-t) sum_i C(t+1, i) 2**i C(-t-1, n-t-i)."""
+    return _charpoly_lagrange(n, -1, 2)
+
+
+def charpoly_closed_connected(n: int) -> IntPolynomial:
+    """Closed form for the connected-graph matrix: Q(u) = (1+u)(1+2u), so
+    [x**t] = (-1)**t sum_i C(t+1, i) 2**i C(t+1, n-t-i)."""
+    return _charpoly_lagrange(n, 1)
 
 
 def charpoly_closed_partition(n: int) -> IntPolynomial:
-    """Closed form for the non-crossing partition matrix: a triple sum with
-    powers 2**(2k-n+t-2l), summed in integers scaled by 2**(n-t) (which
-    clears every negative exponent) and divisible by it."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    coeffs = []
-    for t in range(n + 1):
-        c = 0
-        for k in range(t, n + 1):
-            ckt = binomial(k, t)
-            # the bracket vanishes unless k+t-n <= l <= 2k-n+1
-            for ell in range(max(0, k + t - n), min(t, 2 * k - n + 1) + 1):
-                bracket = 4 * binomial(k - t, 2 * k - n - ell + 1) + binomial(
-                    k - t, 2 * k - n - ell
-                )
-                term = (ckt * binomial(t, ell) * bracket) << (2 * (k - ell))
-                c += -term if k % 2 else term
-        shift = n - t
-        if c & ((1 << shift) - 1):
-            raise ArithmeticError(f"non-integer coefficient at degree {t}")
-        coeffs.append(c >> shift)
-    return IntPolynomial(coeffs)
+    """Closed form for the non-crossing partition matrix:
+    Q(u) = (1+2u)/(1+u)**2, so
+    [x**t] = (-1)**t sum_i C(t+1, i) 2**i C(-2t-2, n-t-i)."""
+    return _charpoly_lagrange(n, -2)
 
 
 # ---------------------------------------------------------------------------

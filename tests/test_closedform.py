@@ -43,6 +43,55 @@ def reference_connected_entry(n, j):
     return exact_div(j * acc, n - 1)
 
 
+def reference_geometric_entry(n, j):
+    """The paper's alternating sum for geometric_entry: O(n) binomials per
+    entry, kept as the reference for the Lagrange recurrence."""
+    if not 1 <= j <= n - 1:
+        return 0
+    acc = 0
+    for k in range(j, n):
+        sign = -1 if (n - 1 - k) % 2 else 1
+        acc += sign * binomial(n - 1, k) * binomial(n + k - j - 2, k - j) * 2**k
+    return exact_div(j * 2 ** (n - 1 - j) * acc, n - 1)
+
+
+def reference_connected_convolution_entry(n, j):
+    """connected_entry as one convolution of ordinary binomials,
+    (j/(n-1)) [z**m] ((1-z)(1-2z))**-(n-1) with m = n-1-j: the double sum
+    above with its outer sum taken by the binomial theorem."""
+    if not 1 <= j <= n - 1:
+        return 0
+    m = n - 1 - j
+    acc = 0
+    for i in range(m + 1):
+        acc += binomial(n - 2 + i, i) * binomial(n - 2 + m - i, m - i) * 2**i
+    return exact_div(j * acc, n - 1)
+
+
+def reference_partition_entry(n, j):
+    """The paper's sum for partition_entry."""
+    if not 1 <= j <= n + 1:
+        return 0
+    lo = -((n + j + 1) // -2)
+    acc = 0
+    for k in range(lo, n + 2):
+        acc += binomial(n + 1, k) * binomial(k - j - 1, 2 * k - n - j - 1) * 2 ** (2 * k - n - j - 1)
+    return exact_div(j * acc, n + 1)
+
+
+def test_entries_match_paper_sums_to_60():
+    for n in range(1, 61):
+        pairs = [(partition_entry, reference_partition_entry)]
+        if n >= 2:
+            pairs += [
+                (geometric_entry, reference_geometric_entry),
+                (connected_entry, reference_connected_convolution_entry),
+            ]
+        for entry, reference in pairs:
+            for j in range(-1, n + 3):
+                assert entry(n, j) == reference(n, j), (entry.__name__, n, j)
+
+
 def test_kangulation_entries():
     assert kangulation_entry(3, 3, 3) == 1
     assert kangulation_entry(3, 3, 1) == 2
@@ -102,6 +151,8 @@ def test_partition_trailing_pattern():
 def test_partition_catalan_sums():
     sums = [sum(partition_vector(n)) for n in range(1, 7)]
     assert sums == [1, 2, 5, 14, 42, 132]
+    for n in range(1, 1001):
+        assert sum(partition_vector(n)) == exact_div(binomial(2 * n, n), n + 1), n
 
 
 def test_closed_form_equals_matrix_iteration():
@@ -117,6 +168,13 @@ def test_closed_form_equals_matrix_iteration():
         for r in range(1, 13):
             row = count_sequence(k_angulation_class(k), r)[-1]
             assert kangulation_vector(k, r) == row.entries[:r]
+
+
+def test_closed_form_equals_matrix_iteration_at_400():
+    n = 400
+    assert geometric_vector(n) == count_sequence(geometric_class(), n)[-1].entries[: n - 1]
+    assert connected_vector(n) == count_sequence(connected_class(), n)[-1].entries[: n - 1]
+    assert partition_vector(n) == count_sequence(partition_class(), n)[-1].entries[: n + 1]
 
 
 @pytest.mark.parametrize(

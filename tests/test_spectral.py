@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpc, mpf, polyroots, sqrt
 
-from convexcount.exact import HTMatrix, IntPolynomial, charpoly_determinant
+from convexcount.exact import HTMatrix, IntPolynomial, binomial, charpoly_determinant, exact_div
 from convexcount.production import (
     CLASS_NAMES,
     CLASSES,
@@ -259,6 +259,61 @@ def reference_eigenvector(m, lam):
         return lam_mp, vector, resid / scale if scale != 0 else resid
 
 
+def reference_charpoly_closed_geometric(n):
+    """The paper's double sum for the plane-graph matrix:
+    sum_t sum_{k=t..n} (-1)**k C(k,t) C(t+1,n-k) 2**(2n-t-k) x**t."""
+    coeffs = []
+    for t in range(n + 1):
+        c = 0
+        for k in range(t, n + 1):
+            term = binomial(k, t) * binomial(t + 1, n - k) * 2 ** (2 * n - t - k)
+            c += -term if k % 2 else term
+        coeffs.append(c)
+    return IntPolynomial(coeffs)
+
+
+def reference_charpoly_closed_connected(n):
+    """The paper's double sum for the connected-graph matrix.  Powers of 3
+    can carry a negative exponent next to a vanishing binomial bracket, so
+    each coefficient is summed scaled by the power of 3 that clears the most
+    negative exponent, and must be divisible by it."""
+    coeffs = []
+    for t in range(n + 1):
+        shift = max(0, 3 * t + 2 - n)
+        c = 0
+        for ell in range(t + 1):
+            bracket = 2 * binomial(ell, n + 2 * ell - 3 * t - 2) + 9 * binomial(
+                ell + 1, n + 2 * ell - 3 * t
+            )
+            if bracket == 0:
+                continue
+            power = n + 2 * ell - 3 * t - 2 + shift
+            c += binomial(t, ell) * 2 ** (t - ell) * 3**power * bracket
+        c = exact_div(c, 3**shift)
+        coeffs.append(-c if t % 2 else c)
+    return IntPolynomial(coeffs)
+
+
+def reference_charpoly_closed_partition(n):
+    """The paper's triple sum for the non-crossing partition matrix, with
+    powers 2**(2k-n+t-2l), summed scaled by 2**(n-t) (which clears every
+    negative exponent) and divisible by it."""
+    coeffs = []
+    for t in range(n + 1):
+        c = 0
+        for k in range(t, n + 1):
+            ckt = binomial(k, t)
+            # the bracket vanishes unless k+t-n <= l <= 2k-n+1
+            for ell in range(max(0, k + t - n), min(t, 2 * k - n + 1) + 1):
+                bracket = 4 * binomial(k - t, 2 * k - n - ell + 1) + binomial(
+                    k - t, 2 * k - n - ell
+                )
+                term = (ckt * binomial(t, ell) * bracket) << (2 * (k - ell))
+                c += -term if k % 2 else term
+        coeffs.append(exact_div(c, 1 << (n - t)))
+    return IntPolynomial(coeffs)
+
+
 GOLD_GEOMETRIC = {
     1: (2, -1),
     2: (-4, -4, 1),
@@ -314,6 +369,16 @@ def test_closed_forms_match_golden_tables():
         assert charpoly_closed_partition(n).coeffs == GOLD_PARTITION[n]
 
 
+def test_closed_forms_match_paper_sums_to_60():
+    for closed, reference in (
+        (charpoly_closed_geometric, reference_charpoly_closed_geometric),
+        (charpoly_closed_connected, reference_charpoly_closed_connected),
+        (charpoly_closed_partition, reference_charpoly_closed_partition),
+    ):
+        for n in range(61):
+            assert closed(n).coeffs == reference(n).coeffs, (closed.__name__, n)
+
+
 def test_closed_form_initial_conditions():
     assert charpoly_closed_kangulation(3, 0) == IntPolynomial.one()
     assert charpoly_closed_geometric(0) == IntPolynomial.one()
@@ -357,7 +422,8 @@ def test_closed_equals_recurrence_to_20():
     gs = charpoly_recurrence(build_geometric_matrix(20))
     for n in range(21):
         assert charpoly_closed_geometric(n) == gs[n]
-    # connected and partition sum scaled integers over long ranges: go to 60
+    # connected's sums start past vanishing terms and partition's read
+    # negative upper indices: go to 60
     cs = charpoly_recurrence(build_connected_matrix(60))
     bs = charpoly_recurrence(build_partition_matrix(60))
     for n in range(61):
@@ -414,6 +480,15 @@ def test_closed_equals_recurrence_at_bench_sizes():
         (build_partition_matrix, charpoly_closed_partition),
     ):
         assert charpoly_recurrence(build(150))[150] == closed(150)
+
+
+def test_closed_equals_recurrence_at_300():
+    for build, closed in (
+        (build_geometric_matrix, charpoly_closed_geometric),
+        (build_connected_matrix, charpoly_closed_connected),
+        (build_partition_matrix, charpoly_closed_partition),
+    ):
+        assert charpoly_recurrence(build(300))[300] == closed(300)
 
 
 def _factor():
