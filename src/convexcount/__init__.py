@@ -8,8 +8,8 @@ use: counting never loads ``spectral`` or ``oracle``.
 
 _EXPORTS = {
     "exact": "CountVector HTMatrix IntPolynomial binomial charpoly_determinant exact_div mat_vec",
-    "closedform": "connected_entry connected_vector geometric_entry geometric_vector"
-    " kangulation_entry kangulation_vector lemma1_check partition_entry partition_vector",
+    "closedform": "connected_vector geometric_vector kangulation_vector lemma1_check"
+    " partition_vector",
     "production": "GraphClassSpec build_connected_matrix build_geometric_matrix"
     " build_k_angulation_matrix build_partition_matrix build_relation_matrix connected_class"
     " connected_totals count_sequence geometric_class k_angulation_class k_angulation_total"

@@ -1,20 +1,21 @@
 """Characteristic polynomials and eigenpairs of the production matrices.
 
 The banded recurrence and the closed forms are evaluated in Python integers
-(each closed-form coefficient is one sum of ordinary binomials, every
-division asserted exact).  Real eigenvalues are then located on the exact polynomial,
-never by floating-point matrix solvers, in two steps.  Isolation is
-integer throughout: one primitive remainder sequence gives the Sturm
-chain, and dividing it by its last member, the gcd of p and p', gives the
-square-free part at its head.  Signs are taken at dyadic grid
-points by integer Horner evaluation.  Refinement runs per root, so a caller
-that prints one root refines only the candidates for it; quadratic interval
-refinement on the same grid lands on the cell that sign bisection would,
-so the roots are the same.  ``Fraction`` appears only in the tolerance, the
-root bound B and the returned roots.  Eigenvectors and their residuals run
-the band's recurrences at the root, O(n * len(den)) per root, in mpmath at
-CONVEX_COUNT_PRECISION bits (default 256).  mpmath is imported on first use,
-by the functions that compute with it, so exact work never loads it.
+(each closed-form coefficient is read from one power series of
+``closedform``, every division asserted exact).  Real eigenvalues are then
+located on the exact polynomial, never by floating-point matrix solvers, in
+two steps.  Isolation is integer throughout: one primitive remainder
+sequence gives the Sturm chain, and dividing it by its last member, the gcd
+of p and p', gives the square-free part at its head.  Signs are taken at
+dyadic grid points by integer Horner evaluation.  Refinement runs per root,
+so a caller that prints one root refines only the candidates for it;
+quadratic interval refinement on the same grid lands on the cell that sign
+bisection would, so the roots are the same.  ``Fraction`` appears only in
+the tolerance, the root bound B and the returned roots.  Eigenvectors and
+their residuals run the band's recurrences at the root, O(n * len(den)) per
+root, in mpmath at CONVEX_COUNT_PRECISION bits (default 256).  mpmath is
+imported on first use, by the functions that compute with it, so exact work
+never loads it.
 """
 from __future__ import annotations
 
@@ -24,7 +25,8 @@ from math import gcd
 from operator import add
 from typing import NamedTuple
 
-from .exact import HTMatrix, IntPolynomial, _suffix_sums, binomial, exact_div
+from .closedform import _power_series
+from .exact import HTMatrix, IntPolynomial, _suffix_sums
 
 DEFAULT_PRECISION_BITS = 256
 
@@ -103,6 +105,22 @@ def _axpy(acc: list[int], c: int, p: list[int]) -> None:
 # sum_s d_s z**s = 1/(1 + x z - z B(z)), B(z) = sum_m b_m z**m, so
 # [x**t] d_n = (-1)**t [u**(n-t)] Q(u)**(t+1) with Q = 1/(1 - u B(u)): a
 # rational function fixed per class, written out below without any band.
+# Each Q is (1+2su)**b (1+su)**e, so every coefficient is read from
+# closedform's power series.
+
+
+def _charpoly_closed(n: int, e: int, s: int = 1, b: int = 1) -> IntPolynomial:
+    """The closed form for Q(u) = (1+2su)**b (1+su)**e: with z = -su, the
+    coefficient of x**t is (-1)**t (-s)**(n-t) [z**(n-t)] A**(t+1),
+    A = (1-z)**e (1-2z)**b."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    coeffs = []
+    for t in range(n + 1):
+        m = n - t
+        c = _power_series(t + 1, e, b, 1, m + 1)[m] * (-s) ** m
+        coeffs.append(-c if t % 2 else c)
+    return IntPolynomial(coeffs)
 
 
 def charpoly_closed_kangulation(k: int, r: int) -> IntPolynomial:
@@ -112,53 +130,26 @@ def charpoly_closed_kangulation(k: int, r: int) -> IntPolynomial:
         raise ValueError("k-angulations require k >= 3")
     if r < 0:
         raise ValueError("r must be >= 0")
-    coeffs = []
-    for ell in range(r + 1):
-        c = binomial((k - 2) * (ell + 1), r - ell)
-        coeffs.append(-c if ell % 2 else c)
-    return IntPolynomial(coeffs)
-
-
-def _charpoly_lagrange(n: int, e: int, s: int = 1) -> IntPolynomial:
-    """The closed form for Q(u) = (1+2su)(1+su)**e: the coefficient of x**t
-    is (-1)**t s**(n-t) sum_i C(t+1, i) 2**i C(e(t+1), n-t-i).
-
-    Each term comes from the one before by its ratio, from the first i at
-    which C(e(t+1), n-t-i) is nonzero; no denominator in the ratio vanishes
-    from there on.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    coeffs = []
-    for t in range(n + 1):
-        m, a = n - t, e * (t + 1)
-        lo = max(0, m - a) if a >= 0 else 0
-        term = (binomial(t + 1, lo) * binomial(a, m - lo)) << lo
-        c = term
-        for i in range(lo, min(t + 1, m)):
-            term = exact_div(2 * (t + 1 - i) * (m - i) * term, (i + 1) * (a - m + i + 1))
-            c += term
-        coeffs.append((-c if t % 2 else c) * s**m)
-    return IntPolynomial(coeffs)
+    return _charpoly_closed(r, k - 2, b=0)
 
 
 def charpoly_closed_geometric(n: int) -> IntPolynomial:
     """Closed form for the plane-graph matrix: Q(u) = (1+4u)/(1+2u), so
     [x**t] = (-1)**t 2**(n-t) sum_i C(t+1, i) 2**i C(-t-1, n-t-i)."""
-    return _charpoly_lagrange(n, -1, 2)
+    return _charpoly_closed(n, -1, 2)
 
 
 def charpoly_closed_connected(n: int) -> IntPolynomial:
     """Closed form for the connected-graph matrix: Q(u) = (1+u)(1+2u), so
     [x**t] = (-1)**t sum_i C(t+1, i) 2**i C(t+1, n-t-i)."""
-    return _charpoly_lagrange(n, 1)
+    return _charpoly_closed(n, 1)
 
 
 def charpoly_closed_partition(n: int) -> IntPolynomial:
     """Closed form for the non-crossing partition matrix:
     Q(u) = (1+2u)/(1+u)**2, so
     [x**t] = (-1)**t sum_i C(t+1, i) 2**i C(-2t-2, n-t-i)."""
-    return _charpoly_lagrange(n, -2)
+    return _charpoly_closed(n, -2)
 
 
 # ---------------------------------------------------------------------------

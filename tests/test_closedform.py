@@ -1,16 +1,13 @@
 import re
+from functools import partial
 
 import pytest
 
 from convexcount.closedform import (
-    connected_entry,
     connected_vector,
-    geometric_entry,
     geometric_vector,
-    kangulation_entry,
     kangulation_vector,
     lemma1_check,
-    partition_entry,
     partition_vector,
 )
 from convexcount.exact import binomial, exact_div
@@ -24,9 +21,9 @@ from convexcount.production import (
 
 
 def reference_connected_entry(n, j):
-    """The paper's alternating double sum for connected_entry, the
-    (-1/2)**k of its outer sum cleared against the leading 2**(n-1); O(n**2)
-    binomials, kept as the reference for the collapsed form."""
+    """The paper's alternating double sum for entry j of connected_vector(n),
+    the (-1/2)**k of its outer sum cleared against the leading 2**(n-1);
+    O(n**2) binomials, kept as the reference for the collapsed form."""
     if not 1 <= j <= n - 1:
         return 0
     acc = 0
@@ -44,8 +41,8 @@ def reference_connected_entry(n, j):
 
 
 def reference_geometric_entry(n, j):
-    """The paper's alternating sum for geometric_entry: O(n) binomials per
-    entry, kept as the reference for the Lagrange recurrence."""
+    """The paper's alternating sum for entry j of geometric_vector(n): O(n)
+    binomials per entry, kept as the reference for the Lagrange recurrence."""
     if not 1 <= j <= n - 1:
         return 0
     acc = 0
@@ -56,9 +53,9 @@ def reference_geometric_entry(n, j):
 
 
 def reference_connected_convolution_entry(n, j):
-    """connected_entry as one convolution of ordinary binomials,
-    (j/(n-1)) [z**m] ((1-z)(1-2z))**-(n-1) with m = n-1-j: the double sum
-    above with its outer sum taken by the binomial theorem."""
+    """Entry j of connected_vector(n) as one convolution of ordinary
+    binomials, (j/(n-1)) [z**m] ((1-z)(1-2z))**-(n-1) with m = n-1-j: the
+    double sum above with its outer sum taken by the binomial theorem."""
     if not 1 <= j <= n - 1:
         return 0
     m = n - 1 - j
@@ -69,7 +66,7 @@ def reference_connected_convolution_entry(n, j):
 
 
 def reference_partition_entry(n, j):
-    """The paper's sum for partition_entry."""
+    """The paper's sum for entry j of partition_vector(n)."""
     if not 1 <= j <= n + 1:
         return 0
     lo = -((n + j + 1) // -2)
@@ -79,27 +76,46 @@ def reference_partition_entry(n, j):
     return exact_div(j * acc, n + 1)
 
 
+def reference_kangulation_entry(k, r, j):
+    """The binomial form of entry j of kangulation_vector(k, r):
+    (j/r) C((k-1)r - j - 1, r - j)."""
+    if not 1 <= j <= r:
+        return 0
+    return exact_div(j * binomial((k - 1) * r - j - 1, r - j), r)
+
+
+def _matches_reference(vector, reference, length):
+    """vector holds entries j = 1..length of reference, which is 0 at
+    j = -1, 0 and at the three j past length."""
+    assert len(vector) == length
+    for j in range(-1, length + 4):
+        assert (vector[j - 1] if 1 <= j <= length else 0) == reference(j), j
+
+
 def test_entries_match_paper_sums_to_60():
     for n in range(1, 61):
-        pairs = [(partition_entry, reference_partition_entry)]
+        cases = [(partition_vector, reference_partition_entry, n + 1)]
         if n >= 2:
-            pairs += [
-                (geometric_entry, reference_geometric_entry),
-                (connected_entry, reference_connected_convolution_entry),
+            cases += [
+                (geometric_vector, reference_geometric_entry, n - 1),
+                (connected_vector, reference_connected_convolution_entry, n - 1),
             ]
-        for entry, reference in pairs:
-            for j in range(-1, n + 3):
-                assert entry(n, j) == reference(n, j), (entry.__name__, n, j)
+        for vector, reference, length in cases:
+            _matches_reference(vector(n), partial(reference, n), length)
+    for k in (3, 4, 5, 6):
+        for r in range(1, 61):
+            reference = partial(reference_kangulation_entry, k, r)
+            _matches_reference(kangulation_vector(k, r), reference, r)
 
 
 def test_kangulation_entries():
-    assert kangulation_entry(3, 3, 3) == 1
-    assert kangulation_entry(3, 3, 1) == 2
-    assert kangulation_vector(3, 3) == (2, 2, 1)
-    assert kangulation_entry(3, 3, 0) == 0
-    assert kangulation_entry(3, 3, 4) == 0
-    with pytest.raises(ValueError):
-        kangulation_entry(2, 3, 1)
+    v = kangulation_vector(3, 3)
+    assert v[2] == 1
+    assert v[0] == 2
+    assert v == (2, 2, 1)
+    assert len(v) == 3  # no entry for j = 0 or j = 4
+    with pytest.raises(ValueError, match="^k-angulations require k >= 3$"):
+        kangulation_vector(2, 3)
 
 
 def test_kangulation_catalan_sums():
@@ -110,42 +126,42 @@ def test_kangulation_catalan_sums():
 def test_geometric_entries():
     assert geometric_vector(4) == (24, 16, 8)
     assert geometric_vector(5) == (176, 112, 48, 16)
-    assert geometric_entry(2, 1) == 2
-    assert geometric_entry(5, 0) == 0
-    assert geometric_entry(5, 5) == 0
+    assert geometric_vector(2)[0] == 2
+    assert len(geometric_vector(5)) == 4  # no entry for j = 0 or j = 5
 
 
 def test_geometric_top_entry_power_of_two():
     # highest-degree entry doubles with n: 4, 8, 16, ... from n = 3
     for n in range(3, 13):
-        assert geometric_entry(n, n - 1) == 2 ** (n - 1)
+        assert geometric_vector(n)[n - 2] == 2 ** (n - 1)
 
 
 def test_connected_entries():
-    assert connected_entry(2, 1) == 1
+    assert connected_vector(2)[0] == 1
     assert connected_vector(4) == (16, 6, 1)
     assert connected_vector(5) == (105, 41, 9, 1)
-    assert connected_entry(4, 4) == 0
+    assert len(connected_vector(4)) == 3  # no entry for j = 4
 
 
 def test_connected_entry_matches_paper_double_sum():
     for n in range(2, 41):
-        for j in range(0, n + 1):
-            assert connected_entry(n, j) == reference_connected_entry(n, j), (n, j)
+        _matches_reference(connected_vector(n), partial(reference_connected_entry, n), n - 1)
+    v = connected_vector(200)
     for j in (1, 2, 100, 199):
-        assert connected_entry(200, j) == reference_connected_entry(200, j), j
+        assert v[j - 1] == reference_connected_entry(200, j), j
 
 
 def test_partition_entries():
     assert partition_vector(3) == (2, 2, 0, 1)
     assert partition_vector(4) == (6, 4, 3, 0, 1)
-    assert partition_entry(3, 5) == 0
+    assert len(partition_vector(3)) == 4  # no entry for j = 5
 
 
 def test_partition_trailing_pattern():
     for n in range(2, 13):
-        assert partition_entry(n, n + 1) == 1
-        assert partition_entry(n, n) == 0
+        v = partition_vector(n)
+        assert v[n] == 1
+        assert v[n - 1] == 0
 
 
 def test_partition_catalan_sums():
@@ -175,25 +191,27 @@ def test_closed_form_equals_matrix_iteration_at_400():
     assert geometric_vector(n) == count_sequence(geometric_class(), n)[-1].entries[: n - 1]
     assert connected_vector(n) == count_sequence(connected_class(), n)[-1].entries[: n - 1]
     assert partition_vector(n) == count_sequence(partition_class(), n)[-1].entries[: n + 1]
+    for k in (3, 4, 5, 6):
+        assert kangulation_vector(k, n) == count_sequence(k_angulation_class(k), n)[-1].entries[:n]
+
+
+REJECTED = [
+    (kangulation_vector, (2, 0), "k-angulations require k >= 3"),
+    (kangulation_vector, (3, -2), "r must be >= 1"),
+    (geometric_vector, (1,), "n must be >= 2"),
+    (geometric_vector, (-4,), "n must be >= 2"),
+    (connected_vector, (0,), "n must be >= 2"),
+    (partition_vector, (-1,), "n must be >= 1"),
+    (partition_vector, (0,), "n must be >= 1"),
+]
 
 
 @pytest.mark.parametrize(
-    "vector, entry, args",
-    [
-        (kangulation_vector, kangulation_entry, (2, 0)),
-        (kangulation_vector, kangulation_entry, (3, -2)),
-        (geometric_vector, geometric_entry, (1,)),
-        (geometric_vector, geometric_entry, (-4,)),
-        (connected_vector, connected_entry, (0,)),
-        (partition_vector, partition_entry, (-1,)),
-        (partition_vector, partition_entry, (0,)),
-    ],
+    "vector, args, message", REJECTED, ids=[f"{v.__name__}{args}" for v, args, _ in REJECTED]
 )
-def test_vector_rejects_what_its_entry_rejects(vector, entry, args):
+def test_vector_rejects_what_its_entry_rejects(vector, args, message):
     # An empty range must not turn an unanswerable size into ().
-    with pytest.raises(ValueError) as want:
-        entry(*args, 1)
-    with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         vector(*args)
 
 

@@ -18,8 +18,7 @@ EXPORTS = {
         "exact_div", "mat_vec",
     ],
     "closedform": [
-        "connected_entry", "connected_vector", "geometric_entry", "geometric_vector",
-        "kangulation_entry", "kangulation_vector", "lemma1_check", "partition_entry",
+        "connected_vector", "geometric_vector", "kangulation_vector", "lemma1_check",
         "partition_vector",
     ],
     "production": [

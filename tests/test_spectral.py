@@ -314,6 +314,16 @@ def reference_charpoly_closed_partition(n):
     return IntPolynomial(coeffs)
 
 
+def reference_charpoly_closed_kangulation(k, r):
+    """One binomial per coefficient for the k-angulation matrix, Q(u) =
+    (1+u)**(k-2): [x**t] = (-1)**t C((k-2)(t+1), r-t)."""
+    coeffs = []
+    for t in range(r + 1):
+        c = binomial((k - 2) * (t + 1), r - t)
+        coeffs.append(-c if t % 2 else c)
+    return IntPolynomial(coeffs)
+
+
 GOLD_GEOMETRIC = {
     1: (2, -1),
     2: (-4, -4, 1),
@@ -377,6 +387,13 @@ def test_closed_forms_match_paper_sums_to_60():
     ):
         for n in range(61):
             assert closed(n).coeffs == reference(n).coeffs, (closed.__name__, n)
+
+
+def test_closed_kangulation_matches_binomial_form_to_60():
+    for k in (3, 4, 5, 6):
+        for r in range(61):
+            want = reference_charpoly_closed_kangulation(k, r).coeffs
+            assert charpoly_closed_kangulation(k, r).coeffs == want, (k, r)
 
 
 def test_closed_form_initial_conditions():
@@ -489,6 +506,9 @@ def test_closed_equals_recurrence_at_300():
         (build_partition_matrix, charpoly_closed_partition),
     ):
         assert charpoly_recurrence(build(300))[300] == closed(300)
+    for k in (3, 4):
+        ks = charpoly_recurrence(build_k_angulation_matrix(k, 300))
+        assert ks[300] == charpoly_closed_kangulation(k, 300)
 
 
 def _factor():
