@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from . import verify
@@ -76,7 +77,7 @@ def _size_arg(args) -> int:
 
 def _record(command: str, args, payload: dict) -> dict:
     params = {}
-    for key in ("n", "k", "r", "n_max", "method", "c_values", "tol"):
+    for key in ("n", "k", "r", "n_max", "method", "c_values", "tol", "digits", "all_roots"):
         val = getattr(args, key, None)
         if val is not None:
             params[key] = str(val)
@@ -324,7 +325,14 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout; devnull takes the flush at exit instead.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
-"""Exact integer arithmetic core: binomials, dense integer polynomials,
-upper Hessenberg-Toeplitz matrices, count vectors, and the characteristic
-polynomials of a matrix's leading blocks by Berkowitz's algorithm.
+"""Exact integer arithmetic core: binomials, an immutable integer
+polynomial value type, upper Hessenberg-Toeplitz matrices, count vectors,
+and the characteristic polynomials of a matrix's leading blocks by
+Berkowitz's algorithm.
 
 Everything here is immutable and computes with plain Python integers, so
 there is no overflow and no rounding anywhere in the counting pipeline.
@@ -36,11 +37,9 @@ def exact_div(num: int, den: int) -> int:
 
 
 class IntPolynomial:
-    """Dense univariate polynomial with integer coefficients.
-
-    Coefficients are stored low-to-high; the zero polynomial has an empty
-    coefficient tuple and degree -1.
-    """
+    """Immutable dense integer polynomial, coefficients low-to-high with
+    trailing zeros trimmed (the zero polynomial's tuple is empty).  It has
+    no arithmetic: ``+``, ``-`` and ``*`` raise ``TypeError``."""
 
     __slots__ = ("coeffs",)
 
@@ -48,25 +47,15 @@ class IntPolynomial:
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: tuple[int, ...] = tuple(cs)
+        object.__setattr__(self, "coeffs", tuple(cs))
 
-    @classmethod
-    def zero(cls) -> IntPolynomial:
-        return cls(())
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"IntPolynomial is immutable; cannot set or delete {name!r}")
 
-    @classmethod
-    def one(cls) -> IntPolynomial:
-        return cls((1,))
+    __delattr__ = __setattr__
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def leading(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+    def __reduce__(self):
+        return IntPolynomial, (self.coeffs,)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -76,37 +65,6 @@ class IntPolynomial:
         if 0 <= t < len(self.coeffs):
             return self.coeffs[t]
         return 0
-
-    def __add__(self, other: IntPolynomial) -> IntPolynomial:
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(out)
-
-    def __sub__(self, other: IntPolynomial) -> IntPolynomial:
-        return self + (-other)
-
-    def __neg__(self) -> IntPolynomial:
-        return IntPolynomial(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other) -> IntPolynomial:
-        if isinstance(other, int):
-            return IntPolynomial(tuple(other * c for c in self.coeffs))
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return IntPolynomial.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPolynomial(out)
-
-    __rmul__ = __mul__
 
     def __call__(self, x):
         """Horner evaluation; works for int, Fraction, mpf or mpc ``x``."""
@@ -123,24 +81,6 @@ class IntPolynomial:
 
     def __repr__(self) -> str:
         return f"IntPolynomial({self.coeffs!r})"
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for t in range(self.degree, -1, -1):
-            c = self.coeffs[t]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else ("+" if parts else "")
-            mag = abs(c)
-            if t == 0:
-                body = str(mag)
-            else:
-                var = "x" if t == 1 else f"x^{t}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            parts.append(f"{sign} {body}" if parts else f"{sign}{body}")
-        return " ".join(parts)
 
 
 class HTMatrix(namedtuple("HTMatrix", "size sub band band_gf", defaults=(None,))):

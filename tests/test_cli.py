@@ -143,6 +143,19 @@ def test_eigen_all_roots(capsys):
     assert values == ["-1.0", "1.0"]
 
 
+def test_eigen_json_records_the_options_that_shape_it(capsys):
+    argv = ("eigen", "geometric", "--n", "5", "--format", "json")
+    dominant = json.loads(run_cli(capsys, *argv, "--digits", "10")[1])
+    every = json.loads(run_cli(capsys, *argv, "--digits", "30", "--all-roots")[1])
+    assert dominant["payload"] != every["payload"]
+    common = {"n": "5", "tol": "1e-40"}
+    assert dominant["parameters"] == {**common, "digits": "10", "all_roots": "False"}
+    assert every["parameters"] == {**common, "digits": "30", "all_roots": "True"}
+    # the other commands have neither option, so their records are unchanged
+    charpoly = json.loads(run_cli(capsys, "charpoly", "geometric", "--n", "3", "--format", "json")[1])
+    assert charpoly["parameters"] == {"n": "3", "method": "recurrence"}
+
+
 def test_verify_lemma1(capsys):
     code, out, _ = run_cli(capsys, "verify", "lemma1", "--n-max", "6")
     assert code == 0
@@ -439,12 +452,16 @@ print(sorted(m for m in ("mpmath", "json") if m in sys.modules))
 """
 
 
+def fresh_env():
+    """The environment of a fresh interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(convexcount.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_fresh(script):
     """Run ``script`` in a fresh interpreter that imports this package."""
-    src = os.path.dirname(os.path.dirname(convexcount.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", script], env=fresh_env(), capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     return proc
@@ -486,3 +503,20 @@ for argvs, watched in (
 def test_commands_load_only_their_layers():
     proc = run_fresh(LAYERS_SCRIPT.format(light=LIGHT_ARGVS, verify=LIGHT_VERIFY_ARGVS))
     assert proc.stdout == "[]\n[]\n"
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+def test_closed_stdout_pipe_exits_without_traceback(fmt):
+    # About 75 KB of output, more than a pipe holds: the command is still
+    # writing when its reader closes the pipe after the first line.
+    argv = ["counts", "geometric", "--n-max", "64", "--format", fmt]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "convexcount", *argv], env=fresh_env(),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0,
+    )
+    assert proc.stdout.readline().startswith(b"level 2" if fmt == "table" else b"2,")
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 1
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err

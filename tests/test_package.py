@@ -1,5 +1,7 @@
 """The package's lazy exports and its immutable value types."""
+import copy
 import os
+import pickle
 import re
 from importlib import import_module
 
@@ -7,7 +9,7 @@ import pytest
 
 import convexcount
 from convexcount import verify
-from convexcount.exact import CountVector, HTMatrix
+from convexcount.exact import CountVector, HTMatrix, IntPolynomial
 from convexcount.production import CLASSES, geometric_class, relation_class
 from convexcount.spectral import EigenPair
 
@@ -72,6 +74,7 @@ def test_readme_library_snippet_runs():
         (CLASSES["geometric"], "build"),
         (verify.CheckResult("demo", True), "passed"),
         (EigenPair(1, (1,), 0), "residual"),
+        (IntPolynomial((1, 2)), "coeffs"),
     ],
     ids=lambda v: v if isinstance(v, str) else type(v).__name__,
 )
@@ -80,6 +83,17 @@ def test_value_types_are_immutable(value, attr):
         setattr(value, attr, None)
     with pytest.raises(AttributeError):
         value.extra = None
+
+
+def test_polynomial_is_a_value_without_arithmetic():
+    p, q = IntPolynomial((1, 2)), IntPolynomial((3,))
+    for operation in (lambda: p + q, lambda: p - q, lambda: p * q, lambda: 2 * p, lambda: -p):
+        with pytest.raises(TypeError):
+            operation()
+    with pytest.raises(AttributeError):
+        del p.coeffs
+    assert p == IntPolynomial((1, 2, 0)) and hash(p) == hash((1, 2))
+    assert pickle.loads(pickle.dumps(p)) == copy.deepcopy(p) == p
 
 
 def test_htmatrix_equality_and_hash_ignore_band_gf():
