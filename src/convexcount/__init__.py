@@ -3,26 +3,44 @@ matrices, with closed-form, spectral and combinatorial verification.
 
 The public names below are imported from their layer on first access
 (PEP 562), so importing the package, or the CLI, loads no layer it does not
-use: counting never loads ``spectral`` or ``oracle``.
+use: counting never loads ``closedform``, ``spectral`` or ``oracle``, and
+only ``verify`` loads the suites.  The characteristic polynomials come from
+``exact`` (the recurrence and Berkowitz) and ``closedform`` (the closed
+forms); ``spectral`` holds the real roots and eigenpairs.
 """
 
 _EXPORTS = {
-    "exact": "CountVector HTMatrix IntPolynomial binomial charpoly_determinant exact_div mat_vec",
-    "closedform": "connected_vector geometric_vector kangulation_vector lemma1_check"
-    " partition_vector",
+    "exact": "CountVector HTMatrix IntPolynomial binomial charpoly_determinant"
+    " charpoly_recurrence exact_div mat_vec",
+    "closedform": "charpoly_closed_connected charpoly_closed_geometric"
+    " charpoly_closed_kangulation charpoly_closed_partition connected_vector geometric_vector"
+    " kangulation_vector lemma1_check partition_vector",
     "production": "GraphClassSpec build_connected_matrix build_geometric_matrix"
     " build_k_angulation_matrix build_partition_matrix build_relation_matrix connected_class"
     " connected_totals count_sequence geometric_class k_angulation_class k_angulation_total"
     " partition_class relation_class relation_weights",
-    "spectral": "EigenPair charpoly_closed_connected charpoly_closed_geometric"
-    " charpoly_closed_kangulation charpoly_closed_partition charpoly_recurrence"
-    " dominant_eigenvalue eigenvector_from_charpoly precision_bits real_roots",
+    "spectral": "EigenPair dominant_eigenvalue eigenvector_from_charpoly precision_bits"
+    " real_roots",
     "oracle": "count_spanning_structures spanning_counts",
 }
 _LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names.split()}
 __all__ = tuple(_LAYER_OF)
 
 __version__ = "0.1.0"
+
+# The verify suites, in the order ``verify all`` runs them, and the least size
+# of each check that once ran at a fixed range, so that no default range
+# shrinks: charpoly's n, lemma1's bound on t, m and n, the partitions'
+# elements, the k-angulations' vertices and the relation levels.  They are
+# defined here so that the CLI's parser reads them without loading ``verify``.
+SUITE_NAMES = ("vectors", "charpoly", "eigen", "oracle", "lemma1", "relation")
+FLOORS = {
+    "charpoly": 20,
+    "lemma1": 12,
+    "oracle/partition": 20,
+    "oracle/kangulation": 22,
+    "relation/connected-to-geometric": 10,
+}
 
 
 def __getattr__(name: str):

@@ -11,8 +11,8 @@ import math
 import os
 import sys
 
-from . import verify
-from .exact import charpoly_determinant
+from . import FLOORS, SUITE_NAMES
+from .exact import charpoly_determinant, charpoly_recurrence
 from .production import CLASS_NAMES, CLASSES, ClassDef, GraphClassSpec, connected_totals, count_sequence
 
 FORMAT_VERSION = "1"
@@ -144,20 +144,17 @@ def cmd_counts(args) -> int:
 
 def _charpoly(args, spec: GraphClassSpec, n: int):
     if args.method == "closed":
-        closed = CLASSES[spec.name].charpoly
-        if closed is None:
-            raise UsageError(f"no closed form exists for the {spec.name} matrix")
-        return closed(spec.param, n)
+        return CLASSES[spec.name].charpoly(spec.param, n)
     matrix = spec.build_matrix(max(1, n))
     if args.method == "determinant":
         return charpoly_determinant(matrix)[n]
-    from . import spectral
-
-    return spectral.charpoly_recurrence(matrix)[n]
+    return charpoly_recurrence(matrix)[n]
 
 
 def cmd_charpoly(args) -> int:
     n = _size_arg(args)
+    if args.method == "closed" and _class_row(args).charpoly is None:
+        raise UsageError(f"no closed form exists for the {args.cls} matrix")
     spec = _class_spec(args, max(1, n))
     poly = _charpoly(args, spec, n)
     coeffs = [str(poly.coefficient(t)) for t in range(n + 1)]
@@ -189,7 +186,7 @@ def cmd_eigen(args) -> int:
         raise UsageError("--tol must be < 1")
     spec = _class_spec(args, n)
     matrix = spec.build_matrix(n)
-    poly = spectral.charpoly_recurrence(matrix)[n]
+    poly = charpoly_recurrence(matrix)[n]
     if args.all_roots:
         selected = spectral.real_roots(poly, tol)
         count = len(selected)
@@ -231,7 +228,9 @@ def cmd_eigen(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    suites = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
+    from . import verify
+
+    suites = SUITE_NAMES if args.suite == "all" else (args.suite,)
     failures = 0
     for suite in suites:
         for result in verify.run_suite(suite, args.n_max):
@@ -297,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eigen)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=verify.SUITE_NAMES + ("all",))
-    floors = ", ".join(f"{check} {floor}" for check, floor in verify.FLOORS.items())
+    p.add_argument("suite", choices=SUITE_NAMES + ("all",))
+    floors = ", ".join(f"{check} {floor}" for check, floor in FLOORS.items())
     p.add_argument(
         "--n-max",
         type=int,

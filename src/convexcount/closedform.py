@@ -1,4 +1,6 @@
-"""Closed-form counts by root degree, evaluated independently of any matrix.
+"""Closed forms, evaluated independently of any matrix: the count vectors
+by root degree and the characteristic polynomials of the production
+matrices.
 
 Every closed form reads p_k = [z**k] A(z)**N for one power N and one series
 A = c (1-z)**a (1-2z)**b.  A'/A has the denominator (1-z)(1-2z), so the p_k
@@ -6,14 +8,14 @@ obey a two-term recurrence (J. C. P. Miller's rule; Knuth, TAOCP vol. 2,
 4.7), and `_power_series` is the only routine that computes them.  The count
 vectors are Lagrange forms: entry j of a level is (j/N) [z**(N-j)] A**N, so
 a vector costs O(n) big-integer steps.  The k-angulation vector has N = r
-and A = (1-z)**(2-k).  The closed characteristic polynomials in `spectral`
-read the same series.  Every formula multiplies first and divides last,
-asserting exact divisibility, so integrality failures surface instead of
-being rounded away.
+and A = (1-z)**(2-k).  Each coefficient of a closed characteristic
+polynomial is one p_k of the same kind.  Every formula multiplies first and
+divides last, asserting exact divisibility, so integrality failures surface
+instead of being rounded away.
 """
 from __future__ import annotations
 
-from .exact import binomial, exact_div
+from .exact import IntPolynomial, binomial, exact_div
 
 
 def _power_series(N: int, a: int, b: int, c: int, length: int) -> list[int]:
@@ -70,6 +72,57 @@ def partition_vector(n: int) -> tuple[int, ...]:
     if n < 1:
         raise ValueError("n must be >= 1")
     return _lagrange_vector(n + 1, 2, -1)
+
+
+# Characteristic polynomials.  The expansion in exact.charpoly_recurrence
+# gives sum_s d_s z**s = 1/(1 + x z - z B(z)), B(z) = sum_m b_m z**m, so
+# [x**t] d_n = (-1)**t [u**(n-t)] Q(u)**(t+1) with Q = 1/(1 - u B(u)): a
+# rational function fixed per class, written out below without any band.
+# Each Q is (1+2su)**b (1+su)**e, so every coefficient is read from
+# `_power_series`.
+
+
+def _charpoly_closed(n: int, e: int, s: int = 1, b: int = 1) -> IntPolynomial:
+    """The closed form for Q(u) = (1+2su)**b (1+su)**e: with z = -su, the
+    coefficient of x**t is (-1)**t (-s)**(n-t) [z**(n-t)] A**(t+1),
+    A = (1-z)**e (1-2z)**b."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    coeffs = []
+    for t in range(n + 1):
+        m = n - t
+        c = _power_series(t + 1, e, b, 1, m + 1)[m] * (-s) ** m
+        coeffs.append(-c if t % 2 else c)
+    return IntPolynomial(coeffs)
+
+
+def charpoly_closed_kangulation(k: int, r: int) -> IntPolynomial:
+    """Closed form for the k-angulation matrix: Q(u) = (1+u)**(k-2), so
+    [x**l] = (-1)**l C((k-2)(l+1), r-l)."""
+    if k < 3:
+        raise ValueError("k-angulations require k >= 3")
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    return _charpoly_closed(r, k - 2, b=0)
+
+
+def charpoly_closed_geometric(n: int) -> IntPolynomial:
+    """Closed form for the plane-graph matrix: Q(u) = (1+4u)/(1+2u), so
+    [x**t] = (-1)**t 2**(n-t) sum_i C(t+1, i) 2**i C(-t-1, n-t-i)."""
+    return _charpoly_closed(n, -1, 2)
+
+
+def charpoly_closed_connected(n: int) -> IntPolynomial:
+    """Closed form for the connected-graph matrix: Q(u) = (1+u)(1+2u), so
+    [x**t] = (-1)**t sum_i C(t+1, i) 2**i C(t+1, n-t-i)."""
+    return _charpoly_closed(n, 1)
+
+
+def charpoly_closed_partition(n: int) -> IntPolynomial:
+    """Closed form for the non-crossing partition matrix:
+    Q(u) = (1+2u)/(1+u)**2, so
+    [x**t] = (-1)**t sum_i C(t+1, i) 2**i C(-2t-2, n-t-i)."""
+    return _charpoly_closed(n, -2)
 
 
 def lemma1_check(t: int, m: int, n: int) -> bool:

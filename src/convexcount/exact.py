@@ -1,7 +1,8 @@
 """Exact integer arithmetic core: binomials, an immutable integer
 polynomial value type, upper Hessenberg-Toeplitz matrices, count vectors,
-and the characteristic polynomials of a matrix's leading blocks by
-Berkowitz's algorithm.
+and the characteristic polynomials d_0..d_n of a matrix's leading blocks by
+two routes: the banded recurrence, which reads the band's generating
+function, and Berkowitz's algorithm, which reads only the dense entries.
 
 Everything here is immutable and computes with plain Python integers, so
 there is no overflow and no rounding anywhere in the counting pipeline.
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from operator import mul
+from operator import add, mul
 from typing import Sequence
 
 
@@ -94,7 +95,7 @@ class HTMatrix(namedtuple("HTMatrix", "size sub band band_gf", defaults=(None,))
     ``den[0] == 1``.  The first ``size`` terms of the series must equal
     ``band``, or construction fails.  It takes no part in equality or hash.
     ``band_series`` is that pair, or band/1 without one; ``mat_vec``,
-    ``spectral.charpoly_recurrence`` and the eigenvectors run its linear
+    ``charpoly_recurrence`` and the eigenvectors run its linear
     recurrences of order len(den) - 1, which for den = 1 are plain dot
     products and convolutions.
     """
@@ -213,6 +214,64 @@ def mat_vec(m: HTMatrix, v: CountVector) -> CountVector:
     return CountVector(tuple(out) + (0,) * (m.size - rows), v.level + 1)
 
 
+def charpoly_recurrence(m: HTMatrix) -> tuple[IntPolynomial, ...]:
+    """Characteristic polynomials d_0..d_n of an n x n Hessenberg-Toeplitz matrix:
+    index i holds d_i, that of the leading i x i block (d_0 = 1).
+
+    Expanding det(A_s - x I) along its last column gives
+
+        d_s = -x d_{s-1} + U_{s-1},    U_j = sum_{m=0..j} b_m d_{j-m},
+
+    with b_m = (-sub)**m * band[m].  The band is the power series of
+    num(z)/den(z) (``m.band_series``: ``band_gf``, or band/1), so
+    sum_m b_m z**m = num(-sub z)/den(-sub z) and U obeys the recurrence of
+    order len(den) - 1
+
+        U_j = sum_r num_r (-sub)**r d_{j-r} - sum_{r>=1} den_r (-sub)**r U_{j-r}.
+
+    Each degree costs len(num) + len(den) - 1 polynomial axpy steps, so a
+    band with a generating function takes O(n**2 * len(den)) integer
+    operations in all.  Without one, den = 1 and U_j is the plain
+    convolution, O(n**3) in all.
+    """
+    n = m.size
+    ps, qs = _recurrence_terms(m, n)
+    history = max((r for r, _ in qs), default=0)
+    ds = [[1]]
+    us: list[list[int]] = []  # U_{j-len(us)}..U_{j-1}, at most `history` of them
+    for j in range(n):
+        u = [0] * (j + 1)
+        for r, c in ps:
+            if r > j:
+                break
+            _axpy(u, c, ds[j - r])
+        for r, c in qs:
+            if r > j:
+                break
+            _axpy(u, c, us[-r])
+        us.append(u)
+        if len(us) > history:
+            del us[0]
+        d = ds[j]  # d_{j+1} = -x d_j + U_j
+        ds.append(u[:1] + [a - b for a, b in zip(u[1:], d)] + [-d[-1]])
+    return tuple(IntPolynomial(d) for d in ds)
+
+
+def _recurrence_terms(m: HTMatrix, n: int):
+    """The recurrence's nonzero terms (r, num_r (-sub)**r) for r < n, and
+    (r, -den_r (-sub)**r) for r >= 1."""
+    num, den = m.band_series
+    neg_sub = -m.sub
+    ps = [(r, c * neg_sub**r) for r, c in enumerate(num[:n]) if c]
+    qs = [(r, -c * neg_sub**r) for r, c in enumerate(den) if c and r]
+    return ps, qs
+
+
+def _axpy(acc: list[int], c: int, p: list[int]) -> None:
+    """acc[i] += c * p[i] for i < len(p) <= len(acc)."""
+    acc[: len(p)] = map(add, acc, map(c.__mul__, p))
+
+
 def charpoly_determinant(m: HTMatrix) -> tuple[IntPolynomial, ...]:
     """d_0..d_n, d_r = det(A_r - x*I) of the leading r x r block A_r of m, by
     Berkowitz's division-free algorithm, O(n**4) integer operations.
@@ -223,7 +282,7 @@ def charpoly_determinant(m: HTMatrix) -> tuple[IntPolynomial, ...]:
     -R A_r**(r-1) C, and d_r = (-1)**r c_r reversed.  It reads only the
     dense entries of ``m.to_lists()`` and uses neither the Hessenberg nor
     the Toeplitz structure, so it stays an independent check of
-    ``spectral.charpoly_recurrence``.
+    ``charpoly_recurrence``.
     """
     a = m.to_lists()
     c = [1]

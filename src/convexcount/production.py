@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Sequence
 
-from . import closedform
 from .exact import CountVector, HTMatrix, binomial, exact_div, mat_vec
 
 KANGULATION = "kangulation"
@@ -150,8 +149,8 @@ class ClassDef(namedtuple(
     ``vector(param, level)`` (the closed-form count vector) and
     ``charpoly(param, n)`` (the closed-form characteristic polynomial) look
     up the functions they call at call time, so a function patched on its
-    module, as the bench tracer does, is the one that runs, and ``spectral``
-    is imported only when a closed-form charpoly is asked for.
+    module, as the bench tracer does, is the one that runs, and
+    ``closedform`` is imported only when a closed form is asked for.
     """
 
     __slots__ = ()
@@ -160,10 +159,10 @@ class ClassDef(namedtuple(
         return GraphClassSpec(self.name, param)
 
 
-def _spectral():
-    from . import spectral
+def _closedform():
+    from . import closedform
 
-    return spectral
+    return closedform
 
 
 CLASSES = {
@@ -171,26 +170,26 @@ CLASSES = {
     KANGULATION: ClassDef(
         KANGULATION, 1, (1,), "k", "r",
         lambda size, k: build_k_angulation_matrix(k, size),
-        lambda k, r: closedform.kangulation_vector(k, r),
-        lambda k, r: _spectral().charpoly_closed_kangulation(k, r),
+        lambda k, r: _closedform().kangulation_vector(k, r),
+        lambda k, r: _closedform().charpoly_closed_kangulation(k, r),
     ),
     GEOMETRIC: ClassDef(
         GEOMETRIC, 2, (2,), None, "n",
         lambda size, _: build_geometric_matrix(size),
-        lambda _, n: closedform.geometric_vector(n),
-        lambda _, n: _spectral().charpoly_closed_geometric(n),
+        lambda _, n: _closedform().geometric_vector(n),
+        lambda _, n: _closedform().charpoly_closed_geometric(n),
     ),
     CONNECTED: ClassDef(
         CONNECTED, 2, (1,), None, "n",
         lambda size, _: build_connected_matrix(size),
-        lambda _, n: closedform.connected_vector(n),
-        lambda _, n: _spectral().charpoly_closed_connected(n),
+        lambda _, n: _closedform().connected_vector(n),
+        lambda _, n: _closedform().charpoly_closed_connected(n),
     ),
     PARTITION: ClassDef(
         PARTITION, 1, (0, 1), None, "n",
         lambda size, _: build_partition_matrix(size),
-        lambda _, n: closedform.partition_vector(n),
-        lambda _, n: _spectral().charpoly_closed_partition(n),
+        lambda _, n: _closedform().partition_vector(n),
+        lambda _, n: _closedform().charpoly_closed_partition(n),
     ),
     RELATION: ClassDef(
         RELATION, 1, (0, 1), "weights", "n",

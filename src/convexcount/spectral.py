@@ -1,9 +1,7 @@
-"""Characteristic polynomials and eigenpairs of the production matrices.
+"""Real eigenvalues and eigenpairs of the production matrices.
 
-The banded recurrence and the closed forms are evaluated in Python integers
-(each closed-form coefficient is read from one power series of
-``closedform``, every division asserted exact).  Real eigenvalues are then
-located on the exact polynomial, never by floating-point matrix solvers, in
+The eigenvalues are located on the exact characteristic polynomial from
+``exact.charpoly_recurrence``, never by floating-point matrix solvers, in
 two steps.  Isolation is integer throughout: one primitive remainder
 sequence gives the Sturm chain, and dividing it by its last member, the gcd
 of p and p', gives the square-free part at its head.  Signs are taken at
@@ -22,11 +20,9 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from math import gcd
-from operator import add
 from typing import NamedTuple
 
-from .closedform import _power_series
-from .exact import HTMatrix, IntPolynomial, _suffix_sums
+from .exact import HTMatrix, IntPolynomial, _recurrence_terms, _suffix_sums, charpoly_recurrence
 
 DEFAULT_PRECISION_BITS = 256
 
@@ -41,115 +37,6 @@ def precision_bits() -> int:
     if bits < 53:
         raise ValueError("precision must be at least 53 bits")
     return bits
-
-
-def charpoly_recurrence(m: HTMatrix) -> tuple[IntPolynomial, ...]:
-    """Characteristic polynomials d_0..d_n of an n x n Hessenberg-Toeplitz matrix:
-    index i holds d_i, that of the leading i x i block (d_0 = 1).
-
-    Expanding det(A_s - x I) along its last column gives
-
-        d_s = -x d_{s-1} + U_{s-1},    U_j = sum_{m=0..j} b_m d_{j-m},
-
-    with b_m = (-sub)**m * band[m].  The band is the power series of
-    num(z)/den(z) (``m.band_series``: ``band_gf``, or band/1), so
-    sum_m b_m z**m = num(-sub z)/den(-sub z) and U obeys the recurrence of
-    order len(den) - 1
-
-        U_j = sum_r num_r (-sub)**r d_{j-r} - sum_{r>=1} den_r (-sub)**r U_{j-r}.
-
-    Each degree costs len(num) + len(den) - 1 polynomial axpy steps, so a
-    band with a generating function takes O(n**2 * len(den)) integer
-    operations in all.  Without one, den = 1 and U_j is the plain
-    convolution, O(n**3) in all.
-    """
-    n = m.size
-    ps, qs = _recurrence_terms(m, n)
-    history = max((r for r, _ in qs), default=0)
-    ds = [[1]]
-    us: list[list[int]] = []  # U_{j-len(us)}..U_{j-1}, at most `history` of them
-    for j in range(n):
-        u = [0] * (j + 1)
-        for r, c in ps:
-            if r > j:
-                break
-            _axpy(u, c, ds[j - r])
-        for r, c in qs:
-            if r > j:
-                break
-            _axpy(u, c, us[-r])
-        us.append(u)
-        if len(us) > history:
-            del us[0]
-        d = ds[j]  # d_{j+1} = -x d_j + U_j
-        ds.append(u[:1] + [a - b for a, b in zip(u[1:], d)] + [-d[-1]])
-    return tuple(IntPolynomial(d) for d in ds)
-
-
-def _recurrence_terms(m: HTMatrix, n: int):
-    """The recurrence's nonzero terms (r, num_r (-sub)**r) for r < n, and
-    (r, -den_r (-sub)**r) for r >= 1."""
-    num, den = m.band_series
-    neg_sub = -m.sub
-    ps = [(r, c * neg_sub**r) for r, c in enumerate(num[:n]) if c]
-    qs = [(r, -c * neg_sub**r) for r, c in enumerate(den) if c and r]
-    return ps, qs
-
-
-def _axpy(acc: list[int], c: int, p: list[int]) -> None:
-    """acc[i] += c * p[i] for i < len(p) <= len(acc)."""
-    acc[: len(p)] = map(add, acc, map(c.__mul__, p))
-
-
-# Closed forms.  The expansion in charpoly_recurrence gives
-# sum_s d_s z**s = 1/(1 + x z - z B(z)), B(z) = sum_m b_m z**m, so
-# [x**t] d_n = (-1)**t [u**(n-t)] Q(u)**(t+1) with Q = 1/(1 - u B(u)): a
-# rational function fixed per class, written out below without any band.
-# Each Q is (1+2su)**b (1+su)**e, so every coefficient is read from
-# closedform's power series.
-
-
-def _charpoly_closed(n: int, e: int, s: int = 1, b: int = 1) -> IntPolynomial:
-    """The closed form for Q(u) = (1+2su)**b (1+su)**e: with z = -su, the
-    coefficient of x**t is (-1)**t (-s)**(n-t) [z**(n-t)] A**(t+1),
-    A = (1-z)**e (1-2z)**b."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    coeffs = []
-    for t in range(n + 1):
-        m = n - t
-        c = _power_series(t + 1, e, b, 1, m + 1)[m] * (-s) ** m
-        coeffs.append(-c if t % 2 else c)
-    return IntPolynomial(coeffs)
-
-
-def charpoly_closed_kangulation(k: int, r: int) -> IntPolynomial:
-    """Closed form for the k-angulation matrix: Q(u) = (1+u)**(k-2), so
-    [x**l] = (-1)**l C((k-2)(l+1), r-l)."""
-    if k < 3:
-        raise ValueError("k-angulations require k >= 3")
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    return _charpoly_closed(r, k - 2, b=0)
-
-
-def charpoly_closed_geometric(n: int) -> IntPolynomial:
-    """Closed form for the plane-graph matrix: Q(u) = (1+4u)/(1+2u), so
-    [x**t] = (-1)**t 2**(n-t) sum_i C(t+1, i) 2**i C(-t-1, n-t-i)."""
-    return _charpoly_closed(n, -1, 2)
-
-
-def charpoly_closed_connected(n: int) -> IntPolynomial:
-    """Closed form for the connected-graph matrix: Q(u) = (1+u)(1+2u), so
-    [x**t] = (-1)**t sum_i C(t+1, i) 2**i C(t+1, n-t-i)."""
-    return _charpoly_closed(n, 1)
-
-
-def charpoly_closed_partition(n: int) -> IntPolynomial:
-    """Closed form for the non-crossing partition matrix:
-    Q(u) = (1+2u)/(1+u)**2, so
-    [x**t] = (-1)**t sum_i C(t+1, i) 2**i C(-2t-2, n-t-i)."""
-    return _charpoly_closed(n, -2)
 
 
 # ---------------------------------------------------------------------------

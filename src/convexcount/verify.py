@@ -11,8 +11,8 @@ from __future__ import annotations
 from itertools import product
 from typing import NamedTuple
 
-from . import closedform
-from .exact import charpoly_determinant
+from . import FLOORS, SUITE_NAMES, closedform
+from .exact import charpoly_determinant, charpoly_recurrence
 from .production import (
     CLASSES,
     CONNECTED,
@@ -29,16 +29,6 @@ from .production import (
     relation_class,
 )
 
-# The least size of each check that once ran at a fixed range, so that no
-# default range shrinks: charpoly's n, lemma1's bound on t, m and n, the
-# partitions' elements, the k-angulations' vertices and the relation levels.
-FLOORS = {
-    "charpoly": 20,
-    "lemma1": 12,
-    "oracle/partition": 20,
-    "oracle/kangulation": 22,
-    "relation/connected-to-geometric": 10,
-}
 # The eigen suite's residual bound; it refines every root to within 10**-48.
 RESIDUAL_BOUND = 1e-30
 
@@ -113,14 +103,12 @@ def suite_charpoly(n_max: int) -> list[CheckResult]:
     top = _top("charpoly", n_max)
     if top < 0:
         return [CheckResult("charpoly/ranges", False, _empty(n_max))]
-    from . import spectral
-
     counts = connected_totals(top)
     closed, dets = [], []
     for row in CLASSES.values():
         for param in _params(row, (3, 4), counts):
             matrix = row.build(top, param)
-            seq = spectral.charpoly_recurrence(matrix)
+            seq = charpoly_recurrence(matrix)
             label = _label(row, param)
             if row.charpoly is not None:
                 bad = next((n for n in range(top + 1) if row.charpoly(param, n) != seq[n]), None)
@@ -151,7 +139,7 @@ def suite_eigen(n_max: int) -> list[CheckResult]:
         for row in CLASSES.values():
             for param in _params(row, (3, 4), counts):
                 matrix = row.build(n, param)
-                poly = spectral.charpoly_recurrence(matrix)[n]
+                poly = charpoly_recurrence(matrix)[n]
                 for root in spectral.real_roots(poly, tol):
                     pair = spectral.eigenvector_from_charpoly(matrix, root)
                     if not pair.residual <= bound:
@@ -235,15 +223,7 @@ def suite_relation(n_max: int) -> list[CheckResult]:
     return out
 
 
-SUITES = {
-    "vectors": suite_vectors,
-    "charpoly": suite_charpoly,
-    "eigen": suite_eigen,
-    "oracle": suite_oracle,
-    "lemma1": suite_lemma1,
-    "relation": suite_relation,
-}
-SUITE_NAMES = tuple(SUITES)
+SUITES = {name: globals()[f"suite_{name}"] for name in SUITE_NAMES}
 
 
 def run_suite(name: str, n_max: int) -> list[CheckResult]:

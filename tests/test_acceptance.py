@@ -9,7 +9,7 @@ from fractions import Fraction
 from mpmath import mp, mpf
 
 from convexcount import closedform, oracle, spectral
-from convexcount.exact import charpoly_determinant
+from convexcount.exact import charpoly_determinant, charpoly_recurrence
 from convexcount.production import (
     build_connected_matrix,
     build_geometric_matrix,
@@ -89,11 +89,11 @@ def test_criterion_2_golden_charpolys():
         "partition": build_partition_matrix,
     }
     for name, build in builders.items():
-        recur = spectral.charpoly_recurrence(build(6))
+        recur = charpoly_recurrence(build(6))
         closed = {
-            "geometric": spectral.charpoly_closed_geometric,
-            "connected": spectral.charpoly_closed_connected,
-            "partition": spectral.charpoly_closed_partition,
+            "geometric": closedform.charpoly_closed_geometric,
+            "connected": closedform.charpoly_closed_connected,
+            "partition": closedform.charpoly_closed_partition,
         }[name]
         for n in range(1, 7):
             gold = GOLD_CHARPOLYS[name][n]
@@ -206,7 +206,7 @@ def test_criterion_8_eigenpair_residuals():
             build_relation_matrix(n, connected_totals(max(2, n))),
         ]
         for matrix in matrices:
-            poly = spectral.charpoly_recurrence(matrix)[n]
+            poly = charpoly_recurrence(matrix)[n]
             for root in spectral.real_roots(poly, root_tol):
                 pair = spectral.eigenvector_from_charpoly(matrix, root)
                 assert pair.residual <= bound, (matrix, n, float(root), pair.residual)

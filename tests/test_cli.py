@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import convexcount
-from convexcount import verify
+from convexcount import cli, verify
 from convexcount.cli import main
 
 
@@ -121,6 +121,18 @@ def test_charpoly_relation_has_no_closed_form(capsys):
     code, _, err = run_cli(capsys, "charpoly", "relation", "--n", "3", "--method", "closed")
     assert code == 2
     assert "closed form" in err
+
+
+def test_charpoly_without_closed_form_is_refused_before_the_weights(capsys, monkeypatch):
+    # the relation class's default weights, connected totals to n, take
+    # seconds at n = 1500; the method is refused before they are computed
+    def no_weights(n_max):
+        raise AssertionError(f"connected_totals({n_max}) was computed")
+
+    monkeypatch.setattr(cli, "connected_totals", no_weights)
+    code, out, err = run_cli(capsys, "charpoly", "relation", "--n", "1500", "--method", "closed")
+    assert (code, out) == (2, "")
+    assert err == "error: no closed form exists for the relation matrix\n"
 
 
 def test_eigen_json(capsys):
@@ -484,25 +496,55 @@ LIGHT_ARGVS = [
     ["matrix", "partition", "--n", "5", "--format", "csv"],
     ["charpoly", "connected", "--n", "10", "--method", "determinant"],
 ]
-LIGHT_VERIFY_ARGVS = [["verify", "vectors", "--n-max", "5"], ["verify", "lemma1", "--n-max", "3"]]
+CLOSED_CLASS_ARGS = [
+    ["geometric", "--n", "10"],
+    ["connected", "--n", "10"],
+    ["partition", "--n", "10"],
+    ["kangulation", "--k", "4", "--r", "10"],
+]
+# Every class by the recurrence, and every class that has one by its closed form.
+CHARPOLY_ARGVS = [
+    *(["charpoly", *args, "--method", "recurrence"] for args in CLOSED_CLASS_ARGS),
+    ["charpoly", "relation", "--n", "10", "--method", "recurrence"],
+    *(["charpoly", *args, "--method", "closed"] for args in CLOSED_CLASS_ARGS),
+]
+EIGEN_ARGVS = [
+    ["eigen", "geometric", "--n", "8", "--all-roots"],
+    ["eigen", "relation", "--n", "8"],
+    ["eigen", "kangulation", "--k", "4", "--r", "8", "--format", "json"],
+]
+LIGHT_VERIFY_ARGVS = [
+    ["verify", "vectors", "--n-max", "5"],
+    ["verify", "lemma1", "--n-max", "3"],
+    ["verify", "charpoly", "--n-max", "3"],
+]
+# Each group of commands runs in a fresh interpreter after `import
+# convexcount.cli`, and none of them may load a module it watches.
+LAYER_GROUPS = [
+    ([], ("convexcount.verify", "convexcount.closedform", "convexcount.spectral", "fractions")),
+    (LIGHT_ARGVS, (
+        "convexcount.spectral", "convexcount.oracle", "convexcount.verify", "convexcount.closedform",
+        "dataclasses", "inspect", "fractions",
+    )),
+    (CHARPOLY_ARGVS, ("convexcount.spectral", "convexcount.verify", "fractions")),
+    (EIGEN_ARGVS, ("convexcount.verify", "convexcount.closedform", "convexcount.oracle")),
+    (LIGHT_VERIFY_ARGVS, ("convexcount.spectral", "convexcount.oracle", "fractions")),
+]
 LAYERS_SCRIPT = """
 import contextlib, io, sys
 before = set(sys.modules)
 from convexcount import cli
-for argvs, watched in (
-    ({light!r}, ("convexcount.spectral", "convexcount.oracle", "dataclasses", "inspect", "fractions")),
-    ({verify!r}, ("convexcount.spectral", "convexcount.oracle")),
-):
-    for argv in argvs:
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(argv) == 0, argv
-    print(sorted(m for m in watched if m in sys.modules and m not in before))
+for argv in {argvs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(sorted(m for m in {watched!r} if m in sys.modules and m not in before))
 """
 
 
 def test_commands_load_only_their_layers():
-    proc = run_fresh(LAYERS_SCRIPT.format(light=LIGHT_ARGVS, verify=LIGHT_VERIFY_ARGVS))
-    assert proc.stdout == "[]\n[]\n"
+    for argvs, watched in LAYER_GROUPS:
+        proc = run_fresh(LAYERS_SCRIPT.format(argvs=argvs, watched=watched))
+        assert proc.stdout == "[]\n", (argvs, proc.stdout)
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv"])

@@ -6,14 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpc, mpf
 
-from convexcount.exact import CountVector, HTMatrix, IntPolynomial
+from convexcount.exact import CountVector, HTMatrix, IntPolynomial, charpoly_recurrence
 from convexcount.production import build_geometric_matrix, count_sequence, geometric_class
-from convexcount.spectral import (
-    charpoly_recurrence,
-    dominant_eigenvalue,
-    eigenvector_from_charpoly,
-    precision_bits,
-)
+from convexcount.spectral import dominant_eigenvalue, eigenvector_from_charpoly, precision_bits
 from reference_oracle import PlaneGraph, enumerate_noncrossing_graphs, visibility_degree
 
 

@@ -17,11 +17,12 @@ from convexcount.spectral import EigenPair
 EXPORTS = {
     "exact": [
         "CountVector", "HTMatrix", "IntPolynomial", "binomial", "charpoly_determinant",
-        "exact_div", "mat_vec",
+        "charpoly_recurrence", "exact_div", "mat_vec",
     ],
     "closedform": [
-        "connected_vector", "geometric_vector", "kangulation_vector", "lemma1_check",
-        "partition_vector",
+        "charpoly_closed_connected", "charpoly_closed_geometric", "charpoly_closed_kangulation",
+        "charpoly_closed_partition", "connected_vector", "geometric_vector",
+        "kangulation_vector", "lemma1_check", "partition_vector",
     ],
     "production": [
         "GraphClassSpec", "build_connected_matrix", "build_geometric_matrix",
@@ -31,9 +32,8 @@ EXPORTS = {
         "relation_weights",
     ],
     "spectral": [
-        "EigenPair", "charpoly_closed_connected", "charpoly_closed_geometric",
-        "charpoly_closed_kangulation", "charpoly_closed_partition", "charpoly_recurrence",
-        "dominant_eigenvalue", "eigenvector_from_charpoly", "precision_bits", "real_roots",
+        "EigenPair", "dominant_eigenvalue", "eigenvector_from_charpoly", "precision_bits",
+        "real_roots",
     ],
     "oracle": ["count_spanning_structures", "spanning_counts"],
 }

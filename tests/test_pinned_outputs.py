@@ -1,8 +1,9 @@
-"""Pinned outputs: exact-integer CLI commands at the sizes the benchmark
-runs each exit 0 with stdout of a recorded sha256.  A change that alters
-any printed digit or line, or the exit status, of these commands fails
-here; a change that is meant to alter one updates its digest here, in the
-same commit.
+"""Pinned outputs: the CLI commands at the sizes the benchmark runs each
+exit 0 with stdout of a recorded sha256.  A change that alters any printed
+digit or line, or the exit status, of these commands fails here; a change
+that is meant to alter one updates its digest here, in the same commit.
+The ``eigen`` digests leave out the residual lines, whose digits follow
+mpmath's rounding at every step; each residual must be at most 1e-30.
 """
 import hashlib
 import math
@@ -91,3 +92,32 @@ def test_output_is_pinned(capsys, key):
     assert main(list(PINNED[key])) == 0
     out, _ = capsys.readouterr()
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[key]
+
+
+EIGEN = {
+    **{
+        f"eigen-{cls}": ("eigen", cls, "--n", "28", "--all-roots")
+        for cls in ("geometric", "connected", "partition", "relation")
+    },
+    "eigen-kangulation4": ("eigen", "kangulation", "--k", "4", "--r", "28", "--all-roots"),
+}
+# sha256 of each command's stdout without its residual lines.
+EIGEN_DIGESTS = {
+    "eigen-geometric": "d6b5b7926956db03bdc5469b55fbddc96a38fa5b8aece01f2a7a75ac98b24d5d",
+    "eigen-connected": "c7355759109d58ce1924b14bfc146d72998105424ca82b9d5b4a6868cb7a5ff0",
+    "eigen-partition": "4edd45fd05de7f959813e56fb1898eb1d3bdc7b0693283bfa071621444fef2ac",
+    "eigen-relation": "8dfa3d47137650d83ef666408557b0df313d1dd47be2fb796824d1d78a329fe3",
+    "eigen-kangulation4": "d168205cf3fdef583328ceb387fc84a433329411375421b581a94046f6771d67",
+}
+
+
+@pytest.mark.parametrize("key", EIGEN)
+def test_eigen_output_is_pinned(capsys, key):
+    assert main(list(EIGEN[key])) == 0
+    out, _ = capsys.readouterr()
+    lines = out.splitlines(keepends=True)
+    residuals = [float(line.split()[1]) for line in lines if line.startswith("  residual ")]
+    assert lines[0] == f"real roots found: {len(residuals)}\n" and residuals
+    assert max(residuals) <= 1e-30
+    kept = "".join(line for line in lines if not line.startswith("  residual "))
+    assert hashlib.sha256(kept.encode()).hexdigest() == EIGEN_DIGESTS[key]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from convexcount.cli import build_parser
-from convexcount.exact import binomial, charpoly_determinant
+from convexcount.exact import binomial, charpoly_determinant, charpoly_recurrence
 from convexcount.production import (
     CLASS_NAMES,
     CLASSES,
@@ -25,7 +25,6 @@ from convexcount.production import (
     relation_class,
     relation_weights,
 )
-from convexcount.spectral import charpoly_recurrence
 
 
 def test_k_angulation_matrix():

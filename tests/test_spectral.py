@@ -4,7 +4,20 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpc, mpf, polyroots, sqrt
 
-from convexcount.exact import HTMatrix, IntPolynomial, binomial, charpoly_determinant, exact_div
+from convexcount.closedform import (
+    charpoly_closed_connected,
+    charpoly_closed_geometric,
+    charpoly_closed_kangulation,
+    charpoly_closed_partition,
+)
+from convexcount.exact import (
+    HTMatrix,
+    IntPolynomial,
+    binomial,
+    charpoly_determinant,
+    charpoly_recurrence,
+    exact_div,
+)
 from convexcount.production import (
     CLASS_NAMES,
     CLASSES,
@@ -18,11 +31,6 @@ from convexcount.production import (
 from convexcount.spectral import (
     _dominant_root,
     _isolate_real_roots,
-    charpoly_closed_connected,
-    charpoly_closed_geometric,
-    charpoly_closed_kangulation,
-    charpoly_closed_partition,
-    charpoly_recurrence,
     dominant_eigenvalue,
     eigenvector_from_charpoly,
     precision_bits,

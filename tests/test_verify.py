@@ -1,6 +1,6 @@
 import pytest
 
-from convexcount import cli, closedform, oracle, spectral, verify
+from convexcount import cli, closedform, oracle, verify
 from convexcount.exact import CountVector, IntPolynomial
 from convexcount.verify import (
     FLOORS,
@@ -90,7 +90,7 @@ def _spoil_geometric_level(vectors, level):
 # FAIL line the suite then prints.  Each fault sits just above the floor.
 FAULTS = {
     "charpoly": (
-        "charpoly", spectral, "charpoly_closed_geometric",
+        "charpoly", closedform, "charpoly_closed_geometric",
         lambda n: n == 21, lambda poly: IntPolynomial(add(poly.coeffs, (1,))), 21,
         "FAIL charpoly/geometric: closed form differs at n=21",
     ),
