@@ -24,6 +24,8 @@ _EXPORTS = {
     "oracle": "count_spanning_structures spanning_counts",
 }
 _LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names.split()}
+# The submodules that ``convexcount.<name>`` loads on first access.
+_SUBMODULES = (*_EXPORTS, "cli", "verify")
 __all__ = tuple(_LAYER_OF)
 
 __version__ = "0.1.0"
@@ -48,7 +50,7 @@ def __getattr__(name: str):
 
     if name in _LAYER_OF:
         return getattr(import_module(f"{__name__}.{_LAYER_OF[name]}"), name)
-    if name in _EXPORTS:
+    if name in _SUBMODULES:
         return import_module(f"{__name__}.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 

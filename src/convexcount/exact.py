@@ -4,6 +4,14 @@ and the characteristic polynomials d_0..d_n of a matrix's leading blocks by
 two routes: the banded recurrence, which reads the band's generating
 function, and Berkowitz's algorithm, which reads only the dense entries.
 
+The banded recurrence picks its loop order from the band's series num/den.
+With terms in den past den_0, as for every class builder but the relation
+matrix, each degree adds len(num) + len(den) - 1 scaled polynomials:
+O(n**2 * len(den)) integer operations in all.  With den = 1, as for a band
+with no generating function, the recurrence is a plain convolution, O(n**3)
+in all, and each coefficient is one C-level dot product over a column of
+the polynomials so far.
+
 Everything here is immutable and computes with plain Python integers, so
 there is no overflow and no rounding anywhere in the counting pipeline.
 """
@@ -229,14 +237,23 @@ def charpoly_recurrence(m: HTMatrix) -> tuple[IntPolynomial, ...]:
 
         U_j = sum_r num_r (-sub)**r d_{j-r} - sum_{r>=1} den_r (-sub)**r U_{j-r}.
 
-    Each degree costs len(num) + len(den) - 1 polynomial axpy steps, so a
-    band with a generating function takes O(n**2 * len(den)) integer
-    operations in all.  Without one, den = 1 and U_j is the plain
-    convolution, O(n**3) in all.
+    The loop order is picked by den:
+
+    - den has terms past den_0 (a band with a generating function): each
+      degree costs len(num) + len(den) - 1 polynomial axpy steps,
+      O(n**2 * len(den)) integer operations in all.  In column order each
+      coefficient would be a dot product of only that many terms, which is
+      slower than the axpy passes.
+    - den = 1 (a band without one, or a polynomial one): U_j is the plain
+      convolution, O(n**3) in all.  ``_convolve_columns`` keeps the d's by
+      column and computes each U_j[t] as one dot product iterated in C,
+      faster than j + 1 axpy passes over Python lists.
     """
     n = m.size
     ps, qs = _recurrence_terms(m, n)
-    history = max((r for r, _ in qs), default=0)
+    if not qs:
+        return tuple(IntPolynomial(d) for d in _convolve_columns(ps, n))
+    history = max(r for r, _ in qs)
     ds = [[1]]
     us: list[list[int]] = []  # U_{j-len(us)}..U_{j-1}, at most `history` of them
     for j in range(n):
@@ -252,9 +269,33 @@ def charpoly_recurrence(m: HTMatrix) -> tuple[IntPolynomial, ...]:
         us.append(u)
         if len(us) > history:
             del us[0]
-        d = ds[j]  # d_{j+1} = -x d_j + U_j
-        ds.append(u[:1] + [a - b for a, b in zip(u[1:], d)] + [-d[-1]])
+        ds.append(_next_charpoly(ds[j], u))
     return tuple(IntPolynomial(d) for d in ds)
+
+
+def _convolve_columns(ps, n: int) -> list[list[int]]:
+    """d_0..d_n as coefficient lists for U_j = sum_m b_m d_{j-m}, with b_r
+    the values of the terms ``ps``.  Column t holds [d_t[t], ..., d_j[t]], so
+    U_j[t] = sum_m b_m d_{j-m}[t] is the dot product of b with the reversed
+    column."""
+    b = [0] * n
+    for r, c in ps:
+        b[r] = c
+    ds = [[1]]
+    cols = [[1]]
+    for j in range(n):
+        d = _next_charpoly(ds[j], [sum(map(mul, b, reversed(col))) for col in cols])
+        for col, c in zip(cols, d):
+            col.append(c)
+        cols.append(d[-1:])
+        ds.append(d)
+    return ds
+
+
+def _next_charpoly(d: list[int], u: list[int]) -> list[int]:
+    """d_(j+1) = -x d_j + U_j from the coefficients of d_j and of U_j, of equal
+    length."""
+    return u[:1] + [a - b for a, b in zip(u[1:], d)] + [-d[-1]]
 
 
 def _recurrence_terms(m: HTMatrix, n: int):

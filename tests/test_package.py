@@ -3,6 +3,8 @@ import copy
 import os
 import pickle
 import re
+import subprocess
+import sys
 from importlib import import_module
 
 import pytest
@@ -55,6 +57,25 @@ def test_exports_resolve_to_their_layer(layer):
 def test_unknown_export_raises_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         convexcount.no_such_name
+
+
+# Run in a fresh interpreter, where nothing has imported cli or verify yet.
+SUBMODULES_SCRIPT = """
+import sys, convexcount
+assert not {"convexcount.cli", "convexcount.verify"} & set(sys.modules)
+assert tuple(convexcount.verify.SUITES) == convexcount.SUITE_NAMES
+assert convexcount.cli.build_parser is sys.modules["convexcount.cli"].build_parser
+"""
+
+
+def test_cli_and_verify_resolve_after_a_bare_import():
+    src = os.path.dirname(os.path.dirname(convexcount.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SUBMODULES_SCRIPT], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_readme_library_snippet_runs():

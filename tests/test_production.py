@@ -259,6 +259,20 @@ def test_class_table_is_the_cli_class_list():
         assert tuple(cls.choices) == CLASS_NAMES
 
 
+@pytest.mark.parametrize("weights", ["connected", "spanning-trees"])
+def test_relation_recurrence_matches_berkowitz_at_60(weights):
+    # The relation band has no generating function, so the recurrence runs
+    # its plain convolution; Berkowitz gives every leading block in one call.
+    n = 60
+    if weights == "connected":
+        counts = connected_totals(n)
+    else:  # the spanning-tree totals that count forests
+        counts = tuple(math.comb(3 * i - 3, i - 1) // (2 * i - 1) for i in range(2, n + 1))
+    m = build_relation_matrix(n, counts)
+    assert m.band_gf is None
+    assert charpoly_recurrence(m) == charpoly_determinant(m)
+
+
 # A value for each kind of row parameter; relation counts are arbitrary, since
 # the recurrence and the determinant must agree on any band.
 PARAMS = {
