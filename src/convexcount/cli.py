@@ -13,7 +13,7 @@ import sys
 
 from . import FLOORS, SUITE_NAMES
 from .exact import charpoly_determinant, charpoly_recurrence
-from .production import CLASS_NAMES, CLASSES, ClassDef, GraphClassSpec, connected_totals, count_sequence
+from .production import CLASS_NAMES, CLASSES, ClassDef, GraphClassSpec, count_sequence
 
 FORMAT_VERSION = "1"
 MAX_DEFAULT_LEVEL = 64
@@ -52,16 +52,15 @@ def _class_row(args) -> ClassDef:
     return row
 
 
-def _class_spec(args, size_hint: int) -> GraphClassSpec:
+def _class_spec(args) -> GraphClassSpec:
     row = _class_row(args)
     if row.param is None:
         return row.spec()
     value = getattr(args, PARAM_OPTIONS[row.param])
-    if row.param == "weights":
-        # A count sequence defaults to the connected-graph totals.
-        value = _parse_c_values(value) if value is not None else connected_totals(max(2, size_hint))
-    elif value is None:
-        raise UsageError(f"{row.name} needs {_flag(PARAM_OPTIONS[row.param])}")
+    if row.param == "weights" and value is not None:
+        value = _parse_c_values(value)
+    elif row.param == "k" and value is None:
+        raise UsageError(f"{row.name} needs --k")
     return row.spec(value)
 
 
@@ -98,7 +97,7 @@ def _print_json(record: dict) -> None:
 
 def cmd_matrix(args) -> int:
     size = _size_arg(args)
-    spec = _class_spec(args, size)
+    spec = _class_spec(args)
     matrix = spec.build_matrix(size)
     rows = matrix.to_lists()
     if args.format == "csv":
@@ -120,7 +119,7 @@ def cmd_counts(args) -> int:
         raise UsageError(
             f"--n-max guard is {MAX_DEFAULT_LEVEL}; pass --force to override"
         )
-    spec = _class_spec(args, args.n_max + 2)
+    spec = _class_spec(args)
     vectors = count_sequence(spec, args.n_max)
     if args.bfile:
         for v in vectors:
@@ -155,7 +154,7 @@ def cmd_charpoly(args) -> int:
     n = _size_arg(args)
     if args.method == "closed" and _class_row(args).charpoly is None:
         raise UsageError(f"no closed form exists for the {args.cls} matrix")
-    spec = _class_spec(args, max(1, n))
+    spec = _class_spec(args)
     poly = _charpoly(args, spec, n)
     coeffs = [str(poly.coefficient(t)) for t in range(n + 1)]
     if args.format == "json":
@@ -184,7 +183,7 @@ def cmd_eigen(args) -> int:
     tol = Fraction(args.tol)
     if tol >= 1:
         raise UsageError("--tol must be < 1")
-    spec = _class_spec(args, n)
+    spec = _class_spec(args)
     matrix = spec.build_matrix(n)
     poly = charpoly_recurrence(matrix)[n]
     if args.all_roots:
@@ -272,8 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("counts", help="iterate the production matrix and print counts")
     add_class_options(p, with_n=False)
     p.add_argument("--n-max", type=int, required=True, dest="n_max")
-    p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p.add_argument("--bfile", action="store_true", help="emit OEIS b-file lines")
+    # A b-file has one format of its own; None reads as table.
+    out = p.add_mutually_exclusive_group()
+    out.add_argument("--format", choices=("table", "json", "csv"))
+    out.add_argument("--bfile", action="store_true", help="emit OEIS b-file lines")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_counts)
 
@@ -315,10 +316,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ArithmeticError) as exc:
+    except (UsageError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

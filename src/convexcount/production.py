@@ -90,24 +90,27 @@ def relation_weights(counts: Sequence[int], top: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def build_relation_matrix(n: int, counts: Sequence[int]) -> HTMatrix:
+def build_relation_matrix(n: int, counts: Sequence[int] | None = None) -> HTMatrix:
     """n x n relation matrix from a count sequence c_2..c_n (counts[0] = c_2).
 
     Subdiagonal 1, zero main diagonal; the offset-m entry for m >= 1 is the
     weight a_{m+1} = sum_i C(m-1, i-2) c_i.  Fed with connected-graph totals
     it reproduces the plane-graph counts; with spanning-tree totals, forest
-    counts; with spanning-path totals, counts of forests of paths.
+    counts; with spanning-path totals, counts of forests of paths.  The
+    counts default to the connected-graph totals; a 1 x 1 matrix reads none.
     """
-    weights = relation_weights(counts, n) if n >= 2 else ()
-    band = (0,) + weights
-    return HTMatrix(n, 1, band)
+    if n < 2:
+        return HTMatrix(n, 1, (0,))
+    weights = relation_weights(connected_totals(n) if counts is None else counts, n)
+    return HTMatrix(n, 1, (0,) + weights)
 
 
 class GraphClassSpec(namedtuple("GraphClassSpec", "name param", defaults=(None,))):
     """A countable class: the name of its ``CLASSES`` row and ``param``, the
     one value the row's matrix builder takes (k for kangulation, a count
     sequence c_2, c_3, ... for relation, kept as a tuple, None for the
-    others).  Its start level and initial vector are read from the row.
+    others and for relation's default, the connected-graph totals).  Its
+    start level and initial vector are read from the row.
     """
 
     __slots__ = ()
@@ -118,10 +121,10 @@ class GraphClassSpec(namedtuple("GraphClassSpec", "name param", defaults=(None,)
         takes = CLASSES[name].param
         if takes is None and param is not None:
             raise ValueError(f"{name} class takes no parameter")
-        if takes is not None and param is None:
-            raise ValueError(f"{name} class requires {takes}")
-        if takes == "weights":  # equal sequences give equal, hashable specs
-            param = tuple(param)
+        if takes == "k" and param is None:
+            raise ValueError(f"{name} class requires k")
+        if takes == "weights" and param is not None:
+            param = tuple(param)  # equal sequences give equal, hashable specs
         # The builder rejects a parameter it cannot use, such as k < 3.
         CLASSES[name].build(1, param)
         return super().__new__(cls, name, param)
@@ -143,9 +146,10 @@ class ClassDef(namedtuple(
 
     The class's objects start at level ``start_index`` with count vector
     ``initial_entries``.  ``param`` names what the matrix builder takes
-    (``"k"``, ``"weights"`` for a count sequence, or None), whose value a
-    ``GraphClassSpec`` carries, and ``size_option`` the CLI option that
-    gives the matrix size or level.  ``build(size, param)``,
+    (``"k"``, ``"weights"`` for a count sequence, which defaults to the
+    connected-graph totals, or None), whose value a ``GraphClassSpec``
+    carries, and ``size_option`` the CLI option that gives the matrix size
+    or level.  ``build(size, param)``,
     ``vector(param, level)`` (the closed-form count vector) and
     ``charpoly(param, n)`` (the closed-form characteristic polynomial) look
     up the functions they call at call time, so a function patched on its
@@ -215,7 +219,8 @@ def partition_class() -> GraphClassSpec:
     return CLASSES[PARTITION].spec()
 
 
-def relation_class(counts: Sequence[int]) -> GraphClassSpec:
+def relation_class(counts: Sequence[int] | None = None) -> GraphClassSpec:
+    """The relation class; ``counts`` defaults to the connected-graph totals."""
     return CLASSES[RELATION].spec(counts)
 
 
@@ -233,7 +238,7 @@ def count_sequence(spec: GraphClassSpec, n_max: int) -> list[CountVector]:
     if n_max < row.start_index:
         raise ValueError(f"n_max must be at least the start level {row.start_index}")
     param = spec.param
-    if row.param == "weights":
+    if row.param == "weights" and param is not None:
         _check_counts(param, n_max)
         param = param[: n_max - 1] + (0, 0)
     m = row.build(n_max + 2, param)

@@ -22,7 +22,6 @@ from .production import (
     RELATION,
     ClassDef,
     GraphClassSpec,
-    connected_totals,
     count_sequence,
     geometric_class,
     k_angulation_total,
@@ -39,10 +38,10 @@ class CheckResult(NamedTuple):
     detail: str = ""
 
 
-def _params(row: ClassDef, ks, counts=None) -> tuple:
+def _params(row: ClassDef, ks) -> tuple:
     """The parameters a suite runs a class at: each k in ``ks`` for the class
-    that takes k, ``counts`` for the one that takes a count sequence."""
-    return {"k": tuple(ks), "weights": (counts,)}.get(row.param, (None,))
+    that takes k, None for the others (relation: the connected-graph totals)."""
+    return tuple(ks) if row.param == "k" else (None,)
 
 
 def _label(row: ClassDef, param) -> str:
@@ -103,10 +102,9 @@ def suite_charpoly(n_max: int) -> list[CheckResult]:
     top = _top("charpoly", n_max)
     if top < 0:
         return [CheckResult("charpoly/ranges", False, _empty(n_max))]
-    counts = connected_totals(top)
     closed, dets = [], []
     for row in CLASSES.values():
-        for param in _params(row, (3, 4), counts):
+        for param in _params(row, (3, 4)):
             matrix = row.build(top, param)
             seq = charpoly_recurrence(matrix)
             label = _label(row, param)
@@ -134,10 +132,9 @@ def suite_eigen(n_max: int) -> list[CheckResult]:
     tol = Fraction(1, 10**48)
     with mp.workprec(spectral.precision_bits()):
         bound = mpf(RESIDUAL_BOUND)
-    counts = connected_totals(max(2, n_max))
     for n in range(1, n_max + 1):
         for row in CLASSES.values():
-            for param in _params(row, (3, 4), counts):
+            for param in _params(row, (3, 4)):
                 matrix = row.build(n, param)
                 poly = charpoly_recurrence(matrix)[n]
                 for root in spectral.real_roots(poly, tol):
@@ -164,12 +161,11 @@ def suite_oracle(n_max: int) -> list[CheckResult]:
         RELATION: (lambda _, n: oracle.isolation_histogram(n), None),
     }
     out = []
-    counts = connected_totals(max(2, n_max))
     for name, (histogram, total) in oracles.items():
         row = CLASSES[name]
         top = _top(f"oracle/{name}", n_max)
         pairs = []
-        for param in _params(row, (3, 4, 5), counts):
+        for param in _params(row, (3, 4, 5)):
             # a k-angulation with r faces has (k-2)r+2 vertices
             last = (top - 2) // (param - 2) if row.param == "k" else top
             for level in _levels(row.spec(param), last):
@@ -205,7 +201,7 @@ def suite_relation(n_max: int) -> list[CheckResult]:
     out = []
     top = _top("relation/connected-to-geometric", n_max)
     geo = _levels(geometric_class(), top)
-    rel = _levels(relation_class(connected_totals(max(2, top))), top)
+    rel = _levels(relation_class(), top)
     pairs = [
         (f"n={v.level}", (v.total,), (geo_v.total,))
         for v, geo_v in zip(rel[1:], geo)

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import convexcount
-from convexcount import cli, verify
+from convexcount import cli, production, verify
 from convexcount.cli import main
 
 
@@ -43,6 +43,16 @@ def test_counts_bfile(capsys):
     code, out, _ = run_cli(capsys, "counts", "geometric", "--n-max", "5", "--bfile")
     assert code == 0
     assert out == "2 2\n3 8\n4 48\n5 352\n"
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_counts_bfile_rejects_an_explicit_format(capsys, fmt):
+    # a b-file has one format of its own; --format beside it is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["counts", "geometric", "--n-max", "4", "--bfile", "--format", fmt])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert "not allowed with argument" in err
 
 
 def test_counts_partition_totals(capsys):
@@ -129,7 +139,7 @@ def test_charpoly_without_closed_form_is_refused_before_the_weights(capsys, monk
     def no_weights(n_max):
         raise AssertionError(f"connected_totals({n_max}) was computed")
 
-    monkeypatch.setattr(cli, "connected_totals", no_weights)
+    monkeypatch.setattr(production, "connected_totals", no_weights)
     code, out, err = run_cli(capsys, "charpoly", "relation", "--n", "1500", "--method", "closed")
     assert (code, out) == (2, "")
     assert err == "error: no closed form exists for the relation matrix\n"

@@ -189,9 +189,20 @@ def test_k3_totals_are_catalan():
 
 
 def test_relation_from_connected_matches_geometric():
-    rel = count_sequence(relation_class(connected_totals(12)), 10)
     geo = count_sequence(geometric_class(), 10)
-    assert [r.total for r in rel[1:]] == [g.total for g in geo]
+    for spec in (relation_class(connected_totals(12)), relation_class()):
+        rel = count_sequence(spec, 10)
+        assert [r.total for r in rel[1:]] == [g.total for g in geo]
+
+
+def test_relation_counts_default_to_connected_totals(monkeypatch):
+    for n in range(1, 61):
+        assert build_relation_matrix(n) == build_relation_matrix(n, connected_totals(max(2, n))), n
+    assert relation_class() == GraphClassSpec("relation")
+    assert {relation_class(): 1}[GraphClassSpec("relation")] == 1
+    # a 1 x 1 matrix reads no count, so validating a spec computes none
+    monkeypatch.setattr("convexcount.production.connected_totals", None)
+    assert relation_class().build_matrix(1) == build_relation_matrix(1, ())
 
 
 def test_relation_counts_read_c_values_to_n_max_only():
@@ -218,8 +229,7 @@ def test_class_spec_must_match_its_row():
         GraphClassSpec("geometric", 5)
     with pytest.raises(ValueError, match="requires k"):
         GraphClassSpec("kangulation")
-    with pytest.raises(ValueError, match="requires weights"):
-        GraphClassSpec("relation")
+    assert GraphClassSpec("relation") == relation_class()
     with pytest.raises(ValueError, match="k >= 3"):
         GraphClassSpec("kangulation", 2)
     with pytest.raises(ValueError, match="unknown class"):
