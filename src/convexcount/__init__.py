@@ -16,11 +16,9 @@ _EXPORTS = {
     " charpoly_closed_kangulation charpoly_closed_partition connected_vector geometric_vector"
     " kangulation_vector lemma1_check partition_vector",
     "production": "GraphClassSpec build_connected_matrix build_geometric_matrix"
-    " build_k_angulation_matrix build_partition_matrix build_relation_matrix connected_class"
-    " connected_totals count_sequence geometric_class k_angulation_class k_angulation_total"
-    " partition_class relation_class relation_weights",
-    "spectral": "EigenPair dominant_eigenvalue eigenvector_from_charpoly precision_bits"
-    " real_roots",
+    " build_k_angulation_matrix build_partition_matrix build_relation_matrix connected_totals"
+    " count_sequence k_angulation_total relation_weights",
+    "spectral": "EigenPair dominant_root eigenvector_from_charpoly precision_bits real_roots",
     "oracle": "count_spanning_structures spanning_counts",
 }
 _LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names.split()}

@@ -54,14 +54,12 @@ def _class_row(args) -> ClassDef:
 
 def _class_spec(args) -> GraphClassSpec:
     row = _class_row(args)
-    if row.param is None:
-        return row.spec()
-    value = getattr(args, PARAM_OPTIONS[row.param])
+    value = getattr(args, PARAM_OPTIONS[row.param]) if row.param else None
     if row.param == "weights" and value is not None:
         value = _parse_c_values(value)
     elif row.param == "k" and value is None:
         raise UsageError(f"{row.name} needs --k")
-    return row.spec(value)
+    return GraphClassSpec(row.name, value)
 
 
 def _size_arg(args) -> int:
@@ -191,7 +189,7 @@ def cmd_eigen(args) -> int:
         count = len(selected)
     else:
         # Only the printed root is refined; the count comes from isolation.
-        count, best = spectral._dominant_root(poly, tol)
+        count, best = spectral.dominant_root(poly, tol)
         selected = [best] if count else []
     if not count:
         print("no real eigenvalue found", file=sys.stderr)

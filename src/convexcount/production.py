@@ -17,12 +17,6 @@ from typing import Sequence
 
 from .exact import CountVector, HTMatrix, binomial, exact_div, mat_vec
 
-KANGULATION = "kangulation"
-GEOMETRIC = "geometric"
-CONNECTED = "connected"
-PARTITION = "partition"
-RELATION = "relation"
-
 
 def build_k_angulation_matrix(k: int, r: int) -> HTMatrix:
     """r x r production matrix for k-angulations counted by number of k-gons.
@@ -106,11 +100,13 @@ def build_relation_matrix(n: int, counts: Sequence[int] | None = None) -> HTMatr
 
 
 class GraphClassSpec(namedtuple("GraphClassSpec", "name param", defaults=(None,))):
-    """A countable class: the name of its ``CLASSES`` row and ``param``, the
-    one value the row's matrix builder takes (k for kangulation, a count
-    sequence c_2, c_3, ... for relation, kept as a tuple, None for the
-    others and for relation's default, the connected-graph totals).  Its
-    start level and initial vector are read from the row.
+    """A countable class, and the only constructor of one: the name of its
+    ``CLASSES`` row and ``param``, the one value the row's matrix builder
+    takes (k for kangulation, a count sequence c_2, c_3, ... for relation,
+    kept as a tuple, None for the others and for relation's default, the
+    connected-graph totals).  A count sequence counts objects, so a negative
+    count is rejected here, for every command.  Its start level and initial
+    vector are read from the row.
     """
 
     __slots__ = ()
@@ -125,6 +121,8 @@ class GraphClassSpec(namedtuple("GraphClassSpec", "name param", defaults=(None,)
             raise ValueError(f"{name} class requires k")
         if takes == "weights" and param is not None:
             param = tuple(param)  # equal sequences give equal, hashable specs
+            if any(c < 0 for c in param):
+                raise ValueError(f"counts must be non-negative, got {min(param)}")
         # The builder rejects a parameter it cannot use, such as k < 3.
         CLASSES[name].build(1, param)
         return super().__new__(cls, name, param)
@@ -139,8 +137,8 @@ class GraphClassSpec(namedtuple("GraphClassSpec", "name param", defaults=(None,)
 
 class ClassDef(namedtuple(
     "ClassDef",
-    "name start_index initial_entries param size_option build vector charpoly",
-    defaults=(None, None),
+    "name start_index initial_entries param size_option build oracle vector charpoly total",
+    defaults=(None, None, None),
 )):
     """One row of the class table: everything that differs between classes.
 
@@ -149,18 +147,17 @@ class ClassDef(namedtuple(
     (``"k"``, ``"weights"`` for a count sequence, which defaults to the
     connected-graph totals, or None), whose value a ``GraphClassSpec``
     carries, and ``size_option`` the CLI option that gives the matrix size
-    or level.  ``build(size, param)``,
-    ``vector(param, level)`` (the closed-form count vector) and
-    ``charpoly(param, n)`` (the closed-form characteristic polynomial) look
-    up the functions they call at call time, so a function patched on its
-    module, as the bench tracer does, is the one that runs, and
-    ``closedform`` is imported only when a closed form is asked for.
+    or level.  ``build(size, param)``, ``oracle(param, level)`` (the
+    oracle's degree histogram, at the default counts for ``"weights"``),
+    ``vector(param, level)`` (the closed-form count vector),
+    ``charpoly(param, n)`` (the closed-form characteristic polynomial) and
+    ``total(param, level)`` (a closed-form total) look up the functions they
+    call at call time, so a function patched on its module, as the bench
+    tracer does, is the one that runs, and ``closedform`` and ``oracle`` are
+    imported only when a closed form or a histogram is asked for.
     """
 
     __slots__ = ()
-
-    def spec(self, param=None) -> GraphClassSpec:
-        return GraphClassSpec(self.name, param)
 
 
 def _closedform():
@@ -169,59 +166,50 @@ def _closedform():
     return closedform
 
 
-CLASSES = {
+def _oracle():
+    from . import oracle
+
+    return oracle
+
+
+CLASSES = {row.name: row for row in (
     # one k-gon, root degree 0
-    KANGULATION: ClassDef(
-        KANGULATION, 1, (1,), "k", "r",
+    ClassDef(
+        "kangulation", 1, (1,), "k", "r",
         lambda size, k: build_k_angulation_matrix(k, size),
+        lambda k, r: _oracle().dissection_degree_histogram(k, r),
         lambda k, r: _closedform().kangulation_vector(k, r),
         lambda k, r: _closedform().charpoly_closed_kangulation(k, r),
+        lambda k, r: k_angulation_total(k, r),
     ),
-    GEOMETRIC: ClassDef(
-        GEOMETRIC, 2, (2,), None, "n",
+    ClassDef(
+        "geometric", 2, (2,), None, "n",
         lambda size, _: build_geometric_matrix(size),
+        lambda _, n: _oracle().visibility_histogram(n),
         lambda _, n: _closedform().geometric_vector(n),
         lambda _, n: _closedform().charpoly_closed_geometric(n),
     ),
-    CONNECTED: ClassDef(
-        CONNECTED, 2, (1,), None, "n",
+    ClassDef(
+        "connected", 2, (1,), None, "n",
         lambda size, _: build_connected_matrix(size),
+        lambda _, n: _oracle().connected_visibility_histogram(n),
         lambda _, n: _closedform().connected_vector(n),
         lambda _, n: _closedform().charpoly_closed_connected(n),
     ),
-    PARTITION: ClassDef(
-        PARTITION, 1, (0, 1), None, "n",
+    ClassDef(
+        "partition", 1, (0, 1), None, "n",
         lambda size, _: build_partition_matrix(size),
+        lambda _, n: _oracle().partition_isolation_histogram(n),
         lambda _, n: _closedform().partition_vector(n),
         lambda _, n: _closedform().charpoly_closed_partition(n),
     ),
-    RELATION: ClassDef(
-        RELATION, 1, (0, 1), "weights", "n",
+    ClassDef(
+        "relation", 1, (0, 1), "weights", "n",
         lambda size, counts: build_relation_matrix(size, counts),
+        lambda _, n: _oracle().isolation_histogram(n),
     ),
-}
+)}
 CLASS_NAMES = tuple(CLASSES)
-
-
-def k_angulation_class(k: int) -> GraphClassSpec:
-    return CLASSES[KANGULATION].spec(k)
-
-
-def geometric_class() -> GraphClassSpec:
-    return CLASSES[GEOMETRIC].spec()
-
-
-def connected_class() -> GraphClassSpec:
-    return CLASSES[CONNECTED].spec()
-
-
-def partition_class() -> GraphClassSpec:
-    return CLASSES[PARTITION].spec()
-
-
-def relation_class(counts: Sequence[int] | None = None) -> GraphClassSpec:
-    """The relation class; ``counts`` defaults to the connected-graph totals."""
-    return CLASSES[RELATION].spec(counts)
 
 
 def count_sequence(spec: GraphClassSpec, n_max: int) -> list[CountVector]:
@@ -260,4 +248,4 @@ def k_angulation_total(k: int, r: int) -> int:
 
 def connected_totals(n_max: int) -> tuple[int, ...]:
     """Connected plane graph totals c_2..c_n_max via matrix iteration."""
-    return tuple(v.total for v in count_sequence(connected_class(), n_max))
+    return tuple(v.total for v in count_sequence(GraphClassSpec("connected"), n_max))

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .exact import HTMatrix, IntPolynomial, _recurrence_terms, _suffix_sums, charpoly_recurrence
+from .exact import HTMatrix, IntPolynomial, _recurrence_terms, _suffix_sums
 
 DEFAULT_PRECISION_BITS = 256
 
@@ -302,7 +302,7 @@ def real_roots(p: IntPolynomial, tol: Fraction | float = Fraction(1, 10**40)) ->
     return roots
 
 
-def _dominant_root(p: IntPolynomial, tol: Fraction | float) -> tuple[int, Fraction | None]:
+def dominant_root(p: IntPolynomial, tol: Fraction | float) -> tuple[int, Fraction | None]:
     """The number of distinct real roots of p, and the one of largest
     modulus as ``real_roots`` gives it (ties go to the positive root), or
     None.  Only the leftmost and rightmost isolating intervals are refined:
@@ -385,14 +385,3 @@ def eigenvector_from_charpoly(m: HTMatrix, lam) -> EigenPair:
         residual = resid / scale if scale != 0 else resid
         return EigenPair(lam_mp, vector, residual)
 
-
-def dominant_eigenvalue(m: HTMatrix, tol: float | Fraction = 1e-30):
-    """Largest-modulus real root of the exact characteristic polynomial,
-    located to within ``tol`` (ties broken toward the positive root)."""
-    _, best = _dominant_root(charpoly_recurrence(m)[m.size], Fraction(tol))
-    if best is None:
-        raise ValueError("no real eigenvalue found")
-    from mpmath import mp
-
-    with mp.workprec(precision_bits()):
-        return _to_mp(best)

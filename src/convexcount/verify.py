@@ -12,21 +12,8 @@ from itertools import product
 from typing import NamedTuple
 
 from . import FLOORS, SUITE_NAMES, closedform
-from .exact import charpoly_determinant, charpoly_recurrence
-from .production import (
-    CLASSES,
-    CONNECTED,
-    GEOMETRIC,
-    KANGULATION,
-    PARTITION,
-    RELATION,
-    ClassDef,
-    GraphClassSpec,
-    count_sequence,
-    geometric_class,
-    k_angulation_total,
-    relation_class,
-)
+from .exact import HTMatrix, charpoly_determinant, charpoly_recurrence
+from .production import CLASSES, ClassDef, GraphClassSpec, count_sequence
 
 # The eigen suite's residual bound; it refines every root to within 10**-48.
 RESIDUAL_BOUND = 1e-30
@@ -90,7 +77,7 @@ def suite_vectors(n_max: int) -> list[CheckResult]:
         pairs = [
             _level_pair(row, param, level, row.vector(param, level.level))
             for param in _params(row, (3, 4, 5, 6))
-            for level in _levels(row.spec(param), n_max)
+            for level in _levels(GraphClassSpec(row.name, param), n_max)
         ]
         out.append(_check_levels(f"vectors/{row.name}", pairs, n_max))
     return out
@@ -132,49 +119,44 @@ def suite_eigen(n_max: int) -> list[CheckResult]:
     tol = Fraction(1, 10**48)
     with mp.workprec(spectral.precision_bits()):
         bound = mpf(RESIDUAL_BOUND)
+    # Every band is prefix-stable (tests/test_production.py checks it), so each
+    # class is built once, at n_max: the size-n matrix is its leading block.
+    built = []
+    for row in CLASSES.values():
+        for param in _params(row, (3, 4)):
+            matrix = row.build(n_max, param)
+            built.append((_label(row, param), matrix, charpoly_recurrence(matrix)))
     for n in range(1, n_max + 1):
-        for row in CLASSES.values():
-            for param in _params(row, (3, 4)):
-                matrix = row.build(n, param)
-                poly = charpoly_recurrence(matrix)[n]
-                for root in spectral.real_roots(poly, tol):
-                    pair = spectral.eigenvector_from_charpoly(matrix, root)
-                    if not pair.residual <= bound:
-                        detail = f"{_label(row, param)} n={n} root~{float(root):.6g}: residual {pair.residual}"
-                        return [CheckResult("eigen/residuals", False, detail)]
+        for label, m, seq in built:
+            matrix = HTMatrix(n, m.sub, m.band[:n], m.band_gf)
+            for root in spectral.real_roots(seq[n], tol):
+                pair = spectral.eigenvector_from_charpoly(matrix, root)
+                if not pair.residual <= bound:
+                    detail = f"{label} n={n} root~{float(root):.6g}: residual {pair.residual}"
+                    return [CheckResult("eigen/residuals", False, detail)]
     return [CheckResult("eigen/residuals", True)]
 
 
 def suite_oracle(n_max: int) -> list[CheckResult]:
     """Oracle degree histograms against matrix-generated vectors, each from
     its gap recursion, to the floor or n_max: vertices for the graph classes
-    and k-angulations, elements for partitions."""
-    from . import oracle
-
-    # Per class, in the order checked: the oracle histogram at
-    # (param, level) and a closed-form total, if any.
-    oracles = {
-        GEOMETRIC: (lambda _, n: oracle.visibility_histogram(n), None),
-        CONNECTED: (lambda _, n: oracle.connected_visibility_histogram(n), None),
-        PARTITION: (lambda _, n: oracle.partition_isolation_histogram(n), None),
-        KANGULATION: (lambda k, r: oracle.dissection_degree_histogram(k, r), k_angulation_total),
-        RELATION: (lambda _, n: oracle.isolation_histogram(n), None),
-    }
+    and k-angulations, elements for partitions, and each closed-form total
+    a row has against the histogram's sum."""
     out = []
-    for name, (histogram, total) in oracles.items():
-        row = CLASSES[name]
-        top = _top(f"oracle/{name}", n_max)
+    for row in CLASSES.values():
+        top = _top(f"oracle/{row.name}", n_max)
         pairs = []
         for param in _params(row, (3, 4, 5)):
-            # a k-angulation with r faces has (k-2)r+2 vertices
+            # a level of a row that takes k counts k-gons: r of them have (k-2)r+2 vertices
             last = (top - 2) // (param - 2) if row.param == "k" else top
-            for level in _levels(row.spec(param), last):
-                hist = histogram(param, level.level)
+            for level in _levels(GraphClassSpec(row.name, param), last):
+                hist = row.oracle(param, level.level)
                 pair = _level_pair(row, param, level, hist)
                 pairs.append(pair)
-                if total is not None:
-                    pairs.append((f"total {pair[0]}", (sum(hist),), (total(param, level.level),)))
-        out.append(_check_levels(f"oracle/{name}", pairs, n_max))
+                if row.total is not None:
+                    want = row.total(param, level.level)
+                    pairs.append((f"total {pair[0]}", (sum(hist),), (want,)))
+        out.append(_check_levels(f"oracle/{row.name}", pairs, n_max))
     return out
 
 
@@ -200,8 +182,8 @@ def suite_relation(n_max: int) -> list[CheckResult]:
 
     out = []
     top = _top("relation/connected-to-geometric", n_max)
-    geo = _levels(geometric_class(), top)
-    rel = _levels(relation_class(), top)
+    geo = _levels(GraphClassSpec("geometric"), top)
+    rel = _levels(GraphClassSpec("relation"), top)
     pairs = [
         (f"n={v.level}", (v.total,), (geo_v.total,))
         for v, geo_v in zip(rel[1:], geo)
@@ -213,7 +195,7 @@ def suite_relation(n_max: int) -> list[CheckResult]:
         want += oracle.spanning_counts(n_max, structure)
         pairs = [
             (f"n={v.level}", (v.total,), (count,))
-            for v, count in zip(_levels(relation_class(weights), n_max), want)
+            for v, count in zip(_levels(GraphClassSpec("relation", weights), n_max), want)
         ]
         out.append(_check_levels(f"relation/{kind}s-to-{structure}s", pairs, n_max))
     return out

@@ -11,19 +11,15 @@ from mpmath import mp, mpf
 from convexcount import closedform, oracle, spectral
 from convexcount.exact import charpoly_determinant, charpoly_recurrence
 from convexcount.production import (
+    GraphClassSpec,
     build_connected_matrix,
     build_geometric_matrix,
     build_k_angulation_matrix,
     build_partition_matrix,
     build_relation_matrix,
-    connected_class,
     connected_totals,
     count_sequence,
-    geometric_class,
-    k_angulation_class,
     k_angulation_total,
-    partition_class,
-    relation_class,
 )
 
 import reference_oracle
@@ -70,14 +66,14 @@ def _level_vector(spec, level, width):
 
 def test_criterion_1_golden_vectors():
     t0 = time.perf_counter()
-    assert _level_vector(geometric_class(), 3, 2) == (4, 4)
-    assert _level_vector(geometric_class(), 4, 3) == (24, 16, 8)
-    assert _level_vector(geometric_class(), 5, 4) == (176, 112, 48, 16)
-    assert _level_vector(connected_class(), 3, 2) == (3, 1)
-    assert _level_vector(connected_class(), 4, 3) == (16, 6, 1)
-    assert _level_vector(connected_class(), 5, 4) == (105, 41, 9, 1)
-    assert _level_vector(partition_class(), 3, 4) == (2, 2, 0, 1)
-    assert _level_vector(partition_class(), 4, 5) == (6, 4, 3, 0, 1)
+    assert _level_vector(GraphClassSpec("geometric"), 3, 2) == (4, 4)
+    assert _level_vector(GraphClassSpec("geometric"), 4, 3) == (24, 16, 8)
+    assert _level_vector(GraphClassSpec("geometric"), 5, 4) == (176, 112, 48, 16)
+    assert _level_vector(GraphClassSpec("connected"), 3, 2) == (3, 1)
+    assert _level_vector(GraphClassSpec("connected"), 4, 3) == (16, 6, 1)
+    assert _level_vector(GraphClassSpec("connected"), 5, 4) == (105, 41, 9, 1)
+    assert _level_vector(GraphClassSpec("partition"), 3, 4) == (2, 2, 0, 1)
+    assert _level_vector(GraphClassSpec("partition"), 4, 5) == (6, 4, 3, 0, 1)
     _report(1, "golden count vectors, exact", t0, budget=1.0)
 
 
@@ -108,18 +104,18 @@ def test_criterion_3_closed_form_matrix_agreement():
     for k in (3, 4, 5, 6):
         for r in range(1, 13):
             assert closedform.kangulation_vector(k, r) == _level_vector(
-                k_angulation_class(k), r, r
+                GraphClassSpec("kangulation", k), r, r
             )
     for n in range(2, 13):
         assert closedform.geometric_vector(n) == _level_vector(
-            geometric_class(), n, n - 1
+            GraphClassSpec("geometric"), n, n - 1
         )
         assert closedform.connected_vector(n) == _level_vector(
-            connected_class(), n, n - 1
+            GraphClassSpec("connected"), n, n - 1
         )
     for n in range(1, 13):
         assert closedform.partition_vector(n) == _level_vector(
-            partition_class(), n, n + 1
+            GraphClassSpec("partition"), n, n + 1
         )
     _report(3, "closed forms == matrix powers, levels <= 12", t0, budget=30.0)
 
@@ -128,22 +124,22 @@ def test_criterion_4_oracle_agreement():
     t0 = time.perf_counter()
     for n in range(2, 8):
         hist = oracle.visibility_histogram(n)
-        assert tuple(hist) == _level_vector(geometric_class(), n, n - 1), n
+        assert tuple(hist) == _level_vector(GraphClassSpec("geometric"), n, n - 1), n
         hist = oracle.connected_visibility_histogram(n)
-        assert tuple(hist) == _level_vector(connected_class(), n, n - 1), n
+        assert tuple(hist) == _level_vector(GraphClassSpec("connected"), n, n - 1), n
     for n in range(1, 10):
         hist = oracle.partition_isolation_histogram(n)
-        assert tuple(hist) == _level_vector(partition_class(), n, n + 1), n
+        assert tuple(hist) == _level_vector(GraphClassSpec("partition"), n, n + 1), n
     for k in (3, 4, 5):
         r = 1
         while (k - 2) * r + 2 <= 12:
             hist = oracle.dissection_degree_histogram(k, r)
-            assert tuple(hist) == _level_vector(k_angulation_class(k), r, r), (k, r)
+            assert tuple(hist) == _level_vector(GraphClassSpec("kangulation", k), r, r), (k, r)
             r += 1
     weights = connected_totals(9)
     for n in range(1, 8):
         hist = oracle.isolation_histogram(n)
-        assert tuple(hist) == _level_vector(relation_class(weights), n, n + 1), n
+        assert tuple(hist) == _level_vector(GraphClassSpec("relation", weights), n, n + 1), n
     _report(4, "oracle recursion histograms == matrix vectors, exact", t0, budget=600.0)
 
 
@@ -156,9 +152,9 @@ def test_criterion_5_totals():
                 1 for _ in reference_oracle.enumerate_dissections(k, r)
             ), (k, r)
             r += 1
-    k3 = count_sequence(k_angulation_class(3), 6)
+    k3 = count_sequence(GraphClassSpec("kangulation", 3), 6)
     assert [row.total for row in k3] == [1, 2, 5, 14, 42, 132]
-    geo = count_sequence(geometric_class(), 6)
+    geo = count_sequence(GraphClassSpec("geometric"), 6)
     assert [row.total for row in geo] == [2, 8, 48, 352, 2880]
     # the n=6 value from matrix iteration, confirmed by exhaustive enumeration
     assert sum(1 for _ in reference_oracle.enumerate_noncrossing_graphs(6)) == geo[-1].total == 2880
@@ -167,15 +163,15 @@ def test_criterion_5_totals():
 
 def test_criterion_6_relation_matrix():
     t0 = time.perf_counter()
-    rel = count_sequence(relation_class(connected_totals(12)), 10)
-    geo = count_sequence(geometric_class(), 10)
+    rel = count_sequence(GraphClassSpec("relation", connected_totals(12)), 10)
+    geo = count_sequence(GraphClassSpec("geometric"), 10)
     assert [row.total for row in rel[1:]] == [row.total for row in geo]
     trees = oracle.spanning_counts(9, "tree")
-    forest_rows = count_sequence(relation_class(trees), 7)
+    forest_rows = count_sequence(GraphClassSpec("relation", trees), 7)
     for row in forest_rows:
         assert row.total == oracle.count_spanning_structures(row.level, "forest"), row.level
     paths = oracle.spanning_counts(9, "path")
-    path_rows = count_sequence(relation_class(paths), 7)
+    path_rows = count_sequence(GraphClassSpec("relation", paths), 7)
     for row in path_rows:
         assert row.total == oracle.count_spanning_structures(row.level, "path-forest"), row.level
     _report(6, "relation matrix transports counts between classes, exact", t0, budget=120.0)
@@ -232,11 +228,11 @@ def test_criterion_9_property_suite():
                     assert m.entry(i, j) == 0
         assert all(m.entry(i + 1, i) == m.sub for i in range(m.size - 1))
     for spec in (
-        k_angulation_class(3),
-        geometric_class(),
-        connected_class(),
-        partition_class(),
-        relation_class(connected_totals(12)),
+        GraphClassSpec("kangulation", 3),
+        GraphClassSpec("geometric"),
+        GraphClassSpec("connected"),
+        GraphClassSpec("partition"),
+        GraphClassSpec("relation", connected_totals(12)),
     ):
         for row in count_sequence(spec, 10):
             assert all(e >= 0 for e in row.entries)

@@ -287,6 +287,24 @@ def test_counts_read_c_values_to_n_max_only(capsys, fmt):
     assert len(set(outs.values())) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("counts", "relation", "--n-max", "6", "--c-values", "1,2,3,4,-50"),
+        ("counts", "relation", "--n-max", "5", "--c-values", "1,2,3,-40"),
+        ("charpoly", "relation", "--n", "4", "--c-values", "1,2,3,-40"),
+        ("eigen", "relation", "--n", "4", "--c-values", "1,2,3,-40"),
+        ("matrix", "relation", "--n", "5", "--c-values", "1,2,3,-40"),
+    ],
+    ids=lambda argv: f"{argv[0]}-{argv[3]}",
+)
+def test_negative_counts_exit_2_before_any_output(capsys, argv):
+    # whether a negative count is an error no longer depends on the counts it yields
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: counts must be non-negative, got {argv[-1].split(',')[-1]}\n"
+
+
 def test_deterministic_output(capsys):
     first = run_cli(capsys, "counts", "geometric", "--n-max", "6", "--format", "json")
     second = run_cli(capsys, "counts", "geometric", "--n-max", "6", "--format", "json")

@@ -11,13 +11,7 @@ from convexcount.closedform import (
     partition_vector,
 )
 from convexcount.exact import binomial, exact_div
-from convexcount.production import (
-    connected_class,
-    count_sequence,
-    geometric_class,
-    k_angulation_class,
-    partition_class,
-)
+from convexcount.production import GraphClassSpec, count_sequence
 
 
 def reference_connected_entry(n, j):
@@ -173,26 +167,30 @@ def test_partition_catalan_sums():
 
 def test_closed_form_equals_matrix_iteration():
     for n in range(2, 13):
-        row = count_sequence(geometric_class(), n)[-1]
+        row = count_sequence(GraphClassSpec("geometric"), n)[-1]
         assert geometric_vector(n) == row.entries[: n - 1]
-        row = count_sequence(connected_class(), n)[-1]
+        row = count_sequence(GraphClassSpec("connected"), n)[-1]
         assert connected_vector(n) == row.entries[: n - 1]
     for n in range(1, 13):
-        row = count_sequence(partition_class(), n)[-1]
+        row = count_sequence(GraphClassSpec("partition"), n)[-1]
         assert partition_vector(n) == row.entries[: n + 1]
     for k in (3, 4, 5, 6):
         for r in range(1, 13):
-            row = count_sequence(k_angulation_class(k), r)[-1]
+            row = count_sequence(GraphClassSpec("kangulation", k), r)[-1]
             assert kangulation_vector(k, r) == row.entries[:r]
 
 
 def test_closed_form_equals_matrix_iteration_at_400():
     n = 400
-    assert geometric_vector(n) == count_sequence(geometric_class(), n)[-1].entries[: n - 1]
-    assert connected_vector(n) == count_sequence(connected_class(), n)[-1].entries[: n - 1]
-    assert partition_vector(n) == count_sequence(partition_class(), n)[-1].entries[: n + 1]
+
+    def last(name, param=None):
+        return count_sequence(GraphClassSpec(name, param), n)[-1].entries
+
+    assert geometric_vector(n) == last("geometric")[: n - 1]
+    assert connected_vector(n) == last("connected")[: n - 1]
+    assert partition_vector(n) == last("partition")[: n + 1]
     for k in (3, 4, 5, 6):
-        assert kangulation_vector(k, n) == count_sequence(k_angulation_class(k), n)[-1].entries[:n]
+        assert kangulation_vector(k, n) == last("kangulation", k)[:n]
 
 
 REJECTED = [

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpc, mpf
 
 from convexcount.exact import CountVector, HTMatrix, IntPolynomial, charpoly_recurrence
-from convexcount.production import build_geometric_matrix, count_sequence, geometric_class
-from convexcount.spectral import dominant_eigenvalue, eigenvector_from_charpoly, precision_bits
+from convexcount.production import GraphClassSpec, build_geometric_matrix, count_sequence
+from convexcount.spectral import dominant_root, eigenvector_from_charpoly, precision_bits
 from reference_oracle import PlaneGraph, enumerate_noncrossing_graphs, visibility_degree
 
 
@@ -26,19 +26,17 @@ def test_charpoly_and_dominant_eigenvalue_of_sqrt2_matrix():
     m = HTMatrix(2, 1, (0, 2))
     # det([[0-x, 2], [1, 0-x]]) = x^2 - 2
     assert charpoly_recurrence(m)[2] == IntPolynomial((-2, 0, 1))
-    d = dominant_eigenvalue(m, Fraction(1, 10**35))
-    with mp.workprec(precision_bits()):
-        assert abs(d * d - 2) < mpf(10) ** -30
+    _, d = dominant_root(charpoly_recurrence(m)[m.size], Fraction(1, 10**35))
+    assert abs(d * d - 2) < Fraction(1, 10**30)
 
 
 def test_dominant_eigenvalue_no_real_root():
     m = HTMatrix(2, 1, (0, -1))
-    with pytest.raises(ValueError):
-        dominant_eigenvalue(m)
+    assert dominant_root(charpoly_recurrence(m)[m.size], 1e-30) == (0, None)
 
 
 def test_count_sequence_engine():
-    vectors = count_sequence(geometric_class(), 4)
+    vectors = count_sequence(GraphClassSpec("geometric"), 4)
     assert [(v.level, v.total) for v in vectors] == [(2, 2), (3, 8), (4, 48)]
     assert vectors[0] == CountVector((2, 0, 0, 0, 0, 0), 2)
     assert vectors[-1].entries == (24, 16, 8, 0, 0, 0)
@@ -56,13 +54,13 @@ def test_enumerated_graphs_validate_and_bound_degree(n):
 
 
 def test_count_vector_level_tracking():
-    vectors = count_sequence(geometric_class(), 6)
+    vectors = count_sequence(GraphClassSpec("geometric"), 6)
     assert [v.level for v in vectors] == [2, 3, 4, 5, 6]
     assert {len(v.entries) for v in vectors} == {8}
     # The initial vector alone is at level 2, past n_max = 1.
     with pytest.raises(ValueError, match="start level 2"):
-        count_sequence(geometric_class(), 1)
-    assert len(count_sequence(geometric_class(), 2)) == 1
+        count_sequence(GraphClassSpec("geometric"), 1)
+    assert len(count_sequence(GraphClassSpec("geometric"), 2)) == 1
 
 
 def test_concurrent_callers_get_consistent_results():

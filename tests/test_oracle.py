@@ -29,14 +29,7 @@ from reference_oracle import (
     _chord_tables,
     _find,
 )
-from convexcount.production import (
-    connected_class,
-    connected_totals,
-    count_sequence,
-    geometric_class,
-    partition_class,
-    relation_class,
-)
+from convexcount.production import GraphClassSpec, connected_totals, count_sequence
 
 
 def test_crossing_predicate():
@@ -124,7 +117,7 @@ def test_partition_counts_catalan():
 def test_partition_histogram_flag_selection():
     # counting the isolated root reproduces the production matrix vectors
     for n in range(1, 7):
-        expected = count_sequence(partition_class(), n)[-1].entries
+        expected = count_sequence(GraphClassSpec("partition"), n)[-1].entries
         with_root = partition_isolation_histogram(n)
         assert tuple(with_root) == expected[: n + 1]
 
@@ -141,9 +134,9 @@ def test_graph_histograms_match_matrix_vectors():
     # every level from one count_sequence call per class; a histogram is
     # the vector's prefix, and the tail past it is zero
     classes = (
-        (visibility_histogram, geometric_class()),
-        (connected_visibility_histogram, connected_class()),
-        (isolation_histogram, relation_class(connected_totals(62))),
+        (visibility_histogram, GraphClassSpec("geometric")),
+        (connected_visibility_histogram, GraphClassSpec("connected")),
+        (isolation_histogram, GraphClassSpec("relation", connected_totals(62))),
     )
     for histogram, spec in classes:
         for level in count_sequence(spec, 60):

@@ -12,7 +12,7 @@ import pytest
 import convexcount
 from convexcount import verify
 from convexcount.exact import CountVector, HTMatrix, IntPolynomial
-from convexcount.production import CLASSES, geometric_class, relation_class
+from convexcount.production import CLASSES, GraphClassSpec
 from convexcount.spectral import EigenPair
 
 # Every name the package exports, by the layer that defines it.
@@ -29,13 +29,10 @@ EXPORTS = {
     "production": [
         "GraphClassSpec", "build_connected_matrix", "build_geometric_matrix",
         "build_k_angulation_matrix", "build_partition_matrix", "build_relation_matrix",
-        "connected_class", "connected_totals", "count_sequence", "geometric_class",
-        "k_angulation_class", "k_angulation_total", "partition_class", "relation_class",
-        "relation_weights",
+        "connected_totals", "count_sequence", "k_angulation_total", "relation_weights",
     ],
     "spectral": [
-        "EigenPair", "dominant_eigenvalue", "eigenvector_from_charpoly", "precision_bits",
-        "real_roots",
+        "EigenPair", "dominant_root", "eigenvector_from_charpoly", "precision_bits", "real_roots",
     ],
     "oracle": ["count_spanning_structures", "spanning_counts"],
 }
@@ -91,7 +88,7 @@ def test_readme_library_snippet_runs():
     [
         (HTMatrix(2, 2, (2, 4)), "band"),
         (CountVector((2, 0), 2), "entries"),
-        (geometric_class(), "param"),
+        (GraphClassSpec("geometric"), "param"),
         (CLASSES["geometric"], "build"),
         (verify.CheckResult("demo", True), "passed"),
         (EigenPair(1, (1,), 0), "residual"),
@@ -126,6 +123,6 @@ def test_htmatrix_equality_and_hash_ignore_band_gf():
 
 
 def test_relation_specs_stay_hashable():
-    assert {relation_class([1, 2]): 1}[relation_class((1, 2))] == 1
+    assert {GraphClassSpec("relation", [1, 2]): 1}[GraphClassSpec("relation", (1, 2))] == 1
     with pytest.raises(ValueError, match="takes no parameter"):
-        type(geometric_class())("geometric", 3)
+        GraphClassSpec("geometric", 3)

@@ -82,8 +82,8 @@ DIGESTS = {
     "matrix-partition": "433a66f2fdc602e36d81551c672ee9304e25668357521b4f8a2bc439666973fb",
     "matrix-relation": "be3db96d469b8efb6d740a31128c3dc64b134b6c818f10f27432af879a3fd0c1",
     "matrix-kangulation4": "c6ae3b852d5f6ec0eb3d9f178ee117fe14b464ca28482122adc6a42510d6cc50",
-    "verify-all": "a00f64f2ba3c75522c1f44f5b40c0b956511ef8ad3f4d490b48343d5156e743d",
-    "verify-all-7": "a00f64f2ba3c75522c1f44f5b40c0b956511ef8ad3f4d490b48343d5156e743d",
+    "verify-all": "12a907f95458825ebf5e91342e1496cc516a3d03f3286f98c64a6777141f4320",
+    "verify-all-7": "12a907f95458825ebf5e91342e1496cc516a3d03f3286f98c64a6777141f4320",
 }
 
 

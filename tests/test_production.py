@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from convexcount.cli import build_parser
-from convexcount.exact import binomial, charpoly_determinant, charpoly_recurrence
+from convexcount.exact import HTMatrix, binomial, charpoly_determinant, charpoly_recurrence
 from convexcount.production import (
     CLASS_NAMES,
     CLASSES,
@@ -15,14 +15,9 @@ from convexcount.production import (
     build_k_angulation_matrix,
     build_partition_matrix,
     build_relation_matrix,
-    connected_class,
     connected_totals,
     count_sequence,
-    geometric_class,
-    k_angulation_class,
     k_angulation_total,
-    partition_class,
-    relation_class,
     relation_weights,
 )
 
@@ -133,43 +128,43 @@ def test_builders_reject_empty_matrix(name, size):
 
 
 def test_count_sequence_geometric():
-    rows = count_sequence(geometric_class(), 5)
+    rows = count_sequence(GraphClassSpec("geometric"), 5)
     assert [r.total for r in rows] == [2, 8, 48, 352]
     assert rows[2].entries[:3] == (24, 16, 8)
 
 
 def test_count_sequence_connected():
-    rows = count_sequence(connected_class(), 5)
+    rows = count_sequence(GraphClassSpec("connected"), 5)
     assert [r.total for r in rows] == [1, 4, 23, 156]
 
 
 def test_count_sequence_partition():
-    rows = count_sequence(partition_class(), 4)
+    rows = count_sequence(GraphClassSpec("partition"), 4)
     assert [r.total for r in rows] == [1, 2, 5, 14]
     assert rows[3].entries[:5] == (6, 4, 3, 0, 1)
 
 
 def test_count_sequence_start_validation():
     with pytest.raises(ValueError):
-        count_sequence(geometric_class(), 1)
+        count_sequence(GraphClassSpec("geometric"), 1)
 
 
 def test_count_sequence_has_no_size_parameter():
     # A caller-chosen size used to truncate vectors and return wrong totals.
     with pytest.raises(TypeError):
-        count_sequence(partition_class(), 8, size=4)
+        count_sequence(GraphClassSpec("partition"), 8, size=4)
 
 
 def test_large_level_totals():
-    rows = count_sequence(partition_class(), 300)
+    rows = count_sequence(GraphClassSpec("partition"), 300)
     assert [r.total for r in rows] == [math.comb(2 * n, n) // (n + 1) for n in range(1, 301)]
     for k in (4, 7):
-        rows = count_sequence(k_angulation_class(k), 300)
+        rows = count_sequence(GraphClassSpec("kangulation", k), 300)
         assert [r.total for r in rows] == [
             math.comb((k - 1) * r, r) // ((k - 2) * r + 1) for r in range(1, 301)
         ]
-    rel = count_sequence(relation_class(connected_totals(122)), 120)
-    geo = count_sequence(geometric_class(), 120)
+    rel = count_sequence(GraphClassSpec("relation", connected_totals(122)), 120)
+    geo = count_sequence(GraphClassSpec("geometric"), 120)
     assert [r.total for r in rel[1:]] == [g.total for g in geo]
 
 
@@ -178,19 +173,19 @@ def test_k_angulation_totals():
     assert k_angulation_total(4, 1) == 1
     assert k_angulation_total(4, 3) == 12
     for k in (3, 4, 5, 6):
-        rows = count_sequence(k_angulation_class(k), 8)
+        rows = count_sequence(GraphClassSpec("kangulation", k), 8)
         for row in rows:
             assert row.total == k_angulation_total(k, row.level)
 
 
 def test_k3_totals_are_catalan():
-    rows = count_sequence(k_angulation_class(3), 10)
+    rows = count_sequence(GraphClassSpec("kangulation", 3), 10)
     assert [r.total for r in rows] == [1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 
 
 def test_relation_from_connected_matches_geometric():
-    geo = count_sequence(geometric_class(), 10)
-    for spec in (relation_class(connected_totals(12)), relation_class()):
+    geo = count_sequence(GraphClassSpec("geometric"), 10)
+    for spec in (GraphClassSpec("relation", connected_totals(12)), GraphClassSpec("relation")):
         rel = count_sequence(spec, 10)
         assert [r.total for r in rel[1:]] == [g.total for g in geo]
 
@@ -198,30 +193,63 @@ def test_relation_from_connected_matches_geometric():
 def test_relation_counts_default_to_connected_totals(monkeypatch):
     for n in range(1, 61):
         assert build_relation_matrix(n) == build_relation_matrix(n, connected_totals(max(2, n))), n
-    assert relation_class() == GraphClassSpec("relation")
-    assert {relation_class(): 1}[GraphClassSpec("relation")] == 1
+    assert {GraphClassSpec("relation"): 1}[GraphClassSpec("relation")] == 1
     # a 1 x 1 matrix reads no count, so validating a spec computes none
     monkeypatch.setattr("convexcount.production.connected_totals", None)
-    assert relation_class().build_matrix(1) == build_relation_matrix(1, ())
+    assert GraphClassSpec("relation").build_matrix(1) == build_relation_matrix(1, ())
+    with pytest.raises(ValueError, match="non-negative"):
+        GraphClassSpec("relation", [-1])
 
 
 def test_relation_counts_read_c_values_to_n_max_only():
     counts = connected_totals(40)  # c_2..c_40
-    want = count_sequence(relation_class(counts), 38)
+    want = count_sequence(GraphClassSpec("relation", counts), 38)
     assert len(want[-1].entries) == 40
-    assert count_sequence(relation_class(counts[:37]), 38) == want
-    assert count_sequence(relation_class(counts[:37] + (5, 7)), 38) == want
-    assert count_sequence(relation_class(counts[:36] + (5,)), 38) != want
+    assert count_sequence(GraphClassSpec("relation", counts[:37]), 38) == want
+    assert count_sequence(GraphClassSpec("relation", counts[:37] + (5, 7)), 38) == want
+    assert count_sequence(GraphClassSpec("relation", counts[:36] + (5,)), 38) != want
     with pytest.raises(ValueError, match=r"need c_2\.\.c_38, got 36 values"):
-        count_sequence(relation_class(counts[:36]), 38)
+        count_sequence(GraphClassSpec("relation", counts[:36]), 38)
     # A matrix still reads its whole band.
     with pytest.raises(ValueError, match=r"need c_2\.\.c_40, got 37 values"):
-        relation_class(counts[:37]).build_matrix(40)
+        GraphClassSpec("relation", counts[:37]).build_matrix(40)
+
+
+# Each row at the parameters the verify suites run it at, and relation at the
+# spanning-tree totals that count forests.
+PREFIX_PARAMS = {
+    "kangulation3": ("kangulation", 3),
+    "kangulation4": ("kangulation", 4),
+    "geometric": ("geometric", None),
+    "connected": ("connected", None),
+    "partition": ("partition", None),
+    "relation": ("relation", None),
+    "relation-trees": (
+        "relation", tuple(math.comb(3 * i - 3, i - 1) // (2 * i - 1) for i in range(2, 41))
+    ),
+}
+
+
+@pytest.mark.parametrize("name, param", PREFIX_PARAMS.values(), ids=PREFIX_PARAMS)
+def test_class_bands_are_prefix_stable(name, param):
+    # suite_eigen builds each class once, at n_max, and checks size n on the
+    # leading block: that block must be the size-n matrix, with its band series
+    # and its characteristic polynomial.
+    row = CLASSES[name]
+    big = row.build(40, param)
+    big_rows = big.to_lists()
+    d = charpoly_recurrence(big)
+    for n in range(1, 41):
+        m = row.build(n, param)
+        assert m.to_lists() == [r[:n] for r in big_rows[:n]], n
+        block = HTMatrix(n, big.sub, big.band[:n], big.band_gf)
+        assert block == m and block.band_series == m.band_series, n
+        assert charpoly_recurrence(m)[n] == d[n], n
 
 
 def test_kangulation_class_requires_k():
     with pytest.raises(ValueError):
-        k_angulation_class(2)
+        GraphClassSpec("kangulation", 2)
 
 
 def test_class_spec_must_match_its_row():
@@ -229,13 +257,17 @@ def test_class_spec_must_match_its_row():
         GraphClassSpec("geometric", 5)
     with pytest.raises(ValueError, match="requires k"):
         GraphClassSpec("kangulation")
-    assert GraphClassSpec("relation") == relation_class()
+    assert GraphClassSpec("relation").param is None
     with pytest.raises(ValueError, match="k >= 3"):
         GraphClassSpec("kangulation", 2)
     with pytest.raises(ValueError, match="unknown class"):
         GraphClassSpec("triangulation")
-    specs = [k_angulation_class(k) for k in range(3, 10)]
-    specs += [geometric_class(), connected_class(), partition_class(), relation_class((1, 2))]
+    # a count sequence counts objects, so a negative count is no class
+    with pytest.raises(ValueError, match=r"^counts must be non-negative, got -40$"):
+        GraphClassSpec("relation", (1, 2, 3, -40))
+    specs = [GraphClassSpec("kangulation", k) for k in range(3, 10)]
+    specs += [GraphClassSpec(name) for name in ("geometric", "connected", "partition")]
+    specs.append(GraphClassSpec("relation", (1, 2)))
     for spec in specs:
         assert spec.build_matrix(3).size == 3
         assert spec.start_index == CLASSES[spec.name].start_index
@@ -244,16 +276,16 @@ def test_class_spec_must_match_its_row():
 def test_relation_spec_stores_weights_as_tuple():
     # equal count sequences give equal, hashable specs, list or tuple
     spec = GraphClassSpec("relation", [1, 2, 3])
-    assert spec == relation_class((1, 2, 3))
+    assert spec == GraphClassSpec("relation", (1, 2, 3))
     assert spec.param == (1, 2, 3)
-    assert hash(spec) == hash(relation_class([1, 2, 3]))
+    assert hash(spec) == hash(GraphClassSpec("relation", [1, 2, 3]))
 
 
 def test_trailing_entries_zero():
     for spec, levels in (
-        (geometric_class(), range(2, 9)),
-        (connected_class(), range(2, 9)),
-        (partition_class(), range(1, 9)),
+        (GraphClassSpec("geometric"), range(2, 9)),
+        (GraphClassSpec("connected"), range(2, 9)),
+        (GraphClassSpec("partition"), range(1, 9)),
     ):
         reach = {"geometric": -1, "connected": -1, "partition": 1}[spec.name]
         for row in count_sequence(spec, max(levels)):
@@ -303,7 +335,7 @@ def test_class_rows_agree_across_routes(name, data):
     for n in range(1, 9):
         assert charpoly_determinant(row.build(n, param))[n] == seq[n]
     if row.vector is not None:
-        for level in count_sequence(row.spec(param), 30):
+        for level in count_sequence(GraphClassSpec(row.name, param), 30):
             closed = row.vector(param, level.level)
             entries = level.entries
             assert entries[: len(closed)] == closed

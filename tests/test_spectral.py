@@ -29,9 +29,8 @@ from convexcount.production import (
     connected_totals,
 )
 from convexcount.spectral import (
-    _dominant_root,
     _isolate_real_roots,
-    dominant_eigenvalue,
+    dominant_root,
     eigenvector_from_charpoly,
     precision_bits,
     real_roots,
@@ -594,7 +593,7 @@ def test_dominant_root_matches_reference(factors, unit, tol):
     p = IntPolynomial(p)
     roots = reference_real_roots(p, tol)
     best = max(roots, key=lambda r: (abs(r), r), default=None)
-    assert _dominant_root(p, tol) == (len(roots), best)
+    assert dominant_root(p, tol) == (len(roots), best)
 
 
 def test_refinement_lands_on_a_grid_root_finer_than_isolation():
@@ -615,15 +614,16 @@ def test_refinement_tol_wider_than_isolating_interval():
     # each root comes back as its interval's centre.
     p = IntPolynomial((-2, 0, 1))
     assert real_roots(p, Fraction(50)) == reference_real_roots(p, Fraction(50)) == [-2, 2]
-    assert _dominant_root(p, Fraction(50)) == (2, 2)
+    assert dominant_root(p, Fraction(50)) == (2, 2)
 
 
 def test_dominant_root_tie_goes_to_positive_root():
     p = IntPolynomial((-2, 0, 1))
     tol = Fraction(1, 10**40)
-    count, best = _dominant_root(p, tol)
+    count, best = dominant_root(p, tol)
     assert count == 2 and best == real_roots(p, tol)[1] > 0
-    assert dominant_eigenvalue(HTMatrix(2, 1, (0, 2)), tol) > 0
+    m = HTMatrix(2, 1, (0, 2))
+    assert dominant_root(charpoly_recurrence(m)[m.size], tol)[1] > 0
 
 
 def _vector_strings(vector):
@@ -731,7 +731,7 @@ def test_real_roots_no_real():
     assert real_roots(IntPolynomial((1, 0, 1))) == []
     # a nonzero constant: its Sturm chain is the constant alone
     assert real_roots(IntPolynomial((5,))) == []
-    assert _dominant_root(IntPolynomial((5,)), Fraction(1, 10**30)) == (0, None)
+    assert dominant_root(IntPolynomial((5,)), Fraction(1, 10**30)) == (0, None)
 
 
 def test_eigenvector_g2():
@@ -753,7 +753,7 @@ def test_eigenvector_non_eigenvalue_large_residual():
 
 def test_eigenvector_k3_largest_root():
     k3 = build_k_angulation_matrix(3, 3)
-    lam = dominant_eigenvalue(k3, Fraction(1, 10**30))
+    _, lam = dominant_root(charpoly_recurrence(k3)[k3.size], Fraction(1, 10**30))
     pair = eigenvector_from_charpoly(k3, lam)
     assert pair.residual < mpf(10) ** -10
 
@@ -761,16 +761,16 @@ def test_eigenvector_k3_largest_root():
 def test_eigenvector_sign_patterns():
     # subdiagonal 1 gives x_i = (-1)^i d_i(lam); subdiagonal 2 gives (-1/2)^i g_i(lam)
     c4 = build_connected_matrix(4)
-    lam = dominant_eigenvalue(c4, Fraction(1, 10**35))
     seq = charpoly_recurrence(c4)
+    _, lam = dominant_root(seq[c4.size], Fraction(1, 10**35))
     pair = eigenvector_from_charpoly(c4, lam)
     with mp.workprec(precision_bits()):
         for i in range(4):
             expect = (-1) ** i * seq[i](pair.lam)
             assert abs(pair.vector[3 - i] - expect) < mpf(10) ** -40
     g4 = build_geometric_matrix(4)
-    lam = dominant_eigenvalue(g4, Fraction(1, 10**35))
     seq = charpoly_recurrence(g4)
+    _, lam = dominant_root(seq[g4.size], Fraction(1, 10**35))
     pair = eigenvector_from_charpoly(g4, lam)
     with mp.workprec(precision_bits()):
         for i in range(4):
@@ -784,33 +784,37 @@ def test_eigenvector_requires_nonzero_subdiagonal():
         eigenvector_from_charpoly(m, mpf(1))
 
 
+def _dominant(m, tol):
+    """The largest-modulus real eigenvalue of m, as ``eigen`` finds it."""
+    return dominant_root(charpoly_recurrence(m)[m.size], tol)[1]
+
+
 def test_dominant_eigenvalue_examples():
-    assert dominant_eigenvalue(build_geometric_matrix(1)) == 2
-    d4 = dominant_eigenvalue(build_geometric_matrix(4), Fraction(1, 10**40))
+    assert _dominant(build_geometric_matrix(1), 1e-30) == 2
+    d4 = _dominant(build_geometric_matrix(4), Fraction(1, 10**40))
     assert 8 < d4 < 9
     p = IntPolynomial((-16, 0, 0, -8, 1))
-    with mp.workprec(precision_bits()):
-        assert abs(p(d4)) < mpf(10) ** -30
+    assert abs(p(d4)) < Fraction(1, 10**30)
 
 
 def test_dominant_eigenvalue_kangulation_monotone():
-    prev = mpf(0)
+    prev = 0
     for r in range(1, 11):
-        d = dominant_eigenvalue(build_k_angulation_matrix(3, r), Fraction(1, 10**35))
+        d = _dominant(build_k_angulation_matrix(3, r), Fraction(1, 10**35))
         assert prev < d < 4
         prev = d
 
 
 def test_dominant_eigenvalue_geometric_monotone_tracks_growth():
     values = [
-        dominant_eigenvalue(build_geometric_matrix(n), Fraction(1, 10**35))
+        _dominant(build_geometric_matrix(n), Fraction(1, 10**35))
         for n in range(1, 8)
     ]
     assert all(a < b for a, b in zip(values, values[1:]))
     # count growth ratios climb alongside the eigenvalues (trend only)
-    from convexcount.production import count_sequence, geometric_class
+    from convexcount.production import GraphClassSpec, count_sequence
 
-    totals = [row.total for row in count_sequence(geometric_class(), 10)]
+    totals = [row.total for row in count_sequence(GraphClassSpec("geometric"), 10)]
     ratios = [Fraction(b, a) for a, b in zip(totals, totals[1:])]
     assert all(a < b for a, b in zip(ratios, ratios[1:]))
     assert float(ratios[-1]) < float(values[-1])

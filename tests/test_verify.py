@@ -1,7 +1,8 @@
 import pytest
 
-from convexcount import cli, closedform, oracle, verify
+from convexcount import cli, closedform, oracle, production, verify
 from convexcount.exact import CountVector, IntPolynomial
+from convexcount.production import CLASSES
 from convexcount.verify import (
     FLOORS,
     SUITE_NAMES,
@@ -23,6 +24,19 @@ def test_suites_pass(suite):
     assert results
     failures = [r for r in results if not r.passed]
     assert not failures, failures
+
+
+def test_eigen_suite_builds_each_class_once(monkeypatch):
+    # the relation row computes its default counts once, at n_max, not once per size
+    calls = []
+    true = production.connected_totals
+    monkeypatch.setattr(production, "connected_totals", lambda n: calls.append(n) or true(n))
+    assert suite_eigen(12) == [verify.CheckResult("eigen/residuals", True)]
+    assert calls == [12]
+
+
+def test_oracle_suite_checks_every_class_row_in_table_order():
+    assert [r.name for r in suite_oracle(8)] == [f"oracle/{name}" for name in CLASSES]
 
 
 def test_unknown_suite():
