@@ -21,95 +21,79 @@ MAX_DEFAULT_LEVEL = 64
 # its size option and the option of its parameter (PARAM_OPTIONS).
 CLASS_OPTIONS = ("n", "r", "k", "c_values")
 PARAM_OPTIONS = {"k": "k", "weights": "c_values"}
+# The options a json record echoes, by argparse dest.
+RECORDED = ("n", "k", "r", "n_max", "method", "c_values", "tol", "digits", "all_roots")
 
 
 class UsageError(Exception):
     pass
 
 
-def _parse_c_values(raw: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in raw.split(",") if part.strip())
-    except ValueError:
-        raise UsageError(f"--c-values must be comma-separated integers, got {raw!r}")
-
-
 def _options(row: ClassDef) -> tuple[str, ...]:
     return (row.size_option, PARAM_OPTIONS.get(row.param))
 
 
-def _flag(dest: str) -> str:
-    return "--" + dest.replace("_", "-")
-
-
-def _class_row(args) -> ClassDef:
-    """The class's table row, after rejecting options that do not apply to it."""
+def _class_row(args) -> tuple[ClassDef, int | None]:
+    """The class's table row and the size it is asked at, after rejecting
+    options that do not apply to it and a missing or negative size.  counts
+    takes no size: its levels run to --n-max."""
     row = CLASSES[args.cls]
     for dest in CLASS_OPTIONS:
         if getattr(args, dest, None) is not None and dest not in _options(row):
             owners = ", ".join(r.name for r in CLASSES.values() if dest in _options(r))
-            raise UsageError(f"{_flag(dest)} only applies to {owners}, not {row.name}")
-    return row
+            raise UsageError(f"--{dest.replace('_', '-')} only applies to {owners}, not {row.name}")
+    if args.command == "counts":
+        return row, None
+    size = getattr(args, row.size_option)
+    if size is None:
+        raise UsageError(f"{row.name} needs --{row.size_option}")
+    if size < 0:
+        raise UsageError(f"{row.size_option} must be >= 0")
+    return row, size
 
 
-def _class_spec(args) -> GraphClassSpec:
-    row = _class_row(args)
+def _class_spec(args, row: ClassDef) -> GraphClassSpec:
     value = getattr(args, PARAM_OPTIONS[row.param]) if row.param else None
     if row.param == "weights" and value is not None:
-        value = _parse_c_values(value)
+        try:
+            value = tuple(int(part) for part in value.split(",") if part.strip())
+        except ValueError:
+            raise UsageError(f"--c-values must be comma-separated integers, got {value!r}")
     elif row.param == "k" and value is None:
         raise UsageError(f"{row.name} needs --k")
     return GraphClassSpec(row.name, value)
 
 
-def _size_arg(args) -> int:
-    name = _class_row(args).size_option
-    size = getattr(args, name)
-    if size is None:
-        raise UsageError(f"{args.cls} needs --{name}")
-    if size < 0:
-        raise UsageError(f"{name} must be >= 0")
-    return size
-
-
-def _record(command: str, args, payload: dict) -> dict:
-    params = {}
-    for key in ("n", "k", "r", "n_max", "method", "c_values", "tol", "digits", "all_roots"):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = str(val)
-    return {
-        "format_version": FORMAT_VERSION,
-        "command": command,
-        "class": args.cls,
-        "parameters": params,
-        "payload": payload,
-    }
-
-
-def _print_json(record: dict) -> None:
+def _emit(args, payload, lines) -> int:
+    """Print the command's json record, whose payload ``payload()`` builds, for
+    --format json, and each of ``lines`` otherwise."""
+    if args.format != "json":
+        for line in lines:
+            print(line)
+        return 0
     import json
 
+    params = {key: str(val) for key in RECORDED if (val := getattr(args, key, None)) is not None}
+    record = {
+        "format_version": FORMAT_VERSION,
+        "command": args.command,
+        "class": args.cls,
+        "parameters": params,
+        "payload": payload(),
+    }
     print(json.dumps(record, indent=2))
+    return 0
 
 
 def cmd_matrix(args) -> int:
-    size = _size_arg(args)
-    spec = _class_spec(args)
-    matrix = spec.build_matrix(size)
-    rows = matrix.to_lists()
-    if args.format == "csv":
-        for row in rows:
-            print(",".join(str(x) for x in row))
-    elif args.format == "json":
-        _print_json(
-            _record("matrix", args, {"size": size, "matrix": [[str(x) for x in row] for row in rows]})
-        )
+    row, size = _class_row(args)
+    cells = [[str(x) for x in r] for r in _class_spec(args, row).build_matrix(size).to_lists()]
+    if args.format == "table":
+        width = max(len(x) for r in cells for x in r)
+        lines = (" ".join(x.rjust(width) for x in r) for r in cells)
     else:
-        width = max(len(str(x)) for row in rows for x in row)
-        for row in rows:
-            print(" ".join(str(x).rjust(width) for x in row))
-    return 0
+        lines = (",".join(r) for r in cells)
+    return _emit(args, lambda: {"size": size, "matrix": cells}, lines)
 
 
 def cmd_counts(args) -> int:
@@ -117,51 +101,32 @@ def cmd_counts(args) -> int:
         raise UsageError(
             f"--n-max guard is {MAX_DEFAULT_LEVEL}; pass --force to override"
         )
-    spec = _class_spec(args)
-    vectors = count_sequence(spec, args.n_max)
+    row, _ = _class_row(args)
+    vectors = count_sequence(_class_spec(args, row), args.n_max)
     if args.bfile:
-        for v in vectors:
-            print(f"{v.level} {v.total}")
-        return 0
-    if args.format == "json":
-        levels = [
-            {"level": v.level, "vector": [str(e) for e in v.entries], "total": str(v.total)}
-            for v in vectors
-        ]
-        _print_json(_record("counts", args, {"levels": levels}))
+        lines = (f"{v.level} {v.total}" for v in vectors)
     elif args.format == "csv":
-        for v in vectors:
-            print(",".join([str(v.level)] + [str(e) for e in v.entries] + [str(v.total)]))
+        lines = (",".join(map(str, (v.level, *v.entries, v.total))) for v in vectors)
     else:
-        for v in vectors:
-            vec = ", ".join(str(e) for e in v.entries)
-            print(f"level {v.level}: ({vec})  total {v.total}")
-    return 0
-
-
-def _charpoly(args, spec: GraphClassSpec, n: int):
-    if args.method == "closed":
-        return CLASSES[spec.name].charpoly(spec.param, n)
-    matrix = spec.build_matrix(max(1, n))
-    if args.method == "determinant":
-        return charpoly_determinant(matrix)[n]
-    return charpoly_recurrence(matrix)[n]
+        lines = (f"level {v.level}: ({', '.join(map(str, v.entries))})  total {v.total}" for v in vectors)
+    return _emit(args, lambda: {"levels": [
+        {"level": v.level, "vector": [str(e) for e in v.entries], "total": str(v.total)} for v in vectors
+    ]}, lines)
 
 
 def cmd_charpoly(args) -> int:
-    n = _size_arg(args)
-    if args.method == "closed" and _class_row(args).charpoly is None:
-        raise UsageError(f"no closed form exists for the {args.cls} matrix")
-    spec = _class_spec(args)
-    poly = _charpoly(args, spec, n)
-    coeffs = [str(poly.coefficient(t)) for t in range(n + 1)]
-    if args.format == "json":
-        _print_json(_record("charpoly", args, {"degree": n, "coefficients": coeffs}))
-    elif args.format == "csv":
-        print(",".join(coeffs))
+    row, n = _class_row(args)
+    if args.method == "closed" and row.charpoly is None:
+        raise UsageError(f"no closed form exists for the {row.name} matrix")
+    spec = _class_spec(args, row)
+    if args.method == "closed":
+        poly = row.charpoly(spec.param, n)
     else:
-        print(" ".join(coeffs))
-    return 0
+        charpoly = charpoly_determinant if args.method == "determinant" else charpoly_recurrence
+        poly = charpoly(spec.build_matrix(max(1, n)))[n]
+    coeffs = [str(poly.coefficient(t)) for t in range(n + 1)]
+    sep = "," if args.format == "csv" else " "
+    return _emit(args, lambda: {"degree": n, "coefficients": coeffs}, [sep.join(coeffs)])
 
 
 def cmd_eigen(args) -> int:
@@ -170,7 +135,7 @@ def cmd_eigen(args) -> int:
     from . import spectral
     from mpmath import mp
 
-    n = _size_arg(args)
+    row, n = _class_row(args)
     digits = args.digits
     if digits < 1:
         raise UsageError("--digits must be >= 1")
@@ -181,8 +146,7 @@ def cmd_eigen(args) -> int:
     tol = Fraction(args.tol)
     if tol >= 1:
         raise UsageError("--tol must be < 1")
-    spec = _class_spec(args)
-    matrix = spec.build_matrix(n)
+    matrix = _class_spec(args, row).build_matrix(n)
     poly = charpoly_recurrence(matrix)[n]
     if args.all_roots:
         selected = spectral.real_roots(poly, tol)
@@ -201,27 +165,22 @@ def cmd_eigen(args) -> int:
                 f"--digits {digits} needs --tol <= |eigenvalue| * 1e-{digits} "
                 f"(eigenvalue near {float(root):.6g})"
             )
-    with mp.workprec(bits):
-        entries = []
-        for root in selected:
-            pair = spectral.eigenvector_from_charpoly(matrix, root)
-            entries.append(
-                {
-                    "eigenvalue": mp.nstr(pair.lam, digits),
-                    "vector": [mp.nstr(x, digits) for x in pair.vector],
-                    "residual": mp.nstr(pair.residual, 5),
-                }
-            )
-    payload = {"real_root_count": count, "eigenpairs": entries}
-    if args.format == "json":
-        _print_json(_record("eigen", args, payload))
-    else:
-        print(f"real roots found: {count}")
-        for e in entries:
-            print(f"eigenvalue {e['eigenvalue']}")
-            print("  vector (x_{n-1}..x_0): " + ", ".join(e["vector"]))
-            print(f"  residual {e['residual']}")
-    return 0
+    entries = []
+    for root in selected:
+        pair = spectral.eigenvector_from_charpoly(matrix, root)
+        entries.append(
+            {
+                "eigenvalue": mp.nstr(pair.lam, digits),
+                "vector": [mp.nstr(x, digits) for x in pair.vector],
+                "residual": mp.nstr(pair.residual, 5),
+            }
+        )
+    lines = [f"real roots found: {count}"] + [
+        f"eigenvalue {e['eigenvalue']}\n  vector (x_{{n-1}}..x_0): {', '.join(e['vector'])}\n"
+        f"  residual {e['residual']}"
+        for e in entries
+    ]
+    return _emit(args, lambda: {"real_root_count": count, "eigenpairs": entries}, lines)
 
 
 def cmd_verify(args) -> int:
@@ -249,9 +208,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_class_options(p, with_n=True):
+    def add_class_command(name, func, help, *options, formats=("table", "json", "csv")):
+        """A parser for a command on one class: the class and its options,
+        ``options`` as (flag, keywords) pairs, then --format.  A matrix is
+        sized by --n or --r; counts runs to --n-max and may print a b-file."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        sized = name != "counts"
         p.add_argument("cls", metavar="class", choices=CLASS_NAMES)
-        if with_n:
+        if sized:
             p.add_argument("--n", type=int, help="matrix size / level")
         p.add_argument("--k", type=int, help="polygon size for kangulation")
         p.add_argument(
@@ -259,40 +224,33 @@ def build_parser() -> argparse.ArgumentParser:
             help="comma-separated counts c_2,c_3,... for the relation matrix "
             "(default: connected-graph totals)",
         )
+        if sized:
+            p.add_argument("--r", type=int, help="number of k-gons (kangulation size)")
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        # A b-file has one format of its own; beside --bfile, None reads as table.
+        out = p if sized else p.add_mutually_exclusive_group()
+        out.add_argument("--format", choices=formats, default="table" if sized else None)
+        if not sized:
+            out.add_argument("--bfile", action="store_true", help="emit OEIS b-file lines")
+        return p
 
-    p = sub.add_parser("matrix", help="print a production matrix")
-    add_class_options(p)
-    p.add_argument("--r", type=int, help="number of k-gons (kangulation size)")
-    p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p.set_defaults(func=cmd_matrix)
-
-    p = sub.add_parser("counts", help="iterate the production matrix and print counts")
-    add_class_options(p, with_n=False)
-    p.add_argument("--n-max", type=int, required=True, dest="n_max")
-    # A b-file has one format of its own; None reads as table.
-    out = p.add_mutually_exclusive_group()
-    out.add_argument("--format", choices=("table", "json", "csv"))
-    out.add_argument("--bfile", action="store_true", help="emit OEIS b-file lines")
-    p.add_argument("--force", action="store_true")
-    p.set_defaults(func=cmd_counts)
-
-    p = sub.add_parser("charpoly", help="characteristic polynomial coefficients")
-    add_class_options(p)
-    p.add_argument("--r", type=int, help="number of k-gons (kangulation size)")
-    p.add_argument(
-        "--method", choices=("recurrence", "closed", "determinant"), default="recurrence"
+    add_class_command("matrix", cmd_matrix, "print a production matrix")
+    add_class_command(
+        "counts", cmd_counts, "iterate the production matrix and print counts",
+        ("--n-max", {"type": int, "required": True}),
+    ).add_argument("--force", action="store_true")
+    add_class_command(
+        "charpoly", cmd_charpoly, "characteristic polynomial coefficients",
+        ("--method", {"choices": ("recurrence", "closed", "determinant"), "default": "recurrence"}),
     )
-    p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p.set_defaults(func=cmd_charpoly)
-
-    p = sub.add_parser("eigen", help="dominant eigenvalue, eigenvector and residual")
-    add_class_options(p)
-    p.add_argument("--r", type=int, help="number of k-gons (kangulation size)")
-    p.add_argument("--tol", default="1e-40", help="eigenvalue refinement tolerance, 0 < tol < 1")
-    p.add_argument("--digits", type=int, default=30)
-    p.add_argument("--all-roots", action="store_true", dest="all_roots")
-    p.add_argument("--format", choices=("table", "json"), default="table")
-    p.set_defaults(func=cmd_eigen)
+    add_class_command(
+        "eigen", cmd_eigen, "dominant eigenvalue, eigenvector and residual",
+        ("--tol", {"default": "1e-40", "help": "eigenvalue refinement tolerance, 0 < tol < 1"}),
+        ("--digits", {"type": int, "default": 30}),
+        ("--all-roots", {"action": "store_true"}),
+        formats=("table", "json"),
+    )
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=SUITE_NAMES + ("all",))

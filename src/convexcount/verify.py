@@ -114,11 +114,11 @@ def suite_eigen(n_max: int) -> list[CheckResult]:
     from fractions import Fraction
     # spectral before mpmath: compiled on top of mpmath's heap, it raises the peak RSS.
     from . import spectral
-    from mpmath import mp, mpf
+    from mpmath import mpf
 
     tol = Fraction(1, 10**48)
-    with mp.workprec(spectral.precision_bits()):
-        bound = mpf(RESIDUAL_BOUND)
+    # A float converts exactly at any precision of at least 53 bits.
+    bound = mpf(RESIDUAL_BOUND)
     # Every band is prefix-stable (tests/test_production.py checks it), so each
     # class is built once, at n_max: the size-n matrix is its leading block.
     built = []
