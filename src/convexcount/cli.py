@@ -17,6 +17,8 @@ from .production import CLASS_NAMES, CLASSES, ClassDef, GraphClassSpec, count_se
 
 FORMAT_VERSION = "1"
 MAX_DEFAULT_LEVEL = 64
+# eigen prints at most this many digits, so 10**digits stays bounded.
+MAX_DIGITS = 1000
 # Options that belong to some classes only, by argparse dest.  A row takes
 # its size option and the option of its parameter (PARAM_OPTIONS).
 CLASS_OPTIONS = ("n", "r", "k", "c_values")
@@ -129,23 +131,32 @@ def cmd_charpoly(args) -> int:
     return _emit(args, lambda: {"degree": n, "coefficients": coeffs}, [sep.join(coeffs)])
 
 
+def _decimal(num: int, den: int, digits: int) -> str:
+    """num/den to ``digits`` significant digits, as mp.nstr prints it.  mp.nstr
+    reads digits + 3 decimals, so num/den is first cut, by integer division,
+    to a mantissa 16 bits longer than those: mpmath's own conversion of a
+    big rational is far slower."""
+    from mpmath.libmp import from_man_exp, to_str
+
+    shift = int((digits + 3) * math.log2(10)) + 16 - num.bit_length() + den.bit_length()
+    man = (abs(num) << shift) // den if shift >= 0 else (abs(num) >> -shift) // den
+    return to_str(from_man_exp(-man if num < 0 else man, -shift), digits)
+
+
 def cmd_eigen(args) -> int:
     from fractions import Fraction
-    # spectral before mpmath: compiled on top of mpmath's heap, it raises the peak RSS.
+
     from . import spectral
-    from mpmath import mp
 
     row, n = _class_row(args)
     digits = args.digits
     if digits < 1:
         raise UsageError("--digits must be >= 1")
-    bits = spectral.precision_bits()
-    max_digits = int(bits * math.log10(2)) - 2
-    if digits > max_digits:
-        raise UsageError(f"--digits must be <= {max_digits} at {bits}-bit precision")
+    if digits > MAX_DIGITS:
+        raise UsageError(f"--digits must be <= {MAX_DIGITS}")
     tol = Fraction(args.tol)
-    if tol >= 1:
-        raise UsageError("--tol must be < 1")
+    if not 0 < tol < 1:
+        raise UsageError("tol must be positive" if tol <= 0 else "--tol must be < 1")
     matrix = _class_spec(args, row).build_matrix(n)
     poly = charpoly_recurrence(matrix)[n]
     if args.all_roots:
@@ -170,9 +181,9 @@ def cmd_eigen(args) -> int:
         pair = spectral.eigenvector_from_charpoly(matrix, root)
         entries.append(
             {
-                "eigenvalue": mp.nstr(pair.lam, digits),
-                "vector": [mp.nstr(x, digits) for x in pair.vector],
-                "residual": mp.nstr(pair.residual, 5),
+                "eigenvalue": _decimal(pair.lam.numerator, pair.lam.denominator, digits),
+                "vector": [_decimal(x, pair.denominator, digits) for x in pair.vector],
+                "residual": _decimal(pair.residual.numerator, pair.residual.denominator, 5),
             }
         )
     lines = [f"real roots found: {count}"] + [

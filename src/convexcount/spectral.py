@@ -9,35 +9,19 @@ dyadic grid points by integer Horner evaluation.  Refinement runs per root,
 so a caller that prints one root refines only the candidates for it;
 quadratic interval refinement on the same grid lands on the cell that sign
 bisection would, so the roots are the same.  ``Fraction`` appears only in
-the tolerance, the root bound B and the returned roots.  Eigenvectors and
-their residuals run the band's recurrences at the root, O(n * len(den)) per
-root, in mpmath at CONVEX_COUNT_PRECISION bits (default 256).  mpmath is
-imported on first use, by the functions that compute with it, so exact work
-never loads it.
+the tolerance, the root bound B and the returned roots.  Eigenpairs are
+exact too: at a rational root the band's recurrence runs in integers, O(n *
+len(den)) steps per root, and the vector comes back as integers over one
+common denominator with its residual as a Fraction.  Nothing here computes
+in floating point or loads mpmath; only the CLI does, to print digits.
 """
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .exact import HTMatrix, IntPolynomial, _recurrence_terms, _suffix_sums
-
-DEFAULT_PRECISION_BITS = 256
-
-
-def precision_bits() -> int:
-    """Working precision in bits, from CONVEX_COUNT_PRECISION."""
-    raw = os.environ.get("CONVEX_COUNT_PRECISION", "")
-    try:
-        bits = int(raw) if raw else DEFAULT_PRECISION_BITS
-    except ValueError:
-        raise ValueError(f"CONVEX_COUNT_PRECISION must be an integer, got {raw!r}")
-    if bits < 53:
-        raise ValueError("precision must be at least 53 bits")
-    return bits
-
+from .exact import HTMatrix, IntPolynomial, _recurrence_terms
 
 # ---------------------------------------------------------------------------
 # Exact real-root location over the integers (Sturm isolation, then
@@ -326,62 +310,46 @@ def dominant_root(p: IntPolynomial, tol: Fraction | float) -> tuple[int, Fractio
 # Eigenpairs.
 
 class EigenPair(NamedTuple):
-    """Candidate eigenpair with its relative residual max|Ax - lx| / max|x|.
-    The vector is ordered (x_{n-1}, ..., x_0), matching the matrix rows."""
+    """Candidate eigenpair, exact: the vector is x = ``vector`` / ``denominator``,
+    ordered (x_{n-1}, ..., x_0) like the matrix rows, and the residual is
+    the Fraction max|Ax - lam x| / max|x|."""
 
-    lam: object
-    vector: tuple
-    residual: object
-
-
-def _to_mp(x):
-    from mpmath import mp
-
-    if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / x.denominator
-    return mp.mpmathify(x)
+    lam: Fraction
+    vector: tuple[int, ...]
+    denominator: int
+    residual: Fraction
 
 
-def _charpoly_values(m: HTMatrix, lam, n: int) -> list:
-    """d_0(lam)..d_n(lam), by charpoly_recurrence's recurrence run on numbers
-    at the working precision: O(n * len(den)) operations with a band_gf."""
-    ps, qs = _recurrence_terms(m, n)
-    ds = [lam * 0 + 1]  # complex when lam is
-    us = []
-    for j in range(n):
-        u = sum(c * ds[j - r] for r, c in ps if r <= j)
-        u += sum(c * us[j - r] for r, c in qs if r <= j)
-        us.append(u)
-        ds.append(u - lam * ds[j])
-    return ds
-
-
-def eigenvector_from_charpoly(m: HTMatrix, lam) -> EigenPair:
-    """Eigenvector candidate x_i = (-1/a_sub)**i d_i(lam) with x_0 = 1.
+def eigenvector_from_charpoly(m: HTMatrix, lam: Fraction | int) -> EigenPair:
+    """Eigenvector candidate x_i = (-1/sub)**i d_i(lam) with x_0 = 1, exactly.
 
     ``lam`` should approximate a root of the size-n characteristic
-    polynomial; the returned residual tells how good the pair is, so a
-    non-eigenvalue simply comes back with a large residual.  Row i of the
-    product is sub * v[i-1] + T_i with the suffix sums T_i of ``mat_vec``,
-    so a band with a generating function costs O(n * len(den)) per root.
+    polynomial d_n; the residual tells how good the pair is, so a
+    non-eigenvalue simply comes back with a large residual.
+
+    With lam = N/D and e_j = D**j d_j(lam), charpoly_recurrence's recurrence
+    becomes e_(j+1) = D V_j - N e_j with V_j = D**j U_j, O(n * len(den))
+    integer steps per root; D = Q * 2**s, so its powers of two are shifts.
+    Over the common denominator (|sub| D)**(n-1) the entries are integers.
+    Row i >= 1 of (A - lam I) x is the recurrence itself and so exactly zero;
+    row 0 is (-1/sub)**(n-1) d_n(lam), and the residual is
+    |e_n| / (D max|vector|).
     """
     if m.sub == 0:
         raise ValueError("eigenvector formula requires a nonzero subdiagonal")
-    from mpmath import mp
-
-    n = m.size
-    with mp.workprec(precision_bits()):
-        lam_mp = _to_mp(lam)
-        factor = mp.mpf(-1) / m.sub
-        ds = _charpoly_values(m, lam_mp, n - 1)
-        xs = [d * factor**i for i, d in enumerate(ds)]
-        vector = tuple(reversed(xs))  # (x_{n-1}, ..., x_0)
-        ts = _suffix_sums(m.band_series, vector)
-        resid = mp.mpf(0)
-        for i in range(n):
-            row_val = m.sub * vector[i - 1] + ts[i] if i else ts[0]
-            resid = max(resid, abs(row_val - lam_mp * vector[i]))
-        scale = max(abs(x) for x in vector)
-        residual = resid / scale if scale != 0 else resid
-        return EigenPair(lam_mp, vector, residual)
-
+    lam = Fraction(lam)
+    n, N, D = m.size, lam.numerator, lam.denominator
+    s = (D & -D).bit_length() - 1
+    Q = D >> s
+    ps, qs = ([(r, c * Q**r, r * s) for r, c in terms] for terms in _recurrence_terms(m, n))
+    es, vs = [1], []
+    for j in range(n):
+        v = sum((c * es[j - r]) << shift for r, c, shift in ps if r <= j)
+        v += sum((c * vs[j - r]) << shift for r, c, shift in qs if r <= j)
+        vs.append(v)
+        es.append(((Q * v) << s) - N * es[j])
+    # x_i = (-1/sub)**i e_i / D**i, times (|sub| D)**(n-1)
+    step, flip = abs(m.sub) * Q, -1 if m.sub > 0 else 1
+    vector = tuple((flip**i * es[i] * step ** (n - 1 - i)) << (s * (n - 1 - i)) for i in reversed(range(n)))
+    residual = Fraction(abs(es[n]), D * max(map(abs, vector)))
+    return EigenPair(lam, vector, step ** (n - 1) << (s * (n - 1)), residual)

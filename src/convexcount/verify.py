@@ -112,13 +112,11 @@ def suite_eigen(n_max: int) -> list[CheckResult]:
     if n_max < 1:
         return [CheckResult("eigen/residuals", False, f"empty range: n_max={n_max} < 1")]
     from fractions import Fraction
-    # spectral before mpmath: compiled on top of mpmath's heap, it raises the peak RSS.
+
     from . import spectral
-    from mpmath import mpf
 
     tol = Fraction(1, 10**48)
-    # A float converts exactly at any precision of at least 53 bits.
-    bound = mpf(RESIDUAL_BOUND)
+    bound = Fraction(RESIDUAL_BOUND)  # the float's exact value
     # Every band is prefix-stable (tests/test_production.py checks it), so each
     # class is built once, at n_max: the size-n matrix is its leading block.
     built = []
@@ -132,7 +130,7 @@ def suite_eigen(n_max: int) -> list[CheckResult]:
             for root in spectral.real_roots(seq[n], tol):
                 pair = spectral.eigenvector_from_charpoly(matrix, root)
                 if not pair.residual <= bound:
-                    detail = f"{label} n={n} root~{float(root):.6g}: residual {pair.residual}"
+                    detail = f"{label} n={n} root~{float(root):.6g}: residual {float(pair.residual):.5g}"
                     return [CheckResult("eigen/residuals", False, detail)]
     return [CheckResult("eigen/residuals", True)]
 

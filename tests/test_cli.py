@@ -384,6 +384,16 @@ def test_eigen_digits_must_be_positive(capsys):
     assert "eigenvalue 7.0" in out
 
 
+def test_eigen_tol_must_be_positive_before_any_work(capsys, monkeypatch):
+    def refuse(matrix):
+        raise AssertionError("the charpoly was built")
+
+    monkeypatch.setattr(cli, "charpoly_recurrence", refuse)
+    for tol in ("0", "-1", "0.0"):
+        code, out, err = run_cli(capsys, "eigen", "relation", "--n", "600", "--tol", tol)
+        assert (code, out, err) == (2, "", "error: tol must be positive\n")
+
+
 def test_eigen_tol_must_be_below_one(capsys):
     for tol in ("1", "1e400"):
         code, out, err = run_cli(capsys, "eigen", "geometric", "--n", "3", "--tol", tol)
@@ -395,7 +405,7 @@ def test_eigen_tol_must_be_below_one(capsys):
 
 
 @pytest.mark.parametrize("all_roots", [(), ("--all-roots",)])
-def test_eigen_digits_beyond_tol_or_precision(capsys, monkeypatch, all_roots):
+def test_eigen_digits_beyond_tol_or_precision(capsys, all_roots):
     # 60 digits of a root known to 1e-40: digits 41 on would be wrong
     code, out, err = run_cli(capsys, "eigen", "geometric", "--n", "5", "--digits", "60", *all_roots)
     assert (code, out) == (2, "")
@@ -405,23 +415,22 @@ def test_eigen_digits_beyond_tol_or_precision(capsys, monkeypatch, all_roots):
     )
     assert code == 0
     assert "eigenvalue 8.87821821370270852325456503830498487462030830631326000615311" in out
-    # 120 digits are more than 256 bits hold, whatever the tolerance
-    code, out, err = run_cli(
-        capsys, "eigen", "geometric", "--n", "5", "--digits", "120", "--tol", "1e-110", *all_roots
-    )
-    assert (code, out) == (2, "")
-    assert "error: --digits must be <= 75 at 256-bit precision" in err
     code, _, _ = run_cli(capsys, "eigen", "geometric", "--n", "5", "--digits", "75", "--tol", "1e-80", *all_roots)
     assert code == 0
-    monkeypatch.setenv("CONVEX_COUNT_PRECISION", "512")
+    # the digits are exact: 120 of them need only the tolerance
     code, out, _ = run_cli(
         capsys, "eigen", "geometric", "--n", "5", "--digits", "120", "--tol", "1e-125", *all_roots
     )
     assert code == 0 and "eigenvalue 8.8782182137027085232545650383049848746203083063132600061531" in out
+    # MAX_DIGITS is the one cap, whatever the tolerance
+    code, out, err = run_cli(
+        capsys, "eigen", "geometric", "--n", "5", "--digits", "1001", "--tol", "1e-1010", *all_roots
+    )
+    assert (code, out, err) == (2, "", "error: --digits must be <= 1000\n")
     # an exact root prints at any supported number of digits
-    monkeypatch.delenv("CONVEX_COUNT_PRECISION")
-    code, out, _ = run_cli(capsys, "eigen", "geometric", "--n", "1", "--digits", "70", *all_roots)
-    assert code == 0 and "eigenvalue 2.0" in out
+    for digits in ("70", "1000"):
+        code, out, _ = run_cli(capsys, "eigen", "geometric", "--n", "1", "--digits", digits, *all_roots)
+        assert code == 0 and "eigenvalue 2.0" in out
 
 
 def test_verify_eigen_reads_n_max(capsys):
@@ -463,8 +472,8 @@ def test_option_of_another_class_rejected(capsys, argv, option):
     assert f"error: {option} only applies to" in err
 
 
-# Commands whose work is exact integer arithmetic: none of them may load
-# mpmath (the floating-point eigenvector layer) or json.
+# Commands whose work is exact integer arithmetic and prints no decimal
+# digits: none of them may load mpmath (eigen's printer) or json.
 EXACT_ARGVS = [
     ["counts", "geometric", "--n-max", "20"],
     ["counts", "geometric", "--n-max", "20", "--bfile"],
@@ -474,6 +483,7 @@ EXACT_ARGVS = [
     ["verify", "lemma1", "--n-max", "3"],
     ["verify", "vectors", "--n-max", "5"],
     ["verify", "charpoly", "--n-max", "5"],
+    ["verify", "eigen", "--n-max", "5"],
 ]
 LOADING_ARGVS = [
     ["eigen", "geometric", "--n", "8", "--all-roots"],

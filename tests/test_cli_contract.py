@@ -24,7 +24,7 @@ VALUES = {
         st.lists(st.integers(-50, 50), max_size=8).map(lambda xs: ",".join(map(str, xs))),
     ),
     "--tol": st.sampled_from(["1e-40", "0.5", "1/3", "1e-10", "0", "1", "abc", "-1"]),
-    "--digits": st.sampled_from([30, 1, 0, 80, -1]),
+    "--digits": st.sampled_from([30, 1, 0, 75, 76, 80, 1000, 1001, -1]),
     "--method": st.sampled_from(["recurrence", "closed", "determinant"]),
     "--format": st.sampled_from(["table", "csv", "json"]),
     "--all-roots": None,

@@ -1,25 +1,14 @@
-"""Edge paths not covered by the main modules' tests: complex eigenpairs,
-the counting loop, and randomized structural properties."""
+"""Edge paths not covered by the main modules' tests: small spectra, the
+counting loop, and randomized structural properties."""
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import mp, mpc, mpf
 
 from convexcount.exact import CountVector, HTMatrix, IntPolynomial, charpoly_recurrence
 from convexcount.production import GraphClassSpec, build_geometric_matrix, count_sequence
-from convexcount.spectral import dominant_root, eigenvector_from_charpoly, precision_bits
+from convexcount.spectral import dominant_root
 from reference_oracle import PlaneGraph, enumerate_noncrossing_graphs, visibility_degree
-
-
-def test_complex_eigenpair():
-    # band (0, -1) over subdiagonal 1 has characteristic polynomial x^2 + 1
-    m = HTMatrix(2, 1, (0, -1))
-    assert charpoly_recurrence(m)[2] == IntPolynomial((1, 0, 1))
-    pair = eigenvector_from_charpoly(m, mpc(0, 1))
-    with mp.workprec(precision_bits()):
-        assert pair.residual < mpf(10) ** -70
-        assert abs(pair.vector[0] - mpc(0, 1)) < mpf(10) ** -70
 
 
 def test_charpoly_and_dominant_eigenvalue_of_sqrt2_matrix():
@@ -31,7 +20,9 @@ def test_charpoly_and_dominant_eigenvalue_of_sqrt2_matrix():
 
 
 def test_dominant_eigenvalue_no_real_root():
+    # band (0, -1) over subdiagonal 1 has characteristic polynomial x^2 + 1
     m = HTMatrix(2, 1, (0, -1))
+    assert charpoly_recurrence(m)[2] == IntPolynomial((1, 0, 1))
     assert dominant_root(charpoly_recurrence(m)[m.size], 1e-30) == (0, None)
 
 

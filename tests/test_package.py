@@ -32,7 +32,7 @@ EXPORTS = {
         "connected_totals", "count_sequence", "k_angulation_total", "relation_weights",
     ],
     "spectral": [
-        "EigenPair", "dominant_root", "eigenvector_from_charpoly", "precision_bits", "real_roots",
+        "EigenPair", "dominant_root", "eigenvector_from_charpoly", "real_roots",
     ],
     "oracle": ["count_spanning_structures", "spanning_counts"],
 }
@@ -91,7 +91,7 @@ def test_readme_library_snippet_runs():
         (GraphClassSpec("geometric"), "param"),
         (CLASSES["geometric"], "build"),
         (verify.CheckResult("demo", True), "passed"),
-        (EigenPair(1, (1,), 0), "residual"),
+        (EigenPair(1, (1,), 1, 0), "residual"),
         (IntPolynomial((1, 2)), "coeffs"),
     ],
     ids=lambda v: v if isinstance(v, str) else type(v).__name__,

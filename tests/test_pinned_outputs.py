@@ -3,8 +3,9 @@ exit 0 with stdout of a recorded sha256.  A change that alters any printed
 digit or line, or the exit status, of these commands fails here; a change
 that is meant to alter one updates its digest here, in the same commit.
 The ``eigen`` digests leave out the residual lines (a table's residual lines,
-a json record's residual fields), whose digits follow mpmath's rounding at
-every step; each residual must be at most 1e-30.
+a json record's residual fields); each residual must be at most 1e-30.  The
+residuals are exact now, but the digests date from when their digits were
+floating-point rounding noise.
 """
 import hashlib
 import json

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from mpmath import mp, mpc, mpf, polyroots, sqrt
+from mpmath import mp, mpf, sqrt
 
+from convexcount.cli import _decimal, main
 from convexcount.closedform import (
     charpoly_closed_connected,
     charpoly_closed_geometric,
@@ -32,7 +33,6 @@ from convexcount.spectral import (
     _isolate_real_roots,
     dominant_root,
     eigenvector_from_charpoly,
-    precision_bits,
     real_roots,
 )
 from polyring import add, mul
@@ -244,14 +244,15 @@ def reference_charpoly_determinant(m):
     return IntPolynomial(minor((1 << n) - 1))
 
 
-def reference_eigenvector(m, lam):
+def reference_eigenvector(m, lam, bits=256):
     """x_i = (-1/sub)**i d_i(lam) by Horner on each exact d_i, and the
-    residual from m.entry dot products, O(n**2) per root; kept as the
-    reference for eigenvector_from_charpoly."""
+    residual from m.entry dot products, O(n**2) per root, in mpmath at
+    ``bits`` bits; kept as the reference for eigenvector_from_charpoly."""
     n = m.size
     seq = charpoly_recurrence(m)
-    with mp.workprec(precision_bits()):
-        lam_mp = lam if isinstance(lam, (mpf, mpc)) else mpf(lam.numerator) / lam.denominator
+    lam = Fraction(lam)
+    with mp.workprec(bits):
+        lam_mp = mpf(lam.numerator) / lam.denominator
         factor = mpf(-1) / m.sub
         vector = tuple(reversed([seq[i](lam_mp) * factor**i for i in range(n)]))
         resid = mpf(0)
@@ -626,50 +627,72 @@ def test_dominant_root_tie_goes_to_positive_root():
     assert dominant_root(charpoly_recurrence(m)[m.size], tol)[1] > 0
 
 
-def _vector_strings(vector):
-    with mp.workprec(precision_bits()):
-        return [mp.nstr(x, 30) for x in vector]
+def _vector_strings(vector, digits=30):
+    return [mp.nstr(x, digits) for x in vector]
+
+
+def _pair_strings(pair, digits=30):
+    """The exact vector as ``eigen`` prints it."""
+    return [_decimal(x, pair.denominator, digits) for x in pair.vector]
 
 
 @pytest.mark.parametrize("name", sorted(_CLASS_BUILDERS))
 def test_eigenvector_matches_reference_on_class_roots(name):
-    with mp.workprec(precision_bits()):
-        bound = mpf(10) ** -30
+    bound = Fraction(1, 10**30)
     checked = 0
     for n in range(1, 31):
         m = _CLASS_BUILDERS[name](n)
         for root in real_roots(charpoly_recurrence(m)[n], Fraction(1, 10**40)):
             pair = eigenvector_from_charpoly(m, root)
-            lam, vector, residual = reference_eigenvector(m, root)
-            assert pair.lam == lam
-            assert _vector_strings(pair.vector) == _vector_strings(vector), (n, root)
-            assert pair.residual <= bound and residual <= bound, (n, root)
+            _, vector, residual = reference_eigenvector(m, root)
+            assert pair.lam == root
+            assert _pair_strings(pair) == _vector_strings(vector), (n, root)
+            assert pair.residual <= bound and residual <= 1e-30, (n, root)
             checked += 1
     assert checked >= 30
 
 
 def test_eigenvector_matches_reference_off_the_real_roots():
-    # a non-eigenvalue, and complex roots found by mpmath
+    # values that are not eigenvalues
     for m, lam in (
-        (build_geometric_matrix(12), mpf(3)),
-        (build_relation_matrix(9, connected_totals(9)), mpf("-0.5")),
-        (HTMatrix(2, 1, (0, -1)), mpc(0, 1)),
+        (build_geometric_matrix(12), Fraction(3)),
+        (build_relation_matrix(9, connected_totals(9)), Fraction(-1, 2)),
     ):
         pair = eigenvector_from_charpoly(m, lam)
         _, vector, residual = reference_eigenvector(m, lam)
-        assert _vector_strings(pair.vector) == _vector_strings(vector)
-        with mp.workprec(precision_bits()):
-            assert mp.nstr(pair.residual, 20) == mp.nstr(residual, 20)
-    for m in (build_geometric_matrix(6), build_partition_matrix(7)):
-        coeffs = charpoly_recurrence(m)[m.size].coeffs
-        with mp.workprec(precision_bits()):
-            lams = [z for z in polyroots(coeffs[::-1], maxsteps=200, extraprec=256) if abs(z.imag) > 1e-3]
-        assert lams
-        for lam in lams:
+        assert _pair_strings(pair) == _vector_strings(vector)
+        assert _decimal(pair.residual.numerator, pair.residual.denominator, 20) == mp.nstr(residual, 20)
+
+
+@pytest.mark.parametrize("name", sorted(_CLASS_BUILDERS))
+def test_eigenpair_rows_are_exact(name):
+    # (A - lam I) x in Fractions from the dense entries: every row but the
+    # first is zero, and the residual is the first row over max|x|
+    for n in range(1, 13):
+        m = _CLASS_BUILDERS[name](n)
+        lams = real_roots(charpoly_recurrence(m)[n], Fraction(1, 10**40))
+        for lam in lams + [Fraction(0), Fraction(3), Fraction(-7, 12)]:
             pair = eigenvector_from_charpoly(m, lam)
-            _, vector, residual = reference_eigenvector(m, lam)
-            assert _vector_strings(pair.vector) == _vector_strings(vector)
-            assert pair.residual < mpf(10) ** -30 and residual < mpf(10) ** -30
+            x = [Fraction(v, pair.denominator) for v in pair.vector]
+            rows = [sum(a * xj for a, xj in zip(row, x)) - lam * xi for row, xi in zip(m.to_lists(), x)]
+            assert x[-1] == 1 and pair.lam == lam
+            assert not any(rows[1:]), (n, lam)
+            assert pair.residual == abs(rows[0]) / max(map(abs, x)), (n, lam)
+
+
+@pytest.mark.parametrize("name, n", [("geometric", 20), ("relation", 28)])
+def test_eigen_prints_the_digits_of_a_1024_bit_reference(capsys, name, n):
+    assert main(["eigen", name, "--n", str(n), "--digits", "75", "--tol", "1e-95"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    m = _CLASS_BUILDERS[name](n)
+    _, root = dominant_root(charpoly_recurrence(m)[n], Fraction(1, 10**95))
+    lam, vector, residual = reference_eigenvector(m, root, bits=1024)
+    assert out[0].startswith("real roots found: ")
+    assert out[1:] == [
+        f"eigenvalue {mp.nstr(lam, 75)}",
+        f"  vector (x_{{n-1}}..x_0): {', '.join(_vector_strings(vector, 75))}",
+        f"  residual {mp.nstr(residual, 5)}",
+    ]
 
 
 @settings(max_examples=60, deadline=None)
@@ -735,53 +758,43 @@ def test_real_roots_no_real():
 
 
 def test_eigenvector_g2():
+    # the root 2 + 2 sqrt(2) of x^2 - 4x - 4, to within 1e-80: x_1 = (lam - 2) / 2
     g2 = build_geometric_matrix(2)
-    with mp.workprec(precision_bits()):
-        lam = 2 + 2 * sqrt(2)
+    _, lam = dominant_root(charpoly_recurrence(g2)[2], Fraction(1, 10**80))
     pair = eigenvector_from_charpoly(g2, lam)
-    with mp.workprec(precision_bits()):
-        assert abs(pair.vector[0] - sqrt(2)) < mpf(10) ** -70
-        assert pair.vector[1] == 1
-        assert pair.residual < mpf(10) ** -12
+    assert pair.vector[1] == pair.denominator
+    with mp.workprec(400):
+        assert abs(mpf(pair.vector[0]) / pair.denominator - sqrt(2)) < mpf(10) ** -70
+    assert pair.residual < Fraction(1, 10**12)
 
 
 def test_eigenvector_non_eigenvalue_large_residual():
     g2 = build_geometric_matrix(2)
-    pair = eigenvector_from_charpoly(g2, mpf(3))
-    assert pair.residual > mpf("0.1")
+    pair = eigenvector_from_charpoly(g2, 3)
+    assert pair.lam == 3 and pair.residual > Fraction(1, 10)
 
 
 def test_eigenvector_k3_largest_root():
     k3 = build_k_angulation_matrix(3, 3)
     _, lam = dominant_root(charpoly_recurrence(k3)[k3.size], Fraction(1, 10**30))
     pair = eigenvector_from_charpoly(k3, lam)
-    assert pair.residual < mpf(10) ** -10
+    assert pair.residual < Fraction(1, 10**10)
 
 
 def test_eigenvector_sign_patterns():
     # subdiagonal 1 gives x_i = (-1)^i d_i(lam); subdiagonal 2 gives (-1/2)^i g_i(lam)
-    c4 = build_connected_matrix(4)
-    seq = charpoly_recurrence(c4)
-    _, lam = dominant_root(seq[c4.size], Fraction(1, 10**35))
-    pair = eigenvector_from_charpoly(c4, lam)
-    with mp.workprec(precision_bits()):
+    for m, factor in ((build_connected_matrix(4), -1), (build_geometric_matrix(4), Fraction(-1, 2))):
+        seq = charpoly_recurrence(m)
+        _, lam = dominant_root(seq[m.size], Fraction(1, 10**35))
+        pair = eigenvector_from_charpoly(m, lam)
         for i in range(4):
-            expect = (-1) ** i * seq[i](pair.lam)
-            assert abs(pair.vector[3 - i] - expect) < mpf(10) ** -40
-    g4 = build_geometric_matrix(4)
-    seq = charpoly_recurrence(g4)
-    _, lam = dominant_root(seq[g4.size], Fraction(1, 10**35))
-    pair = eigenvector_from_charpoly(g4, lam)
-    with mp.workprec(precision_bits()):
-        for i in range(4):
-            expect = (mpf(-1) / 2) ** i * seq[i](pair.lam)
-            assert abs(pair.vector[3 - i] - expect) < mpf(10) ** -40
+            assert Fraction(pair.vector[3 - i], pair.denominator) == factor**i * seq[i](lam)
 
 
 def test_eigenvector_requires_nonzero_subdiagonal():
     m = HTMatrix(2, 0, (1, 1))
     with pytest.raises(ValueError):
-        eigenvector_from_charpoly(m, mpf(1))
+        eigenvector_from_charpoly(m, 1)
 
 
 def _dominant(m, tol):
@@ -819,15 +832,3 @@ def test_dominant_eigenvalue_geometric_monotone_tracks_growth():
     assert all(a < b for a, b in zip(ratios, ratios[1:]))
     assert float(ratios[-1]) < float(values[-1])
 
-
-def test_precision_env(monkeypatch):
-    monkeypatch.setenv("CONVEX_COUNT_PRECISION", "128")
-    assert precision_bits() == 128
-    monkeypatch.setenv("CONVEX_COUNT_PRECISION", "12")
-    with pytest.raises(ValueError):
-        precision_bits()
-    monkeypatch.setenv("CONVEX_COUNT_PRECISION", "abc")
-    with pytest.raises(ValueError):
-        precision_bits()
-    monkeypatch.delenv("CONVEX_COUNT_PRECISION")
-    assert precision_bits() == 256
