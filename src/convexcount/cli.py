@@ -122,11 +122,11 @@ def cmd_charpoly(args) -> int:
         raise UsageError(f"no closed form exists for the {row.name} matrix")
     spec = _class_spec(args, row)
     if args.method == "closed":
-        poly = row.charpoly(spec.param, n)
+        polys = row.charpoly(spec.param, n)
     else:
-        charpoly = charpoly_determinant if args.method == "determinant" else charpoly_recurrence
-        poly = charpoly(spec.build_matrix(max(1, n)))[n]
-    coeffs = [str(poly.coefficient(t)) for t in range(n + 1)]
+        route = charpoly_determinant if args.method == "determinant" else charpoly_recurrence
+        polys = route(spec.build_matrix(max(1, n)))
+    coeffs = list(map(str, polys[n]))
     sep = "," if args.format == "csv" else " "
     return _emit(args, lambda: {"degree": n, "coefficients": coeffs}, [sep.join(coeffs)])
 
@@ -169,16 +169,16 @@ def cmd_eigen(args) -> int:
     if not count:
         print("no real eigenvalue found", file=sys.stderr)
         return 1
+    entries = []
     for root in selected:
-        # An inexact root is only known to within tol.
-        if tol * 10**digits > abs(root) and poly(root) != 0:
+        pair = spectral.eigenvector_from_charpoly(matrix, root)
+        # An inexact root is only known to within tol; the residual is 0
+        # exactly when the root is exact.
+        if tol * 10**digits > abs(root) and pair.residual:
             raise UsageError(
                 f"--digits {digits} needs --tol <= |eigenvalue| * 1e-{digits} "
                 f"(eigenvalue near {float(root):.6g})"
             )
-    entries = []
-    for root in selected:
-        pair = spectral.eigenvector_from_charpoly(matrix, root)
         entries.append(
             {
                 "eigenvalue": _decimal(pair.lam.numerator, pair.lam.denominator, digits),

@@ -2,41 +2,47 @@
 by root degree and the characteristic polynomials of the production
 matrices.
 
-Every closed form reads p_k = [z**k] A(z)**N for one power N and one series
-A = c (1-z)**a (1-2z)**b.  A'/A has the denominator (1-z)(1-2z), so the p_k
-obey a two-term recurrence (J. C. P. Miller's rule; Knuth, TAOCP vol. 2,
-4.7), and `_power_series` is the only routine that computes them.  The count
-vectors are Lagrange forms: entry j of a level is (j/N) [z**(N-j)] A**N, so
-a vector costs O(n) big-integer steps.  The k-angulation vector has N = r
-and A = (1-z)**(2-k).  Each coefficient of a closed characteristic
-polynomial is one p_k of the same kind.  Every formula multiplies first and
-divides last, asserting exact divisibility, so integrality failures surface
-instead of being rounded away.
+Every closed form reads p_k = [z**k] A(sigma z)**N for one power N, one
+integer sigma and one series A = (1-z)**a (1-2z)**b, times a constant.
+A'/A has the denominator (1-z)(1-2z), so the p_k obey a two-term recurrence
+(J. C. P. Miller's rule; Knuth, TAOCP vol. 2, 4.7), and `_power_series` is
+the only routine that computes them.  The count vectors are Lagrange forms:
+entry j of a level is (j/N) [z**(N-j)] (c A)**N, so a vector costs O(n)
+big-integer steps.  The k-angulation vector has N = r and A = (1-z)**(2-k).
+The closed characteristic polynomials come back as the tuple (d_0, ...,
+d_n), d_j a tuple of j + 1 ints low to high, like the matrix routes of
+``exact``: one series of length n - t + 1 holds coefficient t of every
+d_t..d_n, so all of them cost about n**2 / 2 big-integer steps.  Every
+formula multiplies first and divides last, asserting exact divisibility, so
+integrality failures surface instead of being rounded away.
 """
 from __future__ import annotations
 
-from .exact import IntPolynomial, binomial, exact_div
+from .exact import binomial, exact_div
 
 
-def _power_series(N: int, a: int, b: int, c: int, length: int) -> list[int]:
-    """p_0..p_(length-1), p_k = [z**k] A(z)**N with A = c (1-z)**a (1-2z)**b.
+def _power_series(N: int, a: int, b: int, length: int, scale: int, sigma: int = 1) -> list[int]:
+    """p_0..p_(length-1), p_k = scale [z**k] A(sigma z)**N with
+    A = (1-z)**a (1-2z)**b.
 
     A'/A = ((2a+2b) z - a - 2b) / ((1-z)(1-2z)), so
-    (k+1) p_(k+1) = (3k - N(a+2b)) p_k + (2N(a+b) - 2(k-1)) p_(k-1),
-    p_0 = c**N.
+    (k+1) p_(k+1) = sigma (3k - N(a+2b)) p_k + sigma**2 (2N(a+b) - 2(k-1)) p_(k-1),
+    p_0 = scale.
     """
-    u, v = -N * (a + 2 * b), 2 * N * (a + b) + 2
-    p, q = 0, c**N  # p_(k-1), p_k
+    s2 = sigma * sigma
+    u, v = -N * (a + 2 * b) * sigma, (2 * N * (a + b) + 2) * s2
+    du, dv = 3 * sigma, 2 * s2
+    p, q = 0, scale  # p_(k-1), p_k
     ps = [q]
     for k in range(length - 1):
-        p, q = q, exact_div((3 * k + u) * q + (v - 2 * k) * p, k + 1)
+        p, q = q, exact_div((du * k + u) * q + (v - dv * k) * p, k + 1)
         ps.append(q)
     return ps[:length]
 
 
 def _lagrange_vector(N: int, a: int, b: int, c: int = 1) -> tuple[int, ...]:
     """(j/N) [z**(N-j)] A(z)**N for j = 1..N, with A = c (1-z)**a (1-2z)**b."""
-    ps = _power_series(N, a, b, c, N)
+    ps = _power_series(N, a, b, N, c**N)
     return tuple(exact_div(j * ps[N - j], N) for j in range(1, N + 1))
 
 
@@ -82,23 +88,20 @@ def partition_vector(n: int) -> tuple[int, ...]:
 # `_power_series`.
 
 
-def _charpoly_closed(n: int, e: int, s: int = 1, b: int = 1) -> IntPolynomial:
-    """The closed form for Q(u) = (1+2su)**b (1+su)**e: with z = -su, the
-    coefficient of x**t is (-1)**t (-s)**(n-t) [z**(n-t)] A**(t+1),
-    A = (1-z)**e (1-2z)**b."""
+def _charpoly_closed(n: int, e: int, s: int = 1, b: int = 1) -> tuple[tuple[int, ...], ...]:
+    """d_0..d_n for Q(u) = (1+2su)**b (1+su)**e: with A = (1-z)**e (1-2z)**b,
+    Q(u) = A(-su), so [x**t] d_(t+j) is (-1)**t [u**j] A(-su)**(t+1), term j
+    of one series per t."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    coeffs = []
-    for t in range(n + 1):
-        m = n - t
-        c = _power_series(t + 1, e, b, 1, m + 1)[m] * (-s) ** m
-        coeffs.append(-c if t % 2 else c)
-    return IntPolynomial(coeffs)
+    # column t, shifted down by t, holds coefficient t of d_0..d_n
+    cols = [[0] * t + _power_series(t + 1, e, b, n - t + 1, (-1) ** t, -s) for t in range(n + 1)]
+    return tuple(d[: j + 1] for j, d in enumerate(zip(*cols)))
 
 
-def charpoly_closed_kangulation(k: int, r: int) -> IntPolynomial:
-    """Closed form for the k-angulation matrix: Q(u) = (1+u)**(k-2), so
-    [x**l] = (-1)**l C((k-2)(l+1), r-l)."""
+def charpoly_closed_kangulation(k: int, r: int) -> tuple[tuple[int, ...], ...]:
+    """Closed forms d_0..d_r for the k-angulation matrix: Q(u) = (1+u)**(k-2),
+    so [x**l] d_r = (-1)**l C((k-2)(l+1), r-l)."""
     if k < 3:
         raise ValueError("k-angulations require k >= 3")
     if r < 0:
@@ -106,22 +109,22 @@ def charpoly_closed_kangulation(k: int, r: int) -> IntPolynomial:
     return _charpoly_closed(r, k - 2, b=0)
 
 
-def charpoly_closed_geometric(n: int) -> IntPolynomial:
-    """Closed form for the plane-graph matrix: Q(u) = (1+4u)/(1+2u), so
-    [x**t] = (-1)**t 2**(n-t) sum_i C(t+1, i) 2**i C(-t-1, n-t-i)."""
+def charpoly_closed_geometric(n: int) -> tuple[tuple[int, ...], ...]:
+    """Closed forms d_0..d_n for the plane-graph matrix: Q(u) = (1+4u)/(1+2u),
+    so [x**t] d_n = (-1)**t 2**(n-t) sum_i C(t+1, i) 2**i C(-t-1, n-t-i)."""
     return _charpoly_closed(n, -1, 2)
 
 
-def charpoly_closed_connected(n: int) -> IntPolynomial:
-    """Closed form for the connected-graph matrix: Q(u) = (1+u)(1+2u), so
-    [x**t] = (-1)**t sum_i C(t+1, i) 2**i C(t+1, n-t-i)."""
+def charpoly_closed_connected(n: int) -> tuple[tuple[int, ...], ...]:
+    """Closed forms d_0..d_n for the connected-graph matrix: Q(u) = (1+u)(1+2u),
+    so [x**t] d_n = (-1)**t sum_i C(t+1, i) 2**i C(t+1, n-t-i)."""
     return _charpoly_closed(n, 1)
 
 
-def charpoly_closed_partition(n: int) -> IntPolynomial:
-    """Closed form for the non-crossing partition matrix:
+def charpoly_closed_partition(n: int) -> tuple[tuple[int, ...], ...]:
+    """Closed forms d_0..d_n for the non-crossing partition matrix:
     Q(u) = (1+2u)/(1+u)**2, so
-    [x**t] = (-1)**t sum_i C(t+1, i) 2**i C(-2t-2, n-t-i)."""
+    [x**t] d_n = (-1)**t sum_i C(t+1, i) 2**i C(-2t-2, n-t-i)."""
     return _charpoly_closed(n, -2)
 
 

@@ -1,8 +1,9 @@
-"""Exact integer arithmetic core: binomials, an immutable integer
-polynomial value type, upper Hessenberg-Toeplitz matrices, count vectors,
-and the characteristic polynomials d_0..d_n of a matrix's leading blocks by
-two routes: the banded recurrence, which reads the band's generating
-function, and Berkowitz's algorithm, which reads only the dense entries.
+"""Exact integer arithmetic core: binomials, upper Hessenberg-Toeplitz
+matrices, count vectors, and the characteristic polynomials d_0..d_n of a
+matrix's leading blocks by two routes: the banded recurrence, which reads
+the band's generating function, and Berkowitz's algorithm, which reads only
+the dense entries.  Both return the tuple (d_0, ..., d_n), d_j a tuple of
+j + 1 ints low to high, as the closed forms of ``closedform`` do.
 
 The banded recurrence picks its loop order from the band's series num/den.
 With terms in den past den_0, as for every class builder but the relation
@@ -43,53 +44,6 @@ def exact_div(num: int, den: int) -> int:
     if r:
         raise ArithmeticError(f"inexact division {num}/{den}")
     return q
-
-
-class IntPolynomial:
-    """Immutable dense integer polynomial, coefficients low-to-high with
-    trailing zeros trimmed (the zero polynomial's tuple is empty).  It has
-    no arithmetic: ``+``, ``-`` and ``*`` raise ``TypeError``."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[int] = ()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"IntPolynomial is immutable; cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return IntPolynomial, (self.coeffs,)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, t: int) -> int:
-        """Coefficient of x**t (0 outside the stored range)."""
-        if 0 <= t < len(self.coeffs):
-            return self.coeffs[t]
-        return 0
-
-    def __call__(self, x):
-        """Horner evaluation; works for int, Fraction, mpf or mpc ``x``."""
-        acc = 0 * x
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"IntPolynomial({self.coeffs!r})"
 
 
 class HTMatrix(namedtuple("HTMatrix", "size sub band band_gf", defaults=(None,))):
@@ -222,9 +176,10 @@ def mat_vec(m: HTMatrix, v: CountVector) -> CountVector:
     return CountVector(tuple(out) + (0,) * (m.size - rows), v.level + 1)
 
 
-def charpoly_recurrence(m: HTMatrix) -> tuple[IntPolynomial, ...]:
+def charpoly_recurrence(m: HTMatrix) -> tuple[tuple[int, ...], ...]:
     """Characteristic polynomials d_0..d_n of an n x n Hessenberg-Toeplitz matrix:
-    index i holds d_i, that of the leading i x i block (d_0 = 1).
+    index i holds d_i, that of the leading i x i block, as its i + 1
+    coefficients low to high (d_0 = (1,)).
 
     Expanding det(A_s - x I) along its last column gives
 
@@ -252,7 +207,7 @@ def charpoly_recurrence(m: HTMatrix) -> tuple[IntPolynomial, ...]:
     n = m.size
     ps, qs = _recurrence_terms(m, n)
     if not qs:
-        return tuple(IntPolynomial(d) for d in _convolve_columns(ps, n))
+        return tuple(map(tuple, _convolve_columns(ps, n)))
     history = max(r for r, _ in qs)
     ds = [[1]]
     us: list[list[int]] = []  # U_{j-len(us)}..U_{j-1}, at most `history` of them
@@ -270,7 +225,7 @@ def charpoly_recurrence(m: HTMatrix) -> tuple[IntPolynomial, ...]:
         if len(us) > history:
             del us[0]
         ds.append(_next_charpoly(ds[j], u))
-    return tuple(IntPolynomial(d) for d in ds)
+    return tuple(map(tuple, ds))
 
 
 def _convolve_columns(ps, n: int) -> list[list[int]]:
@@ -313,7 +268,7 @@ def _axpy(acc: list[int], c: int, p: list[int]) -> None:
     acc[: len(p)] = map(add, acc, map(c.__mul__, p))
 
 
-def charpoly_determinant(m: HTMatrix) -> tuple[IntPolynomial, ...]:
+def charpoly_determinant(m: HTMatrix) -> tuple[tuple[int, ...], ...]:
     """d_0..d_n, d_r = det(A_r - x*I) of the leading r x r block A_r of m, by
     Berkowitz's division-free algorithm, O(n**4) integer operations.
 
@@ -327,7 +282,7 @@ def charpoly_determinant(m: HTMatrix) -> tuple[IntPolynomial, ...]:
     """
     a = m.to_lists()
     c = [1]
-    polys = [IntPolynomial(c)]
+    polys = [(1,)]
     for r in range(m.size):
         row, col = a[r][:r], [a[i][r] for i in range(r)]
         t = [1, -a[r][r]]
@@ -336,5 +291,5 @@ def charpoly_determinant(m: HTMatrix) -> tuple[IntPolynomial, ...]:
             col = [sum(map(mul, a[i], col)) for i in range(r)]
         c = [sum(map(mul, t[i::-1], c)) for i in range(r + 2)]
         sign = (-1) ** (r + 1)
-        polys.append(IntPolynomial([sign * x for x in reversed(c)]))
+        polys.append(tuple(sign * x for x in reversed(c)))
     return tuple(polys)

@@ -68,15 +68,23 @@ def _check_counts(counts: Sequence[int], top: int) -> None:
         raise ValueError(f"count sequence too short: need c_2..c_{top}, got {len(counts)} values")
 
 
+def _check_integers(counts: Sequence[int]) -> None:
+    for c in counts:
+        if not isinstance(c, int):
+            raise ValueError(f"counts must be integers, got {c!r}")
+
+
 def relation_weights(counts: Sequence[int], top: int) -> tuple[int, ...]:
     """Band weights a_2..a_top from a count sequence c_2..c_top.
 
     ``counts[0]`` is c_2.  The weight with index j is
     sum over i of C(j-2, i-2) * c_i, for i = 2..j: the binomial transform,
     taken as the first entries of repeated adjacent sums (Pascal's rule).
+    Each count read must be an int.
     """
     _check_counts(counts, top)
     row = list(counts[: max(top - 1, 0)])
+    _check_integers(row)
     out = []
     while row:
         out.append(row[0])
@@ -104,9 +112,9 @@ class GraphClassSpec(namedtuple("GraphClassSpec", "name param", defaults=(None,)
     ``CLASSES`` row and ``param``, the one value the row's matrix builder
     takes (k for kangulation, a count sequence c_2, c_3, ... for relation,
     kept as a tuple, None for the others and for relation's default, the
-    connected-graph totals).  A count sequence counts objects, so a negative
-    count is rejected here, for every command.  Its start level and initial
-    vector are read from the row.
+    connected-graph totals).  A count sequence counts objects, so a count
+    that is not an int, or is negative, is rejected here, for every
+    command.  Its start level and initial vector are read from the row.
     """
 
     __slots__ = ()
@@ -121,6 +129,7 @@ class GraphClassSpec(namedtuple("GraphClassSpec", "name param", defaults=(None,)
             raise ValueError(f"{name} class requires k")
         if takes == "weights" and param is not None:
             param = tuple(param)  # equal sequences give equal, hashable specs
+            _check_integers(param)
             if any(c < 0 for c in param):
                 raise ValueError(f"counts must be non-negative, got {min(param)}")
         # The builder rejects a parameter it cannot use, such as k < 3.
@@ -150,11 +159,12 @@ class ClassDef(namedtuple(
     or level.  ``build(size, param)``, ``oracle(param, level)`` (the
     oracle's degree histogram, at the default counts for ``"weights"``),
     ``vector(param, level)`` (the closed-form count vector),
-    ``charpoly(param, n)`` (the closed-form characteristic polynomial) and
-    ``total(param, level)`` (a closed-form total) look up the functions they
-    call at call time, so a function patched on its module, as the bench
-    tracer does, is the one that runs, and ``closedform`` and ``oracle`` are
-    imported only when a closed form or a histogram is asked for.
+    ``charpoly(param, n)`` (the closed-form characteristic polynomials
+    d_0..d_n) and ``total(param, level)`` (a closed-form total) look up the
+    functions they call at call time, so a function patched on its module,
+    as the bench tracer does, is the one that runs, and ``closedform`` and
+    ``oracle`` are imported only when a closed form or a histogram is asked
+    for.
     """
 
     __slots__ = ()

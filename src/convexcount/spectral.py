@@ -2,26 +2,29 @@
 
 The eigenvalues are located on the exact characteristic polynomial from
 ``exact.charpoly_recurrence``, never by floating-point matrix solvers, in
-two steps.  Isolation is integer throughout: one primitive remainder
-sequence gives the Sturm chain, and dividing it by its last member, the gcd
-of p and p', gives the square-free part at its head.  Signs are taken at
-dyadic grid points by integer Horner evaluation.  Refinement runs per root,
-so a caller that prints one root refines only the candidates for it;
-quadratic interval refinement on the same grid lands on the cell that sign
-bisection would, so the roots are the same.  ``Fraction`` appears only in
-the tolerance, the root bound B and the returned roots.  Eigenpairs are
-exact too: at a rational root the band's recurrence runs in integers, O(n *
-len(den)) steps per root, and the vector comes back as integers over one
-common denominator with its residual as a Fraction.  Nothing here computes
-in floating point or loads mpmath; only the CLI does, to print digits.
+two steps.  A polynomial is any sequence of ints, low to high, such as a
+d_j of the tuple (d_0, ..., d_n) that every charpoly route returns; its
+trailing zeros are ignored.  Isolation is integer throughout: one primitive
+remainder sequence gives the Sturm chain, and dividing it by its last
+member, the gcd of p and p', gives the square-free part at its head.
+Signs are taken at dyadic grid points by integer Horner evaluation.
+Refinement runs per root, so a caller that prints one root refines only
+the candidates for it; quadratic interval refinement on the same grid lands
+on the cell that sign bisection would, so the roots are the same.
+``Fraction`` appears only in the tolerance, the root bound B and the
+returned roots.  Eigenpairs are exact too: at a rational root the band's
+recurrence runs in integers, O(n * len(den)) steps per root, and the vector
+comes back as integers over one common denominator with its residual as a
+Fraction.  Nothing here computes in floating point or loads mpmath; only the
+CLI does, to print digits.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from .exact import HTMatrix, IntPolynomial, _recurrence_terms
+from .exact import HTMatrix, _recurrence_terms
 
 # ---------------------------------------------------------------------------
 # Exact real-root location over the integers (Sturm isolation, then
@@ -170,20 +173,22 @@ class _Isolation(NamedTuple):
         return len(self.exact) + len(self.cells)
 
 
-def _checked_tol(p: IntPolynomial, tol: Fraction | float) -> Fraction:
-    if p.is_zero():
+def _checked(p: Sequence[int], tol: Fraction | float) -> tuple[list[int], Fraction]:
+    """p as a list without trailing zeros, and tol as a Fraction."""
+    p = _trim(list(p))
+    if not p:
         raise ValueError("zero polynomial has every number as a root")
     tol = Fraction(tol) if not isinstance(tol, Fraction) else tol
     if tol <= 0:
         raise ValueError("tol must be positive")
-    return tol
+    return p, tol
 
 
-def _isolate_real_roots(p: IntPolynomial) -> _Isolation:
+def _isolate_real_roots(p: list[int]) -> _Isolation:
     """Sturm isolation of the distinct real roots of p, on the square-free
     part q that heads its Sturm chain.  A split point that is itself a root
     is divided out of q and isolation restarts on the quotient's chain."""
-    chain = _sturm_chain(list(p.coeffs))
+    chain = _sturm_chain(p)
     q = chain[0]
     exact: list[Fraction] = []
     P = Q = 1
@@ -274,24 +279,25 @@ def _refine(iso: _Isolation, cell: tuple[int, int, int], tol: Fraction) -> Fract
     return Fraction(P * (2 * a + 1), Q << (c + 1))
 
 
-def real_roots(p: IntPolynomial, tol: Fraction | float = Fraction(1, 10**40)) -> list[Fraction]:
-    """All distinct real roots of an integer polynomial, each within ``tol``
-    of the true root.  Rational roots hit head-on by the bisection grid
-    (including all roots of linear factors) come back exactly.
+def real_roots(p: Sequence[int], tol: Fraction | float = Fraction(1, 10**40)) -> list[Fraction]:
+    """All distinct real roots of an integer polynomial, its coefficients low
+    to high, each within ``tol`` of the true root.  Rational roots hit
+    head-on by the bisection grid (including all roots of linear factors)
+    come back exactly.
     """
-    tol = _checked_tol(p, tol)
+    p, tol = _checked(p, tol)
     iso = _isolate_real_roots(p)
     roots = iso.exact + [_refine(iso, cell, tol) for cell in iso.cells]
     roots.sort()
     return roots
 
 
-def dominant_root(p: IntPolynomial, tol: Fraction | float) -> tuple[int, Fraction | None]:
+def dominant_root(p: Sequence[int], tol: Fraction | float) -> tuple[int, Fraction | None]:
     """The number of distinct real roots of p, and the one of largest
     modulus as ``real_roots`` gives it (ties go to the positive root), or
     None.  Only the leftmost and rightmost isolating intervals are refined:
     no other root can have a larger modulus."""
-    tol = _checked_tol(p, tol)
+    p, tol = _checked(p, tol)
     iso = _isolate_real_roots(p)
     candidates = list(iso.exact)
     if iso.cells:

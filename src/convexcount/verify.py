@@ -96,7 +96,8 @@ def suite_charpoly(n_max: int) -> list[CheckResult]:
             seq = charpoly_recurrence(matrix)
             label = _label(row, param)
             if row.charpoly is not None:
-                bad = next((n for n in range(top + 1) if row.charpoly(param, n) != seq[n]), None)
+                want = row.charpoly(param, top)
+                bad = next((n for n in range(top + 1) if want[n] != seq[n]), None)
                 detail = "" if bad is None else f"closed form differs at n={bad}"
                 closed.append(CheckResult(f"charpoly/{label}", bad is None, detail))
             det = charpoly_determinant(matrix)

@@ -1,7 +1,8 @@
 """Polynomial arithmetic for the test references: integer coefficient tuples,
-low to high, added and multiplied term by term.  The library itself does no
+low to high, the form in which every charpoly route returns each d_j, added,
+multiplied and evaluated term by term.  The library itself does no
 polynomial arithmetic, so a reference built from these shares no code with
-what it checks beyond ``IntPolynomial``'s constructor."""
+what it checks."""
 
 
 def add(a, b):
@@ -12,6 +13,14 @@ def add(a, b):
     for i, c in enumerate(b):
         out[i] += c
     return tuple(out)
+
+
+def evaluate(p, x):
+    """p(x) by Horner's rule, for an int, Fraction or mpmath ``x``."""
+    acc = 0 * x
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
 
 
 def mul(a, b):

@@ -1,7 +1,5 @@
 """The package's lazy exports and its immutable value types."""
-import copy
 import os
-import pickle
 import re
 import subprocess
 import sys
@@ -11,15 +9,15 @@ import pytest
 
 import convexcount
 from convexcount import verify
-from convexcount.exact import CountVector, HTMatrix, IntPolynomial
+from convexcount.exact import CountVector, HTMatrix
 from convexcount.production import CLASSES, GraphClassSpec
 from convexcount.spectral import EigenPair
 
 # Every name the package exports, by the layer that defines it.
 EXPORTS = {
     "exact": [
-        "CountVector", "HTMatrix", "IntPolynomial", "binomial", "charpoly_determinant",
-        "charpoly_recurrence", "exact_div", "mat_vec",
+        "CountVector", "HTMatrix", "binomial", "charpoly_determinant", "charpoly_recurrence",
+        "exact_div", "mat_vec",
     ],
     "closedform": [
         "charpoly_closed_connected", "charpoly_closed_geometric", "charpoly_closed_kangulation",
@@ -92,7 +90,6 @@ def test_readme_library_snippet_runs():
         (CLASSES["geometric"], "build"),
         (verify.CheckResult("demo", True), "passed"),
         (EigenPair(1, (1,), 1, 0), "residual"),
-        (IntPolynomial((1, 2)), "coeffs"),
     ],
     ids=lambda v: v if isinstance(v, str) else type(v).__name__,
 )
@@ -101,17 +98,6 @@ def test_value_types_are_immutable(value, attr):
         setattr(value, attr, None)
     with pytest.raises(AttributeError):
         value.extra = None
-
-
-def test_polynomial_is_a_value_without_arithmetic():
-    p, q = IntPolynomial((1, 2)), IntPolynomial((3,))
-    for operation in (lambda: p + q, lambda: p - q, lambda: p * q, lambda: 2 * p, lambda: -p):
-        with pytest.raises(TypeError):
-            operation()
-    with pytest.raises(AttributeError):
-        del p.coeffs
-    assert p == IntPolynomial((1, 2, 0)) and hash(p) == hash((1, 2))
-    assert pickle.loads(pickle.dumps(p)) == copy.deepcopy(p) == p
 
 
 def test_htmatrix_equality_and_hash_ignore_band_gf():

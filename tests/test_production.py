@@ -1,5 +1,7 @@
 import argparse
 import math
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -273,6 +275,20 @@ def test_class_spec_must_match_its_row():
         assert spec.start_index == CLASSES[spec.name].start_index
 
 
+@pytest.mark.parametrize("bad", [1.5, Fraction(3, 2), "2", 2.0])
+def test_relation_counts_must_be_integers(bad):
+    # a count counts objects: a float, a Fraction or a string is no count,
+    # for a spec and for a direct builder call alike
+    counts = (1, bad, 3)
+    message = rf"^counts must be integers, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message):
+        GraphClassSpec("relation", counts)
+    with pytest.raises(ValueError, match=message):
+        build_relation_matrix(4, counts)
+    with pytest.raises(ValueError, match=message):
+        relation_weights(counts, 4)
+
+
 def test_relation_spec_stores_weights_as_tuple():
     # equal count sequences give equal, hashable specs, list or tuple
     spec = GraphClassSpec("relation", [1, 2, 3])
@@ -330,10 +346,16 @@ def test_class_rows_agree_across_routes(name, data):
     row = CLASSES[name]
     param = data.draw(PARAMS.get(row.param, st.none()))
     seq = charpoly_recurrence(row.build(20, param))
+    routes = [seq] + [charpoly_determinant(row.build(n, param)) for n in range(1, 9)]
     if row.charpoly is not None:
-        assert [row.charpoly(param, n) for n in range(21)] == [seq[n] for n in range(21)]
+        routes.append(row.charpoly(param, 20))
+        assert routes[-1] == seq
     for n in range(1, 9):
-        assert charpoly_determinant(row.build(n, param))[n] == seq[n]
+        assert routes[n] == seq[: n + 1]
+    # every route returns d_0..d_n, d_j of j + 1 coefficients led by (-1)**j
+    for polys in routes:
+        for j, d in enumerate(polys):
+            assert type(d) is tuple and len(d) == j + 1 and d[-1] == (-1) ** j
     if row.vector is not None:
         for level in count_sequence(GraphClassSpec(row.name, param), 30):
             closed = row.vector(param, level.level)

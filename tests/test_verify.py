@@ -1,7 +1,7 @@
 import pytest
 
 from convexcount import cli, closedform, oracle, production, verify
-from convexcount.exact import CountVector, IntPolynomial
+from convexcount.exact import CountVector
 from convexcount.production import CLASSES
 from convexcount.verify import (
     FLOORS,
@@ -9,6 +9,7 @@ from convexcount.verify import (
     SUITES,
     _check_levels,
     run_suite,
+    suite_charpoly,
     suite_eigen,
     suite_lemma1,
     suite_oracle,
@@ -33,6 +34,24 @@ def test_eigen_suite_builds_each_class_once(monkeypatch):
     monkeypatch.setattr(production, "connected_totals", lambda n: calls.append(n) or true(n))
     assert suite_eigen(12) == [verify.CheckResult("eigen/residuals", True)]
     assert calls == [12]
+
+
+def test_charpoly_suite_calls_each_closed_form_once(monkeypatch):
+    # one call at the top size returns every degree the suite compares
+    calls = []
+    for name in ("kangulation", "geometric", "connected", "partition"):
+        attr = f"charpoly_closed_{name}"
+        true = getattr(closedform, attr)
+        monkeypatch.setattr(
+            closedform, attr, lambda *a, name=name, true=true: calls.append((name, *a)) or true(*a)
+        )
+    top = FLOORS["charpoly"] + 3
+    results = suite_charpoly(top)
+    assert results and all(r.passed for r in results), results
+    assert calls == [
+        ("kangulation", 3, top), ("kangulation", 4, top),
+        ("geometric", top), ("connected", top), ("partition", top),
+    ]
 
 
 def test_oracle_suite_checks_every_class_row_in_table_order():
@@ -105,7 +124,7 @@ def _spoil_geometric_level(vectors, level):
 FAULTS = {
     "charpoly": (
         "charpoly", closedform, "charpoly_closed_geometric",
-        lambda n: n == 21, lambda poly: IntPolynomial(add(poly.coeffs, (1,))), 21,
+        lambda n: n >= 21, lambda polys: polys[:21] + (add(polys[21], (1,)),) + polys[22:], 21,
         "FAIL charpoly/geometric: closed form differs at n=21",
     ),
     "lemma1": (
