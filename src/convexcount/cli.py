@@ -1,8 +1,11 @@
 """Command-line interface: matrix generation, counting, characteristic
 polynomials, dominant eigenpairs and the verification suites.
 
-Big integers are always rendered as decimal strings (never scientific
-notation) and identical invocations produce byte-identical output.
+Counts and characteristic-polynomial coefficients are always rendered as
+whole decimal integers (never scientific notation); ``eigen`` prints its
+exact eigenpairs to ``--digits`` significant digits, in fixed point or with
+an e+k or e-k exponent.  Identical invocations produce byte-identical
+output.
 """
 from __future__ import annotations
 
@@ -132,40 +135,29 @@ def cmd_charpoly(args) -> int:
 
 
 def _decimal(num: int, den: int, digits: int) -> str:
-    """num/den to ``digits`` significant digits, as mpmath's ``nstr`` prints
-    it, in integer arithmetic.
+    """num/den to ``digits`` significant digits, in integer arithmetic.
 
-    num/den is first cut, by integer division, to a binary mantissa
-    man * 2**-shift, 16 bits past the digits + 3 decimals that ``nstr``
-    reads.  Then mpmath's ``libmp.to_digits_exp`` rule at digits + 3: a
-    fixed-point cut to ``fixprec`` bits, then to ``fixdps`` decimals, both
-    floored, gives the digit string and its exponent; and ``libmp.to_str``'s:
-    round half up at the last digit, fixed point when the exponent lies in
+    The cut: num/den is cut, by integer division, to a binary mantissa
+    man * 2**-shift, 16 bits past digits + 3 decimals.  Half up: the cut
+    value is rounded half up to ``digits`` significant decimals, exactly.
+    The layout: fixed point when the decimal exponent lies in
     (min(-(digits // 3), -5), digits) and e+k or e-k otherwise, trailing
-    zeros stripped, zero as 0.0.  The bytes are mpmath's wherever the binary
-    exponent is within ±3500.  Past that mpmath first divides by a rounded
-    power of ten, and now and then prints one unit high in the last digit;
-    here the same exact rule runs at every magnitude."""
+    zeros stripped, zero as 0.0.  Rounding the cut, not num/den itself, can
+    land one unit low: 1/40 at 1 digit prints 0.02."""
     if not num:
         return "0.0"
     shift = int((digits + 3) * math.log2(10)) + 16 - num.bit_length() + den.bit_length()
     man = (abs(num) << shift) // den if shift >= 0 else (abs(num) >> -shift) // den
-    bitprec = int((digits + 3) * math.log(10, 2)) + 10
-    fixprec = max(bitprec - man.bit_length() + shift, 0)
-    fixdps = int(fixprec / math.log(10, 2) + 0.5)
-    offset = fixprec - shift
-    fixed = man << offset if offset >= 0 else man >> -offset
-    # At fixprec = 0 the floor is the whole integer part, which can pass
-    # str's limit of 4300 digits.  Dropping trailing decimals first, while
-    # more than ``digits`` remain, leaves the leading digits the same.
-    drop = max(0, (man.bit_length() - shift - bitprec) * 3 // 10)
-    text = str((fixed * 10**fixdps >> fixprec) // 10**drop)
-    exponent = len(text) + drop - fixdps - 1
-    if len(text) > digits:
-        rounded = str(int(text[:digits]) + (text[digits] >= "5"))
-        exponent += len(rounded) - digits
-        text = rounded[:digits]
-    point = 1
+    # 10**exponent <= the cut value, so the cut floored to a multiple of
+    # 10**(exponent - digits) has digits + 1 to digits + 3 digits
+    exponent = int((man.bit_length() - 1 - shift) * math.log10(2)) - 1
+    top = man * 10 ** max(digits - exponent, 0)
+    top = top >> shift if shift >= 0 else top << -shift
+    floored = top // 10 ** max(exponent - digits, 0)
+    extra = len(str(floored)) - digits - 1
+    text = str((floored // 10**extra + 5) // 10)  # half up
+    exponent += extra + len(text) - digits  # one more digit after a carry
+    text, point = text[:digits], 1
     if min(-(digits // 3), -5) < exponent < digits:
         text = "0" * -exponent + text if exponent < 0 else text.ljust(exponent + 1, "0")
         point, exponent = max(exponent, 0) + 1, 0

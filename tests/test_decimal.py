@@ -1,5 +1,7 @@
-"""The CLI's integer decimal printer against the mpmath printer it replaced
-(``reference_decimal``), on a seeded sample of rationals."""
+"""The CLI's integer decimal printer: the binary cut rounded half up, exactly,
+and laid out as ``nstr`` lays it out, checked on a seeded sample of rationals
+against that rule and against the mpmath printer it replaced
+(``reference_decimal``)."""
 import math
 import random
 
@@ -33,6 +35,20 @@ def _half_up(num, den, digits):
     return (str(r // 10), e + 1) if r == 10**digits else (str(r), e)
 
 
+def _laid_out(num, den, digits):
+    """``_half_up`` of num/den in fixed point inside (min(-(digits // 3), -5),
+    digits) and as e+k or e-k outside, trailing zeros stripped."""
+    shown, exponent = _half_up(num, den, digits)
+    sign = "-" if num < 0 else ""
+    if not min(-(digits // 3), -5) < exponent < digits:
+        return f"{sign}{shown[0]}.{shown[1:].rstrip('0') or '0'}e{exponent:+d}"
+    if exponent < 0:
+        whole, fraction = "0", "0" * (-exponent - 1) + shown
+    else:
+        whole, fraction = shown[: exponent + 1].ljust(exponent + 1, "0"), shown[exponent + 1 :]
+    return f"{sign}{whole}.{fraction.rstrip('0') or '0'}"
+
+
 def _units(text, digits):
     """A printed number as (m, e): its value is m * 10**e, with |m| of
     ``digits`` digits."""
@@ -43,13 +59,14 @@ def _units(text, digits):
 
 def test_printer_matches_mpmath_on_a_seeded_sample():
     # |num/den| within 10**±1050: mpmath's binary exponent stays within
-    # ±3500, so its digits come from the same fixed-point rule, and every
-    # string is the same
+    # ±3500, where it needs no rescale.  Every string is mpmath's, and it is
+    # the cut value rounded half up
     rng = random.Random(20260)
     for _ in range(20000):
         digits = rng.choice(DIGITS)
         num, den = _rational(rng, rng.randint(-990, 990))
-        assert _decimal(num, den, digits) == reference(num, den, digits), (num, den, digits)
+        text = _decimal(num, den, digits)
+        assert text == reference(num, den, digits) == _laid_out(num, den, digits), (num, den, digits)
 
 
 def test_printer_past_mpmath_rescale_rounds_exactly():
@@ -63,9 +80,7 @@ def test_printer_past_mpmath_rescale_rounds_exactly():
         digits = rng.choice(DIGITS)
         num, den = _rational(rng, rng.randint(1120, 3000) * rng.choice((1, -1)))
         text, ref = _decimal(num, den, digits), reference(num, den, digits)
-        shown, exponent = _half_up(num, den, digits)
-        sign = "-" if num < 0 else ""
-        assert text == f"{sign}{shown[0]}.{shown[1:].rstrip('0') or '0'}e{exponent:+d}"
+        assert text == _laid_out(num, den, digits)
         if text != ref:
             slips += 1
             (m, e), (m_ref, e_ref) = _units(text.lstrip("-"), digits), _units(ref.lstrip("-"), digits)
@@ -93,15 +108,29 @@ def test_printer_past_mpmath_rescale_rounds_exactly():
         (99995 * 10**7, 1, 4, "1.0e+12"),
         (-99995 * 10**7, 1, 4, "-1.0e+12"),
         (99994 * 10**7, 1, 4, "9.999e+11"),
+        # 1/40 is a tie at 1 digit, but its binary cut lies below it: the cut
+        # is what rounds, so it rounds down
+        (1, 40, 1, "0.02"),
+        (-1, 40, 1, "-0.02"),
     ],
 )
 def test_zero_negatives_and_carries(num, den, digits, text):
     assert _decimal(num, den, digits) == reference(num, den, digits) == text
 
 
+def test_cut_just_above_a_tie_rounds_up():
+    # 1.235 + 2**-22 / 100: its cut lies above the tie at 3 digits, so half
+    # up gives 1.24.  mpmath's two floored fixed-point cuts land below the
+    # tie and print 1.23; no value in the seeded samples comes this close.
+    num, den = 247 * 2**21 + 1, 2**22 * 100
+    assert _decimal(num, den, 3) == _laid_out(num, den, 3) == "1.24"
+    assert reference(num, den, 3) == "1.23"
+    assert _decimal(-num, den, 3) == "-1.24"
+
+
 def test_more_integer_digits_than_str_prints():
-    # Python's str refuses an int of more than 4300 digits; the printer only
-    # needs the leading ones of the integer part
+    # Python's str refuses an int of more than 4300 digits; the printer
+    # rounds before it converts, so it never meets one
     assert _decimal(3 * 10**5000, 1, 5) == "3.0e+5000"
     assert _decimal(-(10**5000 - 1), 7, 5) == "-1.4286e+4999"
     assert _decimal(10**9000 + 1, 1, 1000) == "1.0e+9000"

@@ -36,6 +36,25 @@ def test_eigen_suite_builds_each_class_once(monkeypatch):
     assert calls == [12]
 
 
+def test_eigen_suite_fails_on_a_large_residual(monkeypatch, capsys):
+    # every root of a charpoly of degree 5 and up moved by 1/1000: the first
+    # class row reports the first size it reaches, and the suite stops there
+    from fractions import Fraction
+
+    from convexcount import spectral
+
+    true = spectral.real_roots
+
+    def shifted(poly, tol):
+        roots = true(poly, tol)
+        return [r + Fraction(1, 1000) for r in roots] if len(poly) > 5 else roots
+
+    monkeypatch.setattr(spectral, "real_roots", shifted)
+    assert cli.main(["verify", "eigen", "--n-max", "6"]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL ")]
+    assert len(fails) == 1 and fails[0].startswith("FAIL eigen/residuals: kangulation(k=3) n=5 root~"), fails
+
+
 def test_charpoly_suite_calls_each_closed_form_once(monkeypatch):
     # one call at the top size returns every degree the suite compares
     calls = []
