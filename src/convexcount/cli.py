@@ -61,7 +61,8 @@ def _class_spec(args, row: ClassDef) -> GraphClassSpec:
     value = getattr(args, PARAM_OPTIONS[row.param]) if row.param else None
     if row.param == "weights" and value is not None:
         try:
-            value = tuple(int(part) for part in value.split(",") if part.strip())
+            # "--c-values=" is an empty sequence; an empty item is an error.
+            value = tuple(int(part) for part in value.split(",")) if value.strip() else ()
         except ValueError:
             raise UsageError(f"--c-values must be comma-separated integers, got {value!r}")
     elif row.param == "k" and value is None:

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Sequence
+from itertools import repeat
 from operator import add, mul
-from typing import Sequence
 
 
 def binomial(n: int, k: int) -> int:
@@ -58,8 +59,9 @@ class HTMatrix(namedtuple("HTMatrix", "size sub band band_gf", defaults=(None,))
     ``band``, or construction fails.  It takes no part in equality or hash.
     ``band_series`` is that pair, or band/1 without one; ``mat_vec``,
     ``charpoly_recurrence`` and the eigenvectors run its linear
-    recurrences of order len(den) - 1, which for den = 1 are plain dot
-    products and convolutions.
+    recurrences of order len(den) - 1.  For den = 1 they are plain dot
+    products and convolutions; otherwise ``mat_vec`` takes its row series'
+    numerator in whole-vector passes and den in one reverse loop.
     """
 
     __slots__ = ()
@@ -126,7 +128,7 @@ class CountVector(namedtuple("CountVector", "entries level")):
     __slots__ = ()
 
     def __new__(cls, entries: tuple[int, ...], level: int):
-        if any(e < 0 for e in entries):
+        if min(entries, default=0) < 0:
             raise ValueError("count vector entries must be non-negative")
         return super().__new__(cls, entries, level)
 
@@ -135,17 +137,26 @@ class CountVector(namedtuple("CountVector", "entries level")):
         return sum(self.entries)
 
 
-def _suffix_sums(band_series, x) -> list:
-    """T_i = sum_r band[r] * x[i+r] for the band num/den = ``band_series``,
-    from the recurrence T_i = sum_r num[r] * x[i+r] - sum_{r>=1} den[r] * T_{i+r},
-    O(len(x) * len(den)); with den = 1 each T_i is the dot product.  The list
-    runs past len(x) with zeros."""
-    num, den = band_series
-    tail = den[1:]
-    p, q = len(num), len(den)
-    ts = [0] * (len(x) + q)
-    for i in range(len(x) - 1, -1, -1):
-        ts[i] = sum(map(mul, num, x[i : i + p])) - sum(map(mul, tail, ts[i + 1 : i + q]))
+def _suffix_sums(num, den, x) -> list:
+    """T_i = sum_r a[r] * x[i+r] for i < len(x), the list possibly running on
+    with zeros, for the series a = num/den.  With den = 1 each T_i is one dot
+    product.  Otherwise F_i = sum_r num[r] * x[i+r] takes len(num) C-level
+    passes over the whole vector, and one reverse loop runs den's recurrence
+    T_i = F_i - sum_{s>=1} den[s] * T_{i+s}, T_{i+1} kept in a local."""
+    n = len(x)
+    if not any(den[1:]):
+        return [sum(map(mul, num, x[i:])) for i in range(n)]
+    ts = [0] * (n + len(den))
+    for r, c in enumerate(num[:n]):
+        if c:
+            ts[: n - r] = map(add, ts, x[r:] if c == 1 else map(mul, repeat(c), x[r:]))
+    d1, taps = den[1], [(s, c) for s, c in enumerate(den) if s > 1 and c]
+    t = 0
+    for i in range(n - 1, -1, -1):
+        t = ts[i] - d1 * t
+        for s, c in taps:
+            t -= c * ts[i + s]
+        ts[i] = t
     return ts
 
 
@@ -153,11 +164,12 @@ def mat_vec(m: HTMatrix, v: CountVector) -> CountVector:
     """One production step: exact product m @ v, level incremented.
 
     Only the live prefix of ``v`` (up to its last nonzero entry, length L)
-    is read, and rows past L are zero.  Row i >= 1 is sub * v[i-1] plus the
-    banded suffix product T_i = sum_r band[r] * v[i+r], from the recurrence
-    of ``m.band_series``: O(L * len(den)) per step for a band with a
-    generating function, O(L^2) dot products for a band over 1.  Row 0 is
-    T_0 alone.
+    is read, and rows past L are zero.  Row i is sub * v[i-1] + sum_r
+    band[r] * v[i+r] (v[-1] = 0), that is sum_r a[r] * v[i-1+r] for the
+    row series a(z) = sub + z * num(z)/den(z) = (sub * den + z * num)/den
+    of ``m.band_series``, the A-sequence.  ``_suffix_sums`` runs it: whole-
+    vector passes and one reverse loop, O(L * len(den)) per step, for a band
+    with a generating function; O(L^2) dot products for a band over 1.
     """
     x = v.entries
     if len(x) != m.size:
@@ -167,12 +179,11 @@ def mat_vec(m: HTMatrix, v: CountVector) -> CountVector:
     live = len(x)
     while live and not x[live - 1]:
         live -= 1
-    x = x[:live]
-    suffix = _suffix_sums(m.band_series, x)
-    # suffix[live] == 0, so row `live` is just sub * x[live-1].
-    sub = m.sub
+    num, den = m.band_series
+    a = [m.sub * d for d in den] + [0] * (len(num) + 1 - len(den))
+    a[1 : len(num) + 1] = map(add, a[1:], num)
     rows = min(live + 1, m.size)
-    out = suffix[:1] + [sub * x[i - 1] + suffix[i] for i in range(1, rows)]
+    out = _suffix_sums(a, den, (0, *x[:live]))[:rows]
     return CountVector(tuple(out) + (0,) * (m.size - rows), v.level + 1)
 
 

@@ -13,7 +13,7 @@ verification suites read that table instead of naming classes.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Sequence
+from collections.abc import Sequence
 
 from .exact import CountVector, HTMatrix, binomial, exact_div, mat_vec
 

@@ -267,6 +267,13 @@ def test_c_values_parsing(capsys):
     )
     assert (code, out) == (2, "")
     assert "count sequence too short" in err
+    # An empty item is rejected, not dropped: 1,,4,27 would read c_3 = 4.
+    for values in ("1,,4,27", "1,1,4,", ",1,1,4", ","):
+        code, out, err = run_cli(
+            capsys, "counts", "relation", "--n-max", "4", f"--c-values={values}", "--bfile"
+        )
+        assert (code, out) == (2, "")
+        assert "comma-separated integers" in err
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json", "bfile"])

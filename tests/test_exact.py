@@ -165,6 +165,39 @@ def test_band_gf_matrices_match_reference(n, raw, live):
         assert mat_vec(m, v) == mat_vec(plain, v) == reference_mat_vec(m, v)
 
 
+@st.composite
+def rational_bands_and_vectors(draw):
+    """A matrix whose band is the series of a random num/den, den[0] = 1 and
+    of order 1..6 with zero taps allowed (den[1] = 0 too), num of length 0..6,
+    and a vector whose live prefix may be shorter than num."""
+    n = draw(st.integers(1, 16))
+    den = (1, *draw(st.lists(st.integers(-4, 4), min_size=1, max_size=6)))
+    num = tuple(draw(st.lists(st.integers(-5, 5), max_size=6)))
+    band: list[int] = []
+    for j in range(n):
+        t = num[j] if j < len(num) else 0
+        band.append(t - sum(den[s] * band[j - s] for s in range(1, min(j, len(den) - 1) + 1)))
+    live = draw(st.integers(0, n))
+    entries = tuple(draw(st.lists(st.integers(0, 10**6), min_size=live, max_size=live)))
+    sub = draw(st.integers(-3, 3))
+    return HTMatrix(n, sub, band, band_gf=(num, den)), CountVector(entries + (0,) * (n - live), 2)
+
+
+@settings(max_examples=300)
+@given(rational_bands_and_vectors())
+def test_random_rational_bands_match_reference(data):
+    m, v = data
+    plain = HTMatrix(m.size, m.sub, m.band)
+
+    def outcome(step, matrix):
+        try:
+            return step(matrix, v)
+        except ValueError as e:  # a negative entry, the same for all three
+            return repr(e)
+
+    assert outcome(mat_vec, m) == outcome(mat_vec, plain) == outcome(reference_mat_vec, m)
+
+
 def test_wrong_band_gf_rejected():
     assert HTMatrix(4, 2, (2, 4, 8, 16), band_gf=((2,), (1, -2))).band_gf
     with pytest.raises(ValueError):
