@@ -18,7 +18,7 @@ _EXPORTS = {
     " kangulation_vector lemma1_check partition_vector",
     "production": "GraphClassSpec build_connected_matrix build_geometric_matrix"
     " build_k_angulation_matrix build_partition_matrix build_relation_matrix connected_totals"
-    " count_sequence k_angulation_total relation_weights",
+    " count_sequence count_totals k_angulation_total relation_weights",
     "spectral": "EigenPair dominant_root eigenvector_from_charpoly real_roots",
     "oracle": "count_spanning_structures spanning_counts",
 }

@@ -16,7 +16,7 @@ import sys
 
 from . import FLOORS, SUITE_NAMES
 from .exact import charpoly_determinant, charpoly_recurrence
-from .production import CLASS_NAMES, CLASSES, ClassDef, GraphClassSpec, count_sequence
+from .production import CLASS_NAMES, CLASSES, ClassDef, GraphClassSpec, count_sequence, count_totals
 
 FORMAT_VERSION = "1"
 MAX_DEFAULT_LEVEL = 64
@@ -107,11 +107,11 @@ def cmd_counts(args) -> int:
         raise UsageError(
             f"--n-max guard is {MAX_DEFAULT_LEVEL}; pass --force to override"
         )
-    row, _ = _class_row(args)
-    vectors = count_sequence(_class_spec(args, row), args.n_max)
+    spec = _class_spec(args, _class_row(args)[0])
     if args.bfile:
-        lines = (f"{v.level} {v.total}" for v in vectors)
-    elif args.format == "csv":
+        return _emit(args, None, (f"{level} {total}" for level, total in count_totals(spec, args.n_max)))
+    vectors = count_sequence(spec, args.n_max)
+    if args.format == "csv":
         lines = (",".join(map(str, (v.level, *v.entries, v.total))) for v in vectors)
     else:
         lines = (f"level {v.level}: ({', '.join(map(str, v.entries))})  total {v.total}" for v in vectors)

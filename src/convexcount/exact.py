@@ -1,17 +1,17 @@
 """Exact integer arithmetic core: binomials, upper Hessenberg-Toeplitz
-matrices, count vectors, and the characteristic polynomials d_0..d_n of a
-matrix's leading blocks by two routes: the banded recurrence, which reads
-the band's generating function, and Berkowitz's algorithm, which reads only
-the dense entries.  Both return the tuple (d_0, ..., d_n), d_j a tuple of
-j + 1 ints low to high, as the closed forms of ``closedform`` do.
+matrices, count vectors, production steps, and the characteristic
+polynomials d_0..d_n of a matrix's leading blocks by two routes: the banded
+recurrence, which reads the band's generating function, and Berkowitz's
+algorithm, which reads only the dense entries.  Both return the tuple
+(d_0, ..., d_n), d_j a tuple of j + 1 ints low to high, as the closed forms
+of ``closedform`` do.
 
-The banded recurrence picks its loop order from the band's series num/den.
-With terms in den past den_0, as for every class builder but the relation
-matrix, each degree adds len(num) + len(den) - 1 scaled polynomials:
-O(n**2 * len(den)) integer operations in all.  With den = 1, as for a band
-with no generating function, the recurrence is a plain convolution, O(n**3)
-in all, and each coefficient is one C-level dot product over a column of
-the polynomials so far.
+A matrix is U(a) Z: the down-shift Z, then the upper-triangular Toeplitz
+matrix of its A-sequence a(z) = sub + z band(z).  ``mat_vec`` steps one
+level with a, in O(L * len(den)) for a band num/den with terms in den past
+den_0 and in O(L**2) for den = 1, and ``_strided_totals`` steps k levels
+with one product by U(a**k).  The recurrence picks its loop order from den
+too: O(n**2 * len(den)) or, for den = 1, an O(n**3) convolution.
 
 Everything here is immutable and computes with plain Python integers, so
 there is no overflow and no rounding anywhere in the counting pipeline.
@@ -21,8 +21,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Sequence
-from itertools import repeat
-from operator import add, mul
+from itertools import accumulate, repeat
+from operator import add, mul, sub
 
 
 def binomial(n: int, k: int) -> int:
@@ -59,9 +59,7 @@ class HTMatrix(namedtuple("HTMatrix", "size sub band band_gf", defaults=(None,))
     ``band``, or construction fails.  It takes no part in equality or hash.
     ``band_series`` is that pair, or band/1 without one; ``mat_vec``,
     ``charpoly_recurrence`` and the eigenvectors run its linear
-    recurrences of order len(den) - 1.  For den = 1 they are plain dot
-    products and convolutions; otherwise ``mat_vec`` takes its row series'
-    numerator in whole-vector passes and den in one reverse loop.
+    recurrences of order len(den) - 1.
     """
 
     __slots__ = ()
@@ -167,9 +165,7 @@ def mat_vec(m: HTMatrix, v: CountVector) -> CountVector:
     is read, and rows past L are zero.  Row i is sub * v[i-1] + sum_r
     band[r] * v[i+r] (v[-1] = 0), that is sum_r a[r] * v[i-1+r] for the
     row series a(z) = sub + z * num(z)/den(z) = (sub * den + z * num)/den
-    of ``m.band_series``, the A-sequence.  ``_suffix_sums`` runs it: whole-
-    vector passes and one reverse loop, O(L * len(den)) per step, for a band
-    with a generating function; O(L^2) dot products for a band over 1.
+    of ``m.band_series``, the A-sequence, and ``_suffix_sums`` runs it.
     """
     x = v.entries
     if len(x) != m.size:
@@ -185,6 +181,43 @@ def mat_vec(m: HTMatrix, v: CountVector) -> CountVector:
     rows = min(live + 1, m.size)
     out = _suffix_sums(a, den, (0, *x[:live]))[:rows]
     return CountVector(tuple(out) + (0,) * (m.size - rows), v.level + 1)
+
+
+def _strided_totals(m: HTMatrix, v: CountVector, n_max: int, k: int) -> list[tuple[int, int]]:
+    """(level, total) of v and of each level after it to n_max, k levels per
+    product; no step may truncate (live length + n_max - v.level <= size).
+    With m = U(a) Z, moving Z past U(a^j) leaves s_j e_0, s_j = sum_t
+    [z^(t+j+1)] a^j v_t, and U(a) e_0 = sub e_0, so
+        m^k v = U(a^k) Z^k v - sub sum_{j=1..k-1} s_j m^(k-1-j) e_0,
+    and level i < k, U(a^i)'s column sums being a^i's prefix sums, totals
+        sum_t (sum_{r<=t+i} [z^r] a^i) v_t - sub sum_{j<i} s_j total(m^(i-1-j) e_0).
+    A stride is one product with a^k and 2(k-1) dot products; a^2..a^k and
+    the short columns m^j e_0 are made once."""
+    x = list(v.entries)
+    while x and not x[-1]:
+        x.pop()
+    a = [m.sub, *m.band[: len(x) + n_max - v.level - 1]]  # the live length grows by one a level
+    powers = [(1,), a]
+    for _ in range(k - 1):
+        powers.append([sum(map(mul, powers[-1], a[r::-1])) for r in range(len(a))])
+    prefix = [list(accumulate(p)) for p in powers[:k]]
+    cols = [[1]]
+    for _ in range(k - 2):
+        cols.append(_suffix_sums(a, (1,), (0, *cols[-1])))
+    col_totals = [sum(c) for c in cols]
+    out = [(v.level, sum(x))]
+    for level in range(v.level, n_max, k):
+        step = min(k, n_max - level)
+        s = [sum(map(mul, powers[j][j + 1 :], x)) for j in range(1, step)]
+        for i in range(1, min(step, k - 1) + 1):
+            back = sum(map(mul, s[: i - 1], reversed(col_totals[: i - 1])))
+            out.append((level + i, sum(map(mul, prefix[i][i:], x)) - m.sub * back))
+        if step == k:
+            x = _suffix_sums(powers[k], (1,), (0,) * k + tuple(x))
+            for j, c in enumerate(s, 1):
+                x[: k - j] = map(sub, x, map(mul, repeat(m.sub * c), cols[k - 1 - j]))
+            out.append((level + k, sum(x)))
+    return out
 
 
 def charpoly_recurrence(m: HTMatrix) -> tuple[tuple[int, ...], ...]:
@@ -276,7 +309,7 @@ def _recurrence_terms(m: HTMatrix, n: int):
 
 def _axpy(acc: list[int], c: int, p: list[int]) -> None:
     """acc[i] += c * p[i] for i < len(p) <= len(acc)."""
-    acc[: len(p)] = map(add, acc, map(c.__mul__, p))
+    acc[: len(p)] = map(add, acc, map(mul, repeat(c), p))
 
 
 def charpoly_determinant(m: HTMatrix) -> tuple[tuple[int, ...], ...]:

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
+from math import isqrt
 
-from .exact import CountVector, HTMatrix, binomial, exact_div, mat_vec
+from .exact import CountVector, HTMatrix, _strided_totals, binomial, exact_div, mat_vec
 
 
 def build_k_angulation_matrix(k: int, r: int) -> HTMatrix:
@@ -222,16 +223,11 @@ CLASSES = {row.name: row for row in (
 CLASS_NAMES = tuple(CLASSES)
 
 
-def count_sequence(spec: GraphClassSpec, n_max: int) -> list[CountVector]:
-    """Count vectors of the class at each level from its start level to
-    n_max: the initial vector, then one production step per level.
-
-    The matrix is materialized at ``n_max + 2``: the isolation degree of an
-    n-vertex object can reach n, so its vector has a nonzero entry at index
-    n+1.  Every vector has that length.  The steps read the band below
-    offset n_max only, so of a count sequence only c_2..c_n_max are needed;
-    the counts past them, which no step reads, are taken as 0.
-    """
+def _start(spec: GraphClassSpec, n_max: int) -> tuple[HTMatrix, CountVector]:
+    """The class's matrix at n_max + 2, since an n-vertex object's isolation
+    degree can reach n, and its initial vector of that length.  The steps to
+    n_max read the band below offset n_max only, so the counts past c_n_max
+    are taken as 0."""
     row = CLASSES[spec.name]
     if n_max < row.start_index:
         raise ValueError(f"n_max must be at least the start level {row.start_index}")
@@ -241,10 +237,29 @@ def count_sequence(spec: GraphClassSpec, n_max: int) -> list[CountVector]:
         param = param[: n_max - 1] + (0, 0)
     m = row.build(n_max + 2, param)
     pad = (0,) * (m.size - len(row.initial_entries))
-    out = [CountVector(row.initial_entries + pad, row.start_index)]
+    return m, CountVector(row.initial_entries + pad, row.start_index)
+
+
+def count_sequence(spec: GraphClassSpec, n_max: int) -> list[CountVector]:
+    """Count vectors of the class at each level from its start level to
+    n_max: the initial vector, then one production step per level."""
+    m, v = _start(spec, n_max)
+    out = [v]
     while out[-1].level < n_max:
         out.append(mat_vec(m, out[-1]))
     return out
+
+
+def count_totals(spec: GraphClassSpec, n_max: int) -> list[tuple[int, int]]:
+    """(level, total) at each level to n_max, the totals of ``count_sequence``.
+    A band without a generating function (den = 1, relation) costs O(L^2) a
+    step, so from n_max = 16 it strides k = isqrt(n_max) // 2 levels per
+    product by the A-sequence's k-th power (``exact._strided_totals``):
+    O(n^2.5) products, not O(n^3).  Other bands step at k = 1."""
+    k = isqrt(n_max) // 2 if n_max >= 16 and spec.build_matrix(1).band_gf is None else 1
+    if k == 1:
+        return [(v.level, v.total) for v in count_sequence(spec, n_max)]
+    return _strided_totals(*_start(spec, n_max), n_max, k)
 
 
 def k_angulation_total(k: int, r: int) -> int:
@@ -258,4 +273,4 @@ def k_angulation_total(k: int, r: int) -> int:
 
 def connected_totals(n_max: int) -> tuple[int, ...]:
     """Connected plane graph totals c_2..c_n_max via matrix iteration."""
-    return tuple(v.total for v in count_sequence(GraphClassSpec("connected"), n_max))
+    return tuple(total for _, total in count_totals(GraphClassSpec("connected"), n_max))

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from . import FLOORS, SUITE_NAMES, closedform
 from .exact import HTMatrix, charpoly_determinant, charpoly_recurrence
-from .production import CLASSES, ClassDef, GraphClassSpec, count_sequence
+from .production import CLASSES, ClassDef, GraphClassSpec, count_sequence, count_totals
 
 # The eigen suite's residual bound; it refines every root to within 10**-48.
 RESIDUAL_BOUND = 1e-30
@@ -49,6 +49,11 @@ def _levels(spec: GraphClassSpec, top: int):
     """Every level of the class up to ``top`` from one count_sequence call;
     none when ``top`` is below the class's start level."""
     return count_sequence(spec, top) if top >= spec.start_index else []
+
+
+def _totals(spec: GraphClassSpec, top: int):
+    """``count_totals`` to ``top``; none below the class's start level."""
+    return count_totals(spec, top) if top >= spec.start_index else []
 
 
 def _level_pair(row: ClassDef, param, level, got) -> tuple:
@@ -182,19 +187,16 @@ def suite_relation(n_max: int) -> list[CheckResult]:
     out = []
     top = _top("relation/connected-to-geometric", n_max)
     geo = _levels(GraphClassSpec("geometric"), top)
-    rel = _levels(GraphClassSpec("relation"), top)
-    pairs = [
-        (f"n={v.level}", (v.total,), (geo_v.total,))
-        for v, geo_v in zip(rel[1:], geo)
-    ]
+    rel = _totals(GraphClassSpec("relation"), top)
+    pairs = [(f"n={level}", (total,), (v.total,)) for (level, total), v in zip(rel[1:], geo)]
     out.append(_check_levels("relation/connected-to-geometric", pairs, n_max))
     for kind, structure in (("tree", "forest"), ("path", "path-forest")):
         weights = oracle.spanning_counts(n_max, kind)
         want = (oracle.count_spanning_structures(1, structure),)  # levels start at 1
         want += oracle.spanning_counts(n_max, structure)
         pairs = [
-            (f"n={v.level}", (v.total,), (count,))
-            for v, count in zip(_levels(GraphClassSpec("relation", weights), n_max), want)
+            (f"n={level}", (total,), (count,))
+            for (level, total), count in zip(_totals(GraphClassSpec("relation", weights), n_max), want)
         ]
         out.append(_check_levels(f"relation/{kind}s-to-{structure}s", pairs, n_max))
     return out

@@ -1,5 +1,6 @@
 import argparse
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -7,7 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from convexcount.cli import build_parser
-from convexcount.exact import HTMatrix, binomial, charpoly_determinant, charpoly_recurrence
+from convexcount import production
+from convexcount.exact import (
+    CountVector,
+    HTMatrix,
+    _strided_totals,
+    binomial,
+    charpoly_determinant,
+    charpoly_recurrence,
+    mat_vec,
+)
 from convexcount.production import (
     CLASS_NAMES,
     CLASSES,
@@ -19,6 +29,7 @@ from convexcount.production import (
     build_relation_matrix,
     connected_totals,
     count_sequence,
+    count_totals,
     k_angulation_total,
     relation_weights,
 )
@@ -168,6 +179,66 @@ def test_large_level_totals():
     rel = count_sequence(GraphClassSpec("relation", connected_totals(122)), 120)
     geo = count_sequence(GraphClassSpec("geometric"), 120)
     assert [r.total for r in rel[1:]] == [g.total for g in geo]
+
+
+def _spanning_tree_totals(n_max):
+    return tuple(math.comb(3 * n - 3, n - 1) // (2 * n - 1) for n in range(2, n_max + 1))
+
+
+@pytest.mark.parametrize("counts", [
+    None, _spanning_tree_totals(81), tuple(i * i + 1 for i in range(2, 82)), (0,) * 80,
+], ids=["connected", "spanning-trees", "squares-plus-one", "zeros"])
+def test_count_totals_are_the_count_sequence_totals(counts):
+    spec = GraphClassSpec("relation", counts)
+    for n_max in range(1, 81):
+        want = [(v.level, v.total) for v in count_sequence(spec, n_max)]
+        assert count_totals(spec, n_max) == want, n_max
+
+
+@pytest.mark.parametrize("sub", [1, 2, 3])
+def test_stride_kernel_matches_repeated_mat_vec(sub):
+    rng = random.Random(sub)
+    for k in range(1, 11):
+        size = 45
+        m = HTMatrix(size, sub, [rng.randrange(0, 30) for _ in range(size)])
+        assert m.band_gf is None
+        live = rng.randrange(1, 6)
+        v = CountVector(tuple(rng.randrange(0, 10) for _ in range(live)) + (0,) * (size - live), 3)
+        # every step stays inside the matrix: the live length reaches size at n_max
+        n_max = v.level + size - live
+        steps = [v]
+        while steps[-1].level < n_max:
+            steps.append(mat_vec(m, steps[-1]))
+        assert _strided_totals(m, v, n_max, k) == [(w.level, w.total) for w in steps], k
+
+
+def test_relation_totals_match_geometric_at_250():
+    rel = count_totals(GraphClassSpec("relation"), 250)
+    assert rel[1:] == [(v.level, v.total) for v in count_sequence(GraphClassSpec("geometric"), 250)]
+
+
+def test_count_totals_strides_only_a_band_without_generating_function(monkeypatch):
+    strides = []
+    kernel = production._strided_totals
+
+    def spy(m, v, n_max, k):
+        strides.append(k)
+        return kernel(m, v, n_max, k)
+
+    monkeypatch.setattr(production, "_strided_totals", spy)
+    for name in CLASS_NAMES:
+        spec = GraphClassSpec(name, 4 if CLASSES[name].param == "k" else None)
+        top = 40 if name != "relation" else 15
+        for n_max in range(spec.start_index, top + 1):
+            assert count_totals(spec, n_max) == [(v.level, v.total) for v in count_sequence(spec, n_max)]
+    assert strides == []
+    for n_max, k in ((16, 2), (35, 2), (36, 3), (200, 7), (500, 11)):
+        count_totals(GraphClassSpec("relation", (0,) * n_max), n_max)
+        assert strides.pop() == k
+    # counts too short are rejected before any total
+    with pytest.raises(ValueError, match="count sequence too short"):
+        count_totals(GraphClassSpec("relation", (1,) * 10), 20)
+    assert strides == []
 
 
 def test_k_angulation_totals():
