@@ -6,13 +6,14 @@ The public names below are imported from their layer on first access
 use: counting never loads ``closedform``, ``spectral`` or ``oracle``, and
 only ``verify`` loads the suites.  The characteristic polynomials come from
 ``exact`` (the recurrence and Berkowitz) and ``closedform`` (the closed
-forms), each as the tuple (d_0, ..., d_n) of coefficient tuples;
+forms), each as the tuple (d_0, ..., d_n) of coefficient tuples, and
+``exact.charpoly_top`` gives d_n alone;
 ``spectral`` holds the real roots and eigenpairs.
 """
 
 _EXPORTS = {
     "exact": "CountVector HTMatrix binomial charpoly_determinant charpoly_recurrence"
-    " exact_div mat_vec",
+    " charpoly_top exact_div mat_vec",
     "closedform": "charpoly_closed_connected charpoly_closed_geometric"
     " charpoly_closed_kangulation charpoly_closed_partition connected_vector geometric_vector"
     " kangulation_vector lemma1_check partition_vector",

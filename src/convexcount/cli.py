@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import FLOORS, SUITE_NAMES
-from .exact import charpoly_determinant, charpoly_recurrence
+from .exact import charpoly_determinant, charpoly_top
 from .production import CLASS_NAMES, CLASSES, ClassDef, GraphClassSpec, count_sequence, count_totals
 
 FORMAT_VERSION = "1"
@@ -40,8 +40,9 @@ def _options(row: ClassDef) -> tuple[str, ...]:
 
 def _class_row(args) -> tuple[ClassDef, int | None]:
     """The class's table row and the size it is asked at, after rejecting
-    options that do not apply to it and a missing or negative size.  counts
-    takes no size: its levels run to --n-max."""
+    options that do not apply to it and a missing or negative size, or a
+    size 0 for eigen, which has no eigenvalue to print.  counts takes no
+    size: its levels run to --n-max."""
     row = CLASSES[args.cls]
     for dest in CLASS_OPTIONS:
         if getattr(args, dest, None) is not None and dest not in _options(row):
@@ -52,6 +53,8 @@ def _class_row(args) -> tuple[ClassDef, int | None]:
     size = getattr(args, row.size_option)
     if size is None:
         raise UsageError(f"{row.name} needs --{row.size_option}")
+    if args.command == "eigen" and size < 1:
+        raise UsageError(f"eigen needs --{row.size_option} >= 1")
     if size < 0:
         raise UsageError(f"{row.size_option} must be >= 0")
     return row, size
@@ -126,11 +129,14 @@ def cmd_charpoly(args) -> int:
         raise UsageError(f"no closed form exists for the {row.name} matrix")
     spec = _class_spec(args, row)
     if args.method == "closed":
-        polys = row.charpoly(spec.param, n)
+        poly = row.charpoly(spec.param, n)[n]
+    elif not n:
+        poly = (1,)  # d_0 of every matrix; an HTMatrix has size >= 1
+    elif args.method == "determinant":
+        poly = charpoly_determinant(spec.build_matrix(n))[n]
     else:
-        route = charpoly_determinant if args.method == "determinant" else charpoly_recurrence
-        polys = route(spec.build_matrix(max(1, n)))
-    coeffs = list(map(str, polys[n]))
+        poly = charpoly_top(spec.build_matrix(n))
+    coeffs = list(map(str, poly))
     sep = "," if args.format == "csv" else " "
     return _emit(args, lambda: {"degree": n, "coefficients": coeffs}, [sep.join(coeffs)])
 
@@ -181,7 +187,7 @@ def cmd_eigen(args) -> int:
     if not 0 < tol < 1:
         raise UsageError("tol must be positive" if tol <= 0 else "--tol must be < 1")
     matrix = _class_spec(args, row).build_matrix(n)
-    poly = charpoly_recurrence(matrix)[n]
+    poly = charpoly_top(matrix)
     if args.all_roots:
         selected = spectral.real_roots(poly, tol)
         count = len(selected)

@@ -81,10 +81,19 @@ def test_charpoly_partition_n1(capsys):
 
 
 def test_charpoly_degree_zero(capsys):
-    for cls in ("geometric", "connected", "partition"):
-        code, out, _ = run_cli(capsys, "charpoly", cls, "--n", "0")
-        assert code == 0
-        assert out.strip() == "1"
+    for argv in (["geometric", "--n", "0"], ["connected", "--n", "0"], ["partition", "--n", "0"],
+                 ["relation", "--n", "0"], ["kangulation", "--k", "4", "--r", "0"]):
+        code, out, _ = run_cli(capsys, "charpoly", *argv)
+        assert code == 0, argv
+        assert out.strip() == "1", argv
+
+
+def test_eigen_size_zero_rejected_by_option(capsys):
+    for argv, option in ((["geometric", "--n", "0"], "--n"), (["relation", "--n", "0"], "--n"),
+                         (["relation", "--n", "-1"], "--n"),
+                         (["kangulation", "--k", "4", "--r", "0"], "--r")):
+        code, out, err = run_cli(capsys, "eigen", *argv)
+        assert (code, out, err) == (2, "", f"error: eigen needs {option} >= 1\n"), argv
 
 
 def test_charpoly_closed_geometric(capsys):
@@ -395,7 +404,7 @@ def test_eigen_tol_must_be_positive_before_any_work(capsys, monkeypatch):
     def refuse(matrix):
         raise AssertionError("the charpoly was built")
 
-    monkeypatch.setattr(cli, "charpoly_recurrence", refuse)
+    monkeypatch.setattr(cli, "charpoly_top", refuse)
     for tol in ("0", "-1", "0.0"):
         code, out, err = run_cli(capsys, "eigen", "relation", "--n", "600", "--tol", tol)
         assert (code, out, err) == (2, "", "error: tol must be positive\n")

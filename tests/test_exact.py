@@ -9,6 +9,8 @@ from convexcount.exact import (
     HTMatrix,
     binomial,
     charpoly_determinant,
+    charpoly_recurrence,
+    charpoly_top,
     exact_div,
     mat_vec,
 )
@@ -17,6 +19,7 @@ from convexcount.production import (
     build_geometric_matrix,
     build_k_angulation_matrix,
     build_partition_matrix,
+    build_relation_matrix,
 )
 from convexcount.spectral import _eval_dyadic
 
@@ -223,3 +226,35 @@ def test_charpoly_determinant_leading_sign():
         p = charpoly_determinant(build_partition_matrix(n))[n]
         assert len(p) - 1 == n
         assert p[-1] == (-1) ** n
+
+
+# The relation matrix with its default counts and fed spanning-tree totals.
+RELATION_COUNTS = {
+    "connected": None,
+    "trees": tuple(math.comb(3 * i - 3, i - 1) // (2 * i - 1) for i in range(2, 301)),
+}
+
+
+@pytest.mark.parametrize("counts", RELATION_COUNTS.values(), ids=RELATION_COUNTS)
+def test_charpoly_top_is_the_recurrence_top_degree_on_relation(counts):
+    for n in [*range(1, 61), 100, 150, 300]:
+        m = build_relation_matrix(n, counts)
+        assert charpoly_top(m) == charpoly_recurrence(m)[n], n
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(-3, 3),
+    st.integers(1, 40).flatmap(lambda n: st.lists(st.integers(-50, 50), min_size=n, max_size=n)),
+)
+def test_charpoly_top_matches_recurrence_on_random_bands(sub, band):
+    # den = 1, so the power projection runs; n from 1 to 40 takes s = 1, 2
+    # and 3 baby steps and ends on every remainder i of n = s j + i
+    m = HTMatrix(len(band), sub, band)
+    assert charpoly_top(m) == charpoly_recurrence(m)[m.size]
+
+
+def test_charpoly_top_keeps_the_recurrence_for_a_band_gf():
+    for m in (build_geometric_matrix(60), build_k_angulation_matrix(4, 60)):
+        assert m.band_gf is not None
+        assert charpoly_top(m) == charpoly_recurrence(m)[60]

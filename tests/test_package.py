@@ -17,7 +17,7 @@ from convexcount.spectral import EigenPair
 EXPORTS = {
     "exact": [
         "CountVector", "HTMatrix", "binomial", "charpoly_determinant", "charpoly_recurrence",
-        "exact_div", "mat_vec",
+        "charpoly_top", "exact_div", "mat_vec",
     ],
     "closedform": [
         "charpoly_closed_connected", "charpoly_closed_geometric", "charpoly_closed_kangulation",
