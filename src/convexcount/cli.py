@@ -41,8 +41,8 @@ def _options(row: ClassDef) -> tuple[str, ...]:
 def _class_row(args) -> tuple[ClassDef, int | None]:
     """The class's table row and the size it is asked at, after rejecting
     options that do not apply to it and a missing or negative size, or a
-    size 0 for eigen, which has no eigenvalue to print.  counts takes no
-    size: its levels run to --n-max."""
+    size 0 for eigen, which has no eigenvalue to print, and for matrix,
+    which has no entry.  counts takes no size: its levels run to --n-max."""
     row = CLASSES[args.cls]
     for dest in CLASS_OPTIONS:
         if getattr(args, dest, None) is not None and dest not in _options(row):
@@ -53,8 +53,8 @@ def _class_row(args) -> tuple[ClassDef, int | None]:
     size = getattr(args, row.size_option)
     if size is None:
         raise UsageError(f"{row.name} needs --{row.size_option}")
-    if args.command == "eigen" and size < 1:
-        raise UsageError(f"eigen needs --{row.size_option} >= 1")
+    if args.command in ("eigen", "matrix") and size < 1:
+        raise UsageError(f"{args.command} needs --{row.size_option} >= 1")
     if size < 0:
         raise UsageError(f"{row.size_option} must be >= 0")
     return row, size

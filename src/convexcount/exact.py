@@ -10,12 +10,13 @@ A matrix is U(a) Z: the down-shift Z, then the upper-triangular Toeplitz
 matrix of its A-sequence a(z) = sub + z band(z).  ``mat_vec`` steps one
 level with a, in O(L * len(den)) for a band num/den with terms in den past
 den_0 and in O(L**2) for den = 1, and ``_strided_totals`` steps k levels
-with one product by U(a**k).  The recurrence picks its loop order from den
-too: O(n**2 * len(den)) or, for den = 1, an O(n**3) convolution.
+with one product by U(a**k).  One loop runs the recurrence for every band,
+holding only the degrees it reads back: O(n**2 * len(den)) operations in
+O(n**2) bits, or for den = 1 an O(n**3) convolution over every degree.
 ``charpoly_top`` returns d_n alone, which is all the CLI prints: by the
-recurrence for a den past den_0, and for den = 1 by power projection on the
-Riordan identity sum_j d_j u**j = 1/(1 - u B(u) + x u), about n**2.5
-products where the convolution takes n**3 / 6.
+recurrence's last degree for a den past den_0, and for den = 1 by power
+projection on the Riordan identity sum_j d_j u**j = 1/(1 - u B(u) + x u),
+about n**2.5 products where the convolution takes n**3 / 6.
 
 Everything here is immutable and computes with plain Python integers, so
 there is no overflow and no rounding anywhere in the counting pipeline.
@@ -23,8 +24,8 @@ there is no overflow and no rounding anywhere in the counting pipeline.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
-from collections.abc import Sequence
+from collections import deque, namedtuple
+from collections.abc import Iterator, Sequence
 from itertools import accumulate, repeat
 from operator import add, mul, sub
 
@@ -235,10 +236,11 @@ def charpoly_top(m: HTMatrix) -> tuple[int, ...]:
     as its n + 1 coefficients low to high.
 
     A band with terms in den past den_0 keeps the recurrence's last degree,
-    O(n**2 * len(den)).  For den = 1 the recurrence is an O(n**3)
-    convolution, so d_n is read off the production matrix's Riordan array
-    instead (Deutsch, Ferrari and Rinaldi, "Production matrices", 2005):
-    with b_m = (-sub)**m * band[m] and B(u) = sum_m b_m u**m,
+    O(n**2 * len(den)) operations in a window of a few degrees, O(n**2) bits.
+    For den = 1 the recurrence reads every earlier degree, O(n**3), so d_n is
+    read off the production matrix's Riordan array instead (Deutsch, Ferrari
+    and Rinaldi, "Production matrices", 2005): with b_m = (-sub)**m * band[m]
+    and B(u) = sum_m b_m u**m,
 
         sum_j d_j u**j = 1/(1 - u B(u) + x u),
         [x^t] d_n = (-1)**t [u^(n-t)] G**(t+1),    G = 1/(1 - u B).
@@ -247,13 +249,13 @@ def charpoly_top(m: HTMatrix) -> tuple[int, ...]:
     baby steps G**1..G**s, G**i cut to degree n + 1 - i, and giant steps
     Q_j = G**(s j), cut to degree n - s j.  Coefficient t = s j + i is then
     one dot product of Q_j with G**(i+1), and the whole costs
-    (s + 1) n**2 / 2 + n**3 / (6 s) products against the convolution's
+    (s + 1) n**2 / 2 + n**3 / (6 s) products against the recurrence's
     n**3 / 6.  s = isqrt(n // 3) balances the two terms.
     """
     n = m.size
     ps, qs = _recurrence_terms(m, n)
     if qs:
-        return charpoly_recurrence(m)[-1]
+        return tuple(deque(_charpolys(m), maxlen=1)[0])
     b = [0] * n
     for r, c in ps:
         b[r] = c
@@ -291,64 +293,45 @@ def charpoly_recurrence(m: HTMatrix) -> tuple[tuple[int, ...], ...]:
 
         U_j = sum_r num_r (-sub)**r d_{j-r} - sum_{r>=1} den_r (-sub)**r U_{j-r}.
 
-    The loop order is picked by den:
+    Each degree costs len(num) + len(den) - 1 polynomial axpy steps,
+    O(n**2 * len(den)) integer operations in all.  For den = 1 (a band
+    without a generating function, or a polynomial one) U_j is the plain
+    convolution, n axpy steps a degree, O(n**3).
 
-    - den has terms past den_0 (a band with a generating function): each
-      degree costs len(num) + len(den) - 1 polynomial axpy steps,
-      O(n**2 * len(den)) integer operations in all.  In column order each
-      coefficient would be a dot product of only that many terms, which is
-      slower than the axpy passes.
-    - den = 1 (a band without one, or a polynomial one): U_j is the plain
-      convolution, O(n**3) in all.  ``_convolve_columns`` keeps the d's by
-      column and computes each U_j[t] as one dot product iterated in C,
-      faster than j + 1 axpy passes over Python lists.
-
-    Every degree is the reference that the checks compare against.  For d_n
-    alone, ``charpoly_top`` takes (s + 1) n**2 / 2 + n**3 / (6 s) products
-    with s = isqrt(n // 3) when den = 1: 945,000 against 4,500,000 at
-    n = 300.
+    Every degree is the reference that the checks compare against, and the
+    result holds all of them, O(n**3) bits.  For d_n alone, ``charpoly_top``
+    keeps a window of len(num) degrees when den has terms past den_0, and
+    takes (s + 1) n**2 / 2 + n**3 / (6 s) products with s = isqrt(n // 3)
+    when den = 1: 945,000 against 4,500,000 at n = 300.
     """
+    return tuple(map(tuple, _charpolys(m)))
+
+
+def _charpolys(m: HTMatrix) -> Iterator[list[int]]:
+    """d_0, d_1, ..., d_n as coefficient lists, by the recurrence of
+    ``charpoly_recurrence``.  It holds only what the recurrence reads back:
+    the last 1 + max r of the num terms' degrees and the last max r of the den
+    terms' U's.  For den = 1 the num terms run to r = n - 1, so the window
+    holds every degree, O(n**3) bits; with a generating function it holds a
+    few, O(n**2) bits."""
     n = m.size
     ps, qs = _recurrence_terms(m, n)
-    if not qs:
-        return tuple(map(tuple, _convolve_columns(ps, n)))
-    history = max(r for r, _ in qs)
-    ds = [[1]]
-    us: list[list[int]] = []  # U_{j-len(us)}..U_{j-1}, at most `history` of them
+    ds = deque([[1]], maxlen=1 + max((r for r, _ in ps), default=0))  # ..., d_j
+    us = deque(maxlen=max((r for r, _ in qs), default=0))  # ..., U_(j-1)
+    yield ds[-1]
     for j in range(n):
         u = [0] * (j + 1)
         for r, c in ps:
             if r > j:
                 break
-            _axpy(u, c, ds[j - r])
+            _axpy(u, c, ds[-1 - r])
         for r, c in qs:
             if r > j:
                 break
             _axpy(u, c, us[-r])
         us.append(u)
-        if len(us) > history:
-            del us[0]
-        ds.append(_next_charpoly(ds[j], u))
-    return tuple(map(tuple, ds))
-
-
-def _convolve_columns(ps, n: int) -> list[list[int]]:
-    """d_0..d_n as coefficient lists for U_j = sum_m b_m d_{j-m}, with b_r
-    the values of the terms ``ps``.  Column t holds [d_t[t], ..., d_j[t]], so
-    U_j[t] = sum_m b_m d_{j-m}[t] is the dot product of b with the reversed
-    column."""
-    b = [0] * n
-    for r, c in ps:
-        b[r] = c
-    ds = [[1]]
-    cols = [[1]]
-    for j in range(n):
-        d = _next_charpoly(ds[j], [sum(map(mul, b, reversed(col))) for col in cols])
-        for col, c in zip(cols, d):
-            col.append(c)
-        cols.append(d[-1:])
-        ds.append(d)
-    return ds
+        ds.append(_next_charpoly(ds[-1], u))
+        yield ds[-1]
 
 
 def _next_charpoly(d: list[int], u: list[int]) -> list[int]:

@@ -253,11 +253,11 @@ def count_sequence(spec: GraphClassSpec, n_max: int) -> list[CountVector]:
 def count_totals(spec: GraphClassSpec, n_max: int) -> list[tuple[int, int]]:
     """(level, total) at each level to n_max, the totals of ``count_sequence``.
     A band without a generating function (den = 1, relation) costs O(L^2) a
-    step, so from n_max = 16 it strides k = isqrt(n_max) // 2 levels per
-    product by the A-sequence's k-th power (``exact._strided_totals``):
-    O(n^2.5) products, not O(n^3).  Other bands step at k = 1."""
-    k = isqrt(n_max) // 2 if n_max >= 16 and spec.build_matrix(1).band_gf is None else 1
-    if k == 1:
+    step, so when k = isqrt(n_max) // 2 >= 2 it strides k levels per product
+    by the A-sequence's k-th power (``exact._strided_totals``): O(n^2.5)
+    products, not O(n^3).  Other bands step one level at a time."""
+    k = isqrt(max(n_max, 0)) // 2
+    if k < 2 or spec.build_matrix(1).band_gf is not None:
         return [(v.level, v.total) for v in count_sequence(spec, n_max)]
     return _strided_totals(*_start(spec, n_max), n_max, k)
 

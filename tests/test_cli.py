@@ -89,11 +89,12 @@ def test_charpoly_degree_zero(capsys):
 
 
 def test_eigen_size_zero_rejected_by_option(capsys):
-    for argv, option in ((["geometric", "--n", "0"], "--n"), (["relation", "--n", "0"], "--n"),
-                         (["relation", "--n", "-1"], "--n"),
-                         (["kangulation", "--k", "4", "--r", "0"], "--r")):
-        code, out, err = run_cli(capsys, "eigen", *argv)
-        assert (code, out, err) == (2, "", f"error: eigen needs {option} >= 1\n"), argv
+    for command in ("eigen", "matrix"):
+        for argv, option in ((["geometric", "--n", "0"], "--n"), (["relation", "--n", "0"], "--n"),
+                             (["relation", "--n", "-1"], "--n"),
+                             (["kangulation", "--k", "4", "--r", "0"], "--r")):
+            code, out, err = run_cli(capsys, command, *argv)
+            assert (code, out, err) == (2, "", f"error: {command} needs {option} >= 1\n"), (command, argv)
 
 
 def test_charpoly_closed_geometric(capsys):

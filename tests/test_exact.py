@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -258,3 +260,17 @@ def test_charpoly_top_keeps_the_recurrence_for_a_band_gf():
     for m in (build_geometric_matrix(60), build_k_angulation_matrix(4, 60)):
         assert m.band_gf is not None
         assert charpoly_top(m) == charpoly_recurrence(m)[60]
+
+
+def test_charpoly_top_of_a_band_gf_holds_a_window_of_degrees():
+    # d_0..d_n would hold about n / 2 times the bytes of d_n alone, and a
+    # window of len(num) degrees and len(den) - 1 U's holds a few d_n's
+    for m in (build_geometric_matrix(600), build_connected_matrix(600), build_k_angulation_matrix(4, 600)):
+        tracemalloc.start()
+        try:
+            top = charpoly_top(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = sys.getsizeof(top) + sum(map(sys.getsizeof, top))
+        assert peak < 20 * size, (m.band_gf, peak, size)
