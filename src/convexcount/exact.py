@@ -12,7 +12,8 @@ level with a, in O(L * len(den)) for a band num/den with terms in den past
 den_0 and in O(L**2) for den = 1, and ``_strided_totals`` steps k levels
 with one product by U(a**k).  One loop runs the recurrence for every band,
 holding only the degrees it reads back: O(n**2 * len(den)) operations in
-O(n**2) bits, or for den = 1 an O(n**3) convolution over every degree.
+O(n**2) bits, or for den = 1 an O(n**3) convolution over every degree;
+``_charpoly_values`` runs it at a point, in integers, for the eigenvectors.
 ``charpoly_top`` returns d_n alone, which is all the CLI prints: by the
 recurrence's last degree for a den past den_0, and for den = 1 by power
 projection on the Riordan identity sum_j d_j u**j = 1/(1 - u B(u) + x u),
@@ -63,7 +64,7 @@ class HTMatrix(namedtuple("HTMatrix", "size sub band band_gf", defaults=(None,))
     ``den[0] == 1``.  The first ``size`` terms of the series must equal
     ``band``, or construction fails.  It takes no part in equality or hash.
     ``band_series`` is that pair, or band/1 without one; ``mat_vec``,
-    ``charpoly_recurrence`` and the eigenvectors run its linear
+    ``charpoly_recurrence`` and ``_charpoly_values`` run its linear
     recurrences of order len(den) - 1.
     """
 
@@ -332,6 +333,24 @@ def _charpolys(m: HTMatrix) -> Iterator[list[int]]:
         us.append(u)
         ds.append(_next_charpoly(ds[-1], u))
         yield ds[-1]
+
+
+def _charpoly_values(m: HTMatrix, num: int, den: int) -> Iterator[int]:
+    """e_j = den**j d_j(num/den), j = 0..n and den > 0, by the recurrence and
+    window of ``_charpolys`` in integers: e_(j+1) = den V_j - num e_j with
+    V_j = den**j U_j.  den = Q * 2**s, so its powers of two are shifts."""
+    s = (den & -den).bit_length() - 1
+    q = den >> s
+    ps, qs = ([(r, c * q**r, r * s) for r, c in terms] for terms in _recurrence_terms(m, m.size))
+    es = deque([1], maxlen=1 + max((r for r, _, _ in ps), default=0))  # ..., e_j
+    vs = deque(maxlen=max((r for r, _, _ in qs), default=0))  # ..., V_(j-1)
+    yield 1
+    for j in range(m.size):
+        v = sum((c * es[-1 - r]) << shift for r, c, shift in ps if r <= j)
+        v += sum((c * vs[-r]) << shift for r, c, shift in qs if r <= j)
+        vs.append(v)
+        es.append(((q * v) << s) - num * es[-1])
+        yield es[-1]
 
 
 def _next_charpoly(d: list[int], u: list[int]) -> list[int]:

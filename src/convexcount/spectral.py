@@ -1,7 +1,7 @@
 """Real eigenvalues and eigenpairs of the production matrices.
 
-The eigenvalues are located on the exact characteristic polynomial from
-``exact.charpoly_recurrence``, never by floating-point matrix solvers, in
+The eigenvalues are located on the exact characteristic polynomial d_n from
+``exact.charpoly_top``, never by floating-point matrix solvers, in
 two steps.  A polynomial is any sequence of ints, low to high, such as a
 d_j of the tuple (d_0, ..., d_n) that every charpoly route returns; its
 trailing zeros are ignored.  Isolation is integer throughout: one primitive
@@ -13,7 +13,7 @@ the candidates for it; quadratic interval refinement on the same grid lands
 on the cell that sign bisection would, so the roots are the same.
 ``Fraction`` appears only in the tolerance, the root bound B and the
 returned roots.  Eigenpairs are exact too: at a rational root the band's
-recurrence runs in integers, O(n * len(den)) steps per root, and the vector
+recurrence runs in integers (``exact._charpoly_values``), and the vector
 comes back as integers over one common denominator with its residual as a
 Fraction.  Nothing here computes in floating point; the CLI prints the
 digits in integer arithmetic too, and no layer loads mpmath.
@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Sequence
 
-from .exact import HTMatrix, _recurrence_terms
+from .exact import HTMatrix, _charpoly_values
 
 # ---------------------------------------------------------------------------
 # Exact real-root location over the integers (Sturm isolation, then
@@ -333,29 +333,20 @@ def eigenvector_from_charpoly(m: HTMatrix, lam: Fraction | int) -> EigenPair:
     polynomial d_n; the residual tells how good the pair is, so a
     non-eigenvalue simply comes back with a large residual.
 
-    With lam = N/D and e_j = D**j d_j(lam), charpoly_recurrence's recurrence
-    becomes e_(j+1) = D V_j - N e_j with V_j = D**j U_j, O(n * len(den))
-    integer steps per root; D = Q * 2**s, so its powers of two are shifts.
-    Over the common denominator (|sub| D)**(n-1) the entries are integers.
-    Row i >= 1 of (A - lam I) x is the recurrence itself and so exactly zero;
-    row 0 is (-1/sub)**(n-1) d_n(lam), and the residual is
-    |e_n| / (D max|vector|).
+    With lam = N/D and e_j = D**j d_j(lam) from ``exact._charpoly_values``,
+    the entries over (|sub| D)**(n-1) are integers, D = Q * 2**s making its
+    powers of two shifts.  Row i >= 1 of (A - lam I) x is the recurrence
+    itself and so exactly zero; row 0 is (-1/sub)**(n-1) d_n(lam), and the
+    residual is |e_n| / (D max|vector|).
     """
     if m.sub == 0:
         raise ValueError("eigenvector formula requires a nonzero subdiagonal")
     lam = Fraction(lam)
     n, N, D = m.size, lam.numerator, lam.denominator
+    es = list(_charpoly_values(m, N, D))
     s = (D & -D).bit_length() - 1
-    Q = D >> s
-    ps, qs = ([(r, c * Q**r, r * s) for r, c in terms] for terms in _recurrence_terms(m, n))
-    es, vs = [1], []
-    for j in range(n):
-        v = sum((c * es[j - r]) << shift for r, c, shift in ps if r <= j)
-        v += sum((c * vs[j - r]) << shift for r, c, shift in qs if r <= j)
-        vs.append(v)
-        es.append(((Q * v) << s) - N * es[j])
-    # x_i = (-1/sub)**i e_i / D**i, times (|sub| D)**(n-1)
-    step, flip = abs(m.sub) * Q, -1 if m.sub > 0 else 1
+    # x_i = (-1/sub)**i e_i / D**i, times (|sub| D)**(n-1), D = Q * 2**s
+    step, flip = abs(m.sub) * (D >> s), -1 if m.sub > 0 else 1
     vector = tuple((flip**i * es[i] * step ** (n - 1 - i)) << (s * (n - 1 - i)) for i in reversed(range(n)))
     residual = Fraction(abs(es[n]), D * max(map(abs, vector)))
     return EigenPair(lam, vector, step ** (n - 1) << (s * (n - 1)), residual)

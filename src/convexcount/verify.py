@@ -186,9 +186,9 @@ def suite_relation(n_max: int) -> list[CheckResult]:
 
     out = []
     top = _top("relation/connected-to-geometric", n_max)
-    geo = _levels(GraphClassSpec("geometric"), top)
+    geo = _totals(GraphClassSpec("geometric"), top)
     rel = _totals(GraphClassSpec("relation"), top)
-    pairs = [(f"n={level}", (total,), (v.total,)) for (level, total), v in zip(rel[1:], geo)]
+    pairs = [(f"n={pair[0]}", pair, want) for pair, want in zip(rel[1:], geo)]
     out.append(_check_levels("relation/connected-to-geometric", pairs, n_max))
     for kind, structure in (("tree", "forest"), ("path", "path-forest")):
         weights = oracle.spanning_counts(n_max, kind)

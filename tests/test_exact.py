@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from convexcount.exact import (
     CountVector,
     HTMatrix,
+    _charpoly_values,
     binomial,
     charpoly_determinant,
     charpoly_recurrence,
@@ -274,3 +275,57 @@ def test_charpoly_top_of_a_band_gf_holds_a_window_of_degrees():
             tracemalloc.stop()
         size = sys.getsizeof(top) + sum(map(sys.getsizeof, top))
         assert peak < 20 * size, (m.band_gf, peak, size)
+
+
+# Every class at n = 40, kangulation at k = 3 and 4, and relation fed both counts.
+VALUE_MATRICES = {
+    "geometric": build_geometric_matrix(40),
+    "connected": build_connected_matrix(40),
+    "partition": build_partition_matrix(40),
+    "kangulation-3": build_k_angulation_matrix(3, 40),
+    "kangulation-4": build_k_angulation_matrix(4, 40),
+    **{f"relation-{name}": build_relation_matrix(40, counts) for name, counts in RELATION_COUNTS.items()},
+}
+
+
+@pytest.mark.parametrize("m", VALUE_MATRICES.values(), ids=VALUE_MATRICES)
+def test_charpoly_values_are_the_scaled_charpolys_at_a_point(m):
+    # 0, integers, negatives, dyadics, odd denominators and mixed Q * 2**s
+    points = [0, 1, 3, -2, -7, Fraction(5, 8), Fraction(-13, 4), Fraction(7, 3),
+              Fraction(-11, 9), Fraction(17, 12), Fraction(-29, 40), Fraction(11657, 1000)]
+    polys = charpoly_recurrence(m)
+    for x in map(Fraction, points):
+        want = []
+        for j, d in enumerate(polys):
+            value = Fraction(0)
+            for c in reversed(d):
+                value = value * x + c
+            want.append(value * x.denominator**j)
+        assert list(_charpoly_values(m, x.numerator, x.denominator)) == want, x
+
+
+@pytest.mark.parametrize("m, x, first", [
+    (build_geometric_matrix(2000), Fraction(11657, 1000), None),  # above 6 + 4 sqrt(2)
+    (build_geometric_matrix(2000), Fraction(11656, 1000), 435),
+    (build_k_angulation_matrix(4, 2000), Fraction(27, 4), None),
+    (build_k_angulation_matrix(4, 2000), Fraction(6749, 1000), 222),
+], ids=["geometric-above", "geometric-below", "kangulation-4-above", "kangulation-4-below"])
+def test_charpoly_values_hold_a_window_to_n_2000(m, x, first):
+    # the first j with (-1)**j e_j <= 0, or None when the signs alternate to
+    # j = 2000; a band_gf's window holds a few values where the list of
+    # every e_j would hold them all
+    held = 0
+    tracemalloc.start()
+    try:
+        for j, e in enumerate(_charpoly_values(m, x.numerator, x.denominator)):
+            held += sys.getsizeof(e)
+            if (-1) ** j * e <= 0:
+                break
+        else:
+            j = None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert j == first
+    if first is None:
+        assert 20 * peak < held, (peak, held)

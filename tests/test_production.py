@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from convexcount.cli import build_parser
+from convexcount.closedform import charpoly_closed_partition
 from convexcount import production
 from convexcount.exact import (
     CountVector,
@@ -16,6 +17,7 @@ from convexcount.exact import (
     binomial,
     charpoly_determinant,
     charpoly_recurrence,
+    charpoly_top,
     mat_vec,
 )
 from convexcount.production import (
@@ -239,6 +241,35 @@ def test_count_totals_strides_only_a_band_without_generating_function(monkeypatc
     with pytest.raises(ValueError, match="count sequence too short"):
         count_totals(GraphClassSpec("relation", (1,) * 10), 20)
     assert strides == []
+
+
+# With every count c_i = 1 the relation matrix is the partition matrix, and
+# with c_2 = 1 alone it counts non-crossing partial matchings, so each den = 1
+# path (the stride of k = isqrt(200) // 2 = 7, the power projection) meets a
+# closed form.
+def test_relation_with_unit_counts_is_the_partition_matrix():
+    for n in (2, 10, 300):
+        m = build_relation_matrix(n, (1,) * (n - 1))
+        assert m.band_gf is None
+        assert m == build_partition_matrix(n), n
+
+
+def test_relation_totals_with_unit_counts_are_catalan():
+    totals = count_totals(GraphClassSpec("relation", (1,) * 199), 200)
+    assert totals == count_totals(GraphClassSpec("partition"), 200)
+    assert totals == [(n, math.comb(2 * n, n) // (n + 1)) for n in range(1, 201)]
+
+
+def test_relation_totals_with_one_pair_count_are_motzkin():
+    totals = count_totals(GraphClassSpec("relation", (1,) + (0,) * 198), 200)
+    assert [n for n, _ in totals] == list(range(1, 201))
+    ms = [1, *(t for _, t in totals)]  # M_0 = 1, M_n at level n
+    for n in range(2, 201):
+        assert (n + 2) * ms[n] == (2 * n + 1) * ms[n - 1] + (3 * n - 3) * ms[n - 2], n
+
+
+def test_charpoly_top_of_the_unit_count_relation_matrix_is_the_partition_closed_form():
+    assert charpoly_top(build_relation_matrix(300, (1,) * 299)) == charpoly_closed_partition(300)[300]
 
 
 def test_k_angulation_totals():

@@ -1,7 +1,6 @@
 import pytest
 
 from convexcount import cli, closedform, oracle, production, verify
-from convexcount.exact import CountVector
 from convexcount.production import CLASSES
 from convexcount.verify import (
     FLOORS,
@@ -117,6 +116,19 @@ def test_brute_force_suites_fail_on_empty_ranges(n):
         assert not result.passed and result.detail.startswith("empty range"), result
 
 
+def test_relation_suite_compares_levels_with_their_totals(monkeypatch):
+    # geometric's level 11 relabelled 12, its total kept: the pairs differ
+    true = verify.count_totals
+
+    def relabel(spec, top):
+        totals = true(spec, top)
+        return [(n + (n == 11), t) for n, t in totals] if spec.name == "geometric" else totals
+
+    monkeypatch.setattr(verify, "count_totals", relabel)
+    result = {r.name: r for r in suite_relation(11)}["relation/connected-to-geometric"]
+    assert not result.passed and result.detail.startswith("first mismatch at n=11: "), result
+
+
 @pytest.mark.parametrize("n", [-1, -5])
 def test_negative_size_fails_every_check(n, capsys):
     for suite in SUITE_NAMES:
@@ -130,11 +142,8 @@ def test_negative_size_fails_every_check(n, capsys):
     assert all(line.startswith("FAIL ") for line in lines[:-1])
 
 
-def _spoil_geometric_level(vectors, level):
-    return [
-        CountVector(v.entries[:-1] + (v.entries[-1] + 1,), v.level) if v.level == level else v
-        for v in vectors
-    ]
+def _spoil_geometric_level(totals, level):
+    return [(n, t + (n == level)) for n, t in totals]
 
 
 # For each floored check: the suite, the function a fault is planted in, when
@@ -162,9 +171,9 @@ FAULTS = {
         "FAIL oracle/kangulation: first mismatch at kangulation(k=3) r=21: ",
     ),
     "relation/connected-to-geometric": (
-        "relation", verify, "count_sequence",
+        "relation", verify, "count_totals",
         lambda spec, top: spec.name == "geometric",
-        lambda vectors: _spoil_geometric_level(vectors, 11), 11,
+        lambda totals: _spoil_geometric_level(totals, 11), 11,
         "FAIL relation/connected-to-geometric: first mismatch at n=11: ",
     ),
 }
