@@ -1,18 +1,19 @@
 """Cross-module verification suites: every closed form against every matrix,
-every matrix against the oracle, and the spectral identities.
+every matrix against the oracle, each route a command prints (charpoly_top,
+dominant_root) against its reference, and the spectral identities.
 
 Each suite takes one size, n_max, and returns a list of CheckResult so the
 CLI can print one PASS/FAIL line per check; failures carry the first
-counterexample found.  A check named in FLOORS runs to max(floor, n_max),
-every other check to n_max, and at a negative n_max every check fails.
+counterexample or missing level.  A check in FLOORS runs to max(floor,
+n_max), every other to n_max, and at a negative n_max every check fails.
 """
 from __future__ import annotations
 
-from itertools import product
+from itertools import product, zip_longest
 from typing import NamedTuple
 
 from . import FLOORS, SUITE_NAMES, closedform
-from .exact import HTMatrix, charpoly_determinant, charpoly_recurrence
+from .exact import HTMatrix, charpoly_determinant, charpoly_recurrence, charpoly_top
 from .production import CLASSES, ClassDef, GraphClassSpec, count_sequence, count_totals
 
 # The eigen suite's residual bound; it refines every root to within 10**-48.
@@ -23,6 +24,10 @@ class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
+
+
+class _Missing(Exception):
+    """A level the counting engine did not return; it fails the check."""
 
 
 def _params(row: ClassDef, ks) -> tuple:
@@ -45,26 +50,33 @@ def _empty(n_max: int) -> str:
     return f"empty range: n_max={n_max} < 0" if n_max < 0 else "empty range: nothing was checked"
 
 
-def _levels(spec: GraphClassSpec, top: int):
-    """Every level of the class up to ``top`` from one count_sequence call;
-    none when ``top`` is below the class's start level."""
-    return count_sequence(spec, top) if top >= spec.start_index else []
+def _levels(spec: GraphClassSpec, top: int, totals: bool = False) -> list:
+    """``count_sequence``'s vectors, or ``count_totals``'s (level, total) pairs,
+    to ``top``.  Their levels must be exactly start..top, or _Missing names the
+    first that is not: zipped with a reference, a short list would pass."""
+    out = (count_totals if totals else count_sequence)(spec, top) if top >= spec.start_index else []
+    levels = [x[0] if totals else x.level for x in out]
+    for want, got in zip_longest(range(spec.start_index, top + 1), levels):
+        if want != got:
+            detail = f"level {want} missing" if want else f"level {got} past {top}"
+            raise _Missing(f"{spec.name} {detail}")
+    return out
 
 
-def _totals(spec: GraphClassSpec, top: int):
-    """``count_totals`` to ``top``; none below the class's start level."""
-    return count_totals(spec, top) if top >= spec.start_index else []
-
-
-def _level_pair(row: ClassDef, param, level, got) -> tuple:
-    """(label, got, vector) for one level; ``got`` is padded with zeros, so
-    the vector's tail past it must be zero too."""
+def _level_pairs(row: ClassDef, param, level, got):
+    """(label, got, vector) for one level, ``got`` zero-padded, so the vector's
+    tail must be zero too; then the level's total against the row's, if any."""
     label = f"{_label(row, param)} {row.size_option}={level.level}"
-    return label, tuple(got) + (0,) * (len(level.entries) - len(got)), level.entries
+    yield label, tuple(got) + (0,) * (len(level.entries) - len(got)), level.entries
+    if row.total is not None:
+        yield f"total {label}", (level.total,), (row.total(param, level.level),)
 
 
 def _check_levels(name: str, pairs, n_max: int) -> CheckResult:
-    pairs = list(pairs)
+    try:  # pairs is lazy, so a level _levels finds missing fails here
+        pairs = list(pairs)
+    except _Missing as missing:
+        return CheckResult(name, False, str(missing))
     if not pairs:
         return CheckResult(name, False, _empty(n_max))
     for label, got, want in pairs:
@@ -74,27 +86,29 @@ def _check_levels(name: str, pairs, n_max: int) -> CheckResult:
 
 
 def suite_vectors(n_max: int) -> list[CheckResult]:
-    """Closed-form count vectors against matrix iteration, all classes."""
+    """Closed-form count vectors against matrix iteration, k = 3..7 and 9 for
+    k-angulations, whose level totals must equal C((k-1)r, r)/((k-2)r+1)."""
     out = []
     for row in CLASSES.values():
         if row.vector is None:
             continue
-        pairs = [
-            _level_pair(row, param, level, row.vector(param, level.level))
-            for param in _params(row, (3, 4, 5, 6))
+        pairs = (
+            pair
+            for param in _params(row, (3, 4, 5, 6, 7, 9))
             for level in _levels(GraphClassSpec(row.name, param), n_max)
-        ]
+            for pair in _level_pairs(row, param, level, row.vector(param, level.level))
+        )
         out.append(_check_levels(f"vectors/{row.name}", pairs, n_max))
     return out
 
 
 def suite_charpoly(n_max: int) -> list[CheckResult]:
-    """Recurrence against the closed forms and the Berkowitz determinants,
-    coefficient-exact, at every n up to the floor or n_max."""
+    """Recurrence against the closed forms and Berkowitz at every n up to the
+    floor or n_max, and against ``charpoly_top`` at the top n, coefficient-exact."""
     top = _top("charpoly", n_max)
     if top < 0:
         return [CheckResult("charpoly/ranges", False, _empty(n_max))]
-    closed, dets = [], []
+    closed, dets, tops = [], [], []
     for row in CLASSES.values():
         for param in _params(row, (3, 4)):
             matrix = row.build(top, param)
@@ -109,14 +123,18 @@ def suite_charpoly(n_max: int) -> list[CheckResult]:
             bad = next((n for n in range(1, top + 1) if det[n] != seq[n]), None)
             detail = "" if bad is None else f"differs at n={bad}"
             dets.append(CheckResult(f"charpoly-determinant/{label}", bad is None, detail))
-    return closed + dets
+            same = charpoly_top(matrix) == seq[top]
+            tops.append(CheckResult(f"charpoly-top/{label}", same, "" if same else f"differs at n={top}"))
+    return closed + dets + tops
 
 
 def suite_eigen(n_max: int) -> list[CheckResult]:
     """Every real eigenvalue, to within 10**-48, of every class matrix up to
-    size n_max yields a residual of at most RESIDUAL_BOUND."""
+    size n_max yields a residual of at most RESIDUAL_BOUND, and
+    ``dominant_root`` (``eigen``'s default) agrees with ``real_roots``."""
     if n_max < 1:
-        return [CheckResult("eigen/residuals", False, f"empty range: n_max={n_max} < 1")]
+        empty = f"empty range: n_max={n_max} < 1"
+        return [CheckResult(f"eigen/{name}", False, empty) for name in ("residuals", "dominant")]
     from fractions import Fraction
 
     from . import spectral
@@ -130,36 +148,36 @@ def suite_eigen(n_max: int) -> list[CheckResult]:
         for param in _params(row, (3, 4)):
             matrix = row.build(n_max, param)
             built.append((_label(row, param), matrix, charpoly_recurrence(matrix)))
+    residual = dominant = ""  # each check's first failure
     for n in range(1, n_max + 1):
         for label, m, seq in built:
             matrix = HTMatrix(n, m.sub, m.band[:n], m.band_gf)
-            for root in spectral.real_roots(seq[n], tol):
-                pair = spectral.eigenvector_from_charpoly(matrix, root)
-                if not pair.residual <= bound:
-                    detail = f"{label} n={n} root~{float(root):.6g}: residual {float(pair.residual):.5g}"
-                    return [CheckResult("eigen/residuals", False, detail)]
-    return [CheckResult("eigen/residuals", True)]
+            roots = spectral.real_roots(seq[n], tol)
+            want = len(roots), max(roots, key=lambda r: (abs(r), r), default=None)
+            if not dominant and (got := spectral.dominant_root(seq[n], tol)) != want:
+                dominant = f"{label} n={n}: (count, root) {got} != {want}"
+            pairs = (spectral.eigenvector_from_charpoly(matrix, root) for root in roots if not residual)
+            if bad := next((pair for pair in pairs if not pair.residual <= bound), None):
+                residual = f"{label} n={n} root~{float(bad.lam):.6g}: residual {float(bad.residual):.5g}"
+    return [CheckResult("eigen/residuals", not residual, residual),
+            CheckResult("eigen/dominant", not dominant, dominant)]
 
 
 def suite_oracle(n_max: int) -> list[CheckResult]:
     """Oracle degree histograms against matrix-generated vectors, each from
     its gap recursion, to the floor or n_max: vertices for the graph classes
     and k-angulations, elements for partitions, and each closed-form total
-    a row has against the histogram's sum."""
+    a row has against the level's total."""
     out = []
     for row in CLASSES.values():
         top = _top(f"oracle/{row.name}", n_max)
-        pairs = []
-        for param in _params(row, (3, 4, 5)):
-            # a level of a row that takes k counts k-gons: r of them have (k-2)r+2 vertices
-            last = (top - 2) // (param - 2) if row.param == "k" else top
-            for level in _levels(GraphClassSpec(row.name, param), last):
-                hist = row.oracle(param, level.level)
-                pair = _level_pair(row, param, level, hist)
-                pairs.append(pair)
-                if row.total is not None:
-                    want = row.total(param, level.level)
-                    pairs.append((f"total {pair[0]}", (sum(hist),), (want,)))
+        # a level of a row that takes k counts k-gons: r of them have (k-2)r+2 vertices
+        pairs = (
+            pair
+            for param in _params(row, (3, 4, 5))
+            for level in _levels(GraphClassSpec(row.name, param), (top - 2) // (param - 2) if param else top)
+            for pair in _level_pairs(row, param, level, row.oracle(param, level.level))
+        )
         out.append(_check_levels(f"oracle/{row.name}", pairs, n_max))
     return out
 
@@ -176,30 +194,37 @@ def suite_lemma1(n_max: int) -> list[CheckResult]:
     return [CheckResult("lemma1/exhaustive", bad is None, detail)]
 
 
+def _transported(weights, top: int, want=None):
+    """(label, got, want) for the relation totals fed ``weights`` against
+    ``want`` from level 1, or by default the plane-graph totals from level 2."""
+    got = _levels(GraphClassSpec("relation", weights), top, totals=True)
+    if want is None:
+        got, want = got[1:], [total for _, total in _levels(GraphClassSpec("geometric"), top, totals=True)]
+    for (level, total), count in zip(got, want):
+        yield f"n={level}", (total,), (count,)
+
+
 def suite_relation(n_max: int) -> list[CheckResult]:
     """The relation matrix transports one class's counts into another's:
     connected-graph totals into plane-graph totals to the floor or n_max,
-    and spanning trees and paths into the oracle's forests to n_max
-    vertices.  Each oracle count comes from one fill of its interval
-    recursion."""
+    and spanning trees and paths into the oracle's forests (one fill of
+    each interval recursion) to n_max vertices; and ``charpoly_top`` is its
+    recurrence's d_n at n_max, fed the default counts and the tree counts."""
     from . import oracle
 
-    out = []
     top = _top("relation/connected-to-geometric", n_max)
-    geo = _totals(GraphClassSpec("geometric"), top)
-    rel = _totals(GraphClassSpec("relation"), top)
-    pairs = [(f"n={pair[0]}", pair, want) for pair, want in zip(rel[1:], geo)]
-    out.append(_check_levels("relation/connected-to-geometric", pairs, n_max))
+    out = [_check_levels("relation/connected-to-geometric", _transported(None, top), n_max)]
+    weights = {kind: oracle.spanning_counts(n_max, kind) for kind in ("tree", "path")}
     for kind, structure in (("tree", "forest"), ("path", "path-forest")):
-        weights = oracle.spanning_counts(n_max, kind)
-        want = (oracle.count_spanning_structures(1, structure),)  # levels start at 1
-        want += oracle.spanning_counts(n_max, structure)
-        pairs = [
-            (f"n={level}", (total,), (count,))
-            for (level, total), count in zip(_totals(GraphClassSpec("relation", weights), n_max), want)
-        ]
+        want = (oracle.count_spanning_structures(1, structure), *oracle.spanning_counts(n_max, structure))
+        pairs = _transported(weights[kind], n_max, want)
         out.append(_check_levels(f"relation/{kind}s-to-{structure}s", pairs, n_max))
-    return out
+    detail = "" if n_max >= 1 else _empty(n_max)
+    for name, counts in (("default", None), ("spanning-tree", weights["tree"])) if n_max >= 1 else ():
+        m = CLASSES["relation"].build(n_max, counts)
+        if not detail and charpoly_top(m) != charpoly_recurrence(m)[n_max]:
+            detail = f"with the {name} counts, differs at n={n_max}"
+    return [*out, CheckResult("relation/charpoly-top", not detail, detail)]
 
 
 SUITES = {name: globals()[f"suite_{name}"] for name in SUITE_NAMES}

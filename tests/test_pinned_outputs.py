@@ -110,8 +110,8 @@ DIGESTS = {
     "matrix-kangulation4-csv": "13efa36b9cc63aa5373c698ce28cc2b0cfcbff0b692ae4dd9e702a2d675f73e9",
     "charpoly-geometric-csv": "54ff7aa50e61919949dd5ce70701c7b7aa8c1a6104284f0c54727ff3042c66fb",
     "charpoly-kangulation4-json": "613aea6edc5be2d7561b9e5411c341850e956ec32c45ac46d4f1063c2986dbee",
-    "verify-all": "12a907f95458825ebf5e91342e1496cc516a3d03f3286f98c64a6777141f4320",
-    "verify-all-7": "12a907f95458825ebf5e91342e1496cc516a3d03f3286f98c64a6777141f4320",
+    "verify-all": "5be4ce1cb2f100d409177cd283eff1fe6e1020d6573d22563cfa6998904ebaa2",
+    "verify-all-7": "5be4ce1cb2f100d409177cd283eff1fe6e1020d6573d22563cfa6998904ebaa2",
 }
 
 

@@ -31,13 +31,14 @@ def test_eigen_suite_builds_each_class_once(monkeypatch):
     calls = []
     true = production.connected_totals
     monkeypatch.setattr(production, "connected_totals", lambda n: calls.append(n) or true(n))
-    assert suite_eigen(12) == [verify.CheckResult("eigen/residuals", True)]
+    assert suite_eigen(12) == [verify.CheckResult(f"eigen/{name}", True) for name in ("residuals", "dominant")]
     assert calls == [12]
 
 
 def test_eigen_suite_fails_on_a_large_residual(monkeypatch, capsys):
     # every root of a charpoly of degree 5 and up moved by 1/1000: the first
-    # class row reports the first size it reaches, and the suite stops there
+    # class row reports the first size it reaches, and the suite stops there;
+    # dominant_root, which still gives the true root, no longer agrees
     from fractions import Fraction
 
     from convexcount import spectral
@@ -51,7 +52,8 @@ def test_eigen_suite_fails_on_a_large_residual(monkeypatch, capsys):
     monkeypatch.setattr(spectral, "real_roots", shifted)
     assert cli.main(["verify", "eigen", "--n-max", "6"]) == 1
     fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL ")]
-    assert len(fails) == 1 and fails[0].startswith("FAIL eigen/residuals: kangulation(k=3) n=5 root~"), fails
+    assert len(fails) == 2 and fails[0].startswith("FAIL eigen/residuals: kangulation(k=3) n=5 root~"), fails
+    assert fails[1].startswith("FAIL eigen/dominant: kangulation(k=3) n=5: (count, root) "), fails
 
 
 def test_charpoly_suite_calls_each_closed_form_once(monkeypatch):
@@ -117,7 +119,7 @@ def test_brute_force_suites_fail_on_empty_ranges(n):
 
 
 def test_relation_suite_compares_levels_with_their_totals(monkeypatch):
-    # geometric's level 11 relabelled 12, its total kept: the pairs differ
+    # geometric's level 11 relabelled 12, its total kept: level 11 is missing
     true = verify.count_totals
 
     def relabel(spec, top):
@@ -126,7 +128,7 @@ def test_relation_suite_compares_levels_with_their_totals(monkeypatch):
 
     monkeypatch.setattr(verify, "count_totals", relabel)
     result = {r.name: r for r in suite_relation(11)}["relation/connected-to-geometric"]
-    assert not result.passed and result.detail.startswith("first mismatch at n=11: "), result
+    assert result == verify.CheckResult("relation/connected-to-geometric", False, "geometric level 11 missing")
 
 
 @pytest.mark.parametrize("n", [-1, -5])
@@ -138,7 +140,7 @@ def test_negative_size_fails_every_check(n, capsys):
                 assert not r.passed and r.detail.startswith(f"empty range: n_max={n} < "), r
     assert cli.main(["verify", "all", "--n-max", str(n)]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-1] == "verify: 15 failure(s)"
+    assert lines[-1] == "verify: 17 failure(s)"
     assert all(line.startswith("FAIL ") for line in lines[:-1])
 
 
@@ -192,3 +194,95 @@ def test_floored_checks_read_n_max(check, monkeypatch, capsys):
     assert cli.main(["verify", suite, "--n-max", str(reach)]) == 1
     fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL ")]
     assert len(fails) == 1 and fails[0].startswith(fail_line), fails
+
+
+def _failures(results):
+    return {r.name: r.detail for r in results if not r.passed}
+
+
+def _plant_charpoly_top(monkeypatch, target):
+    # coefficient 1 of the target matrix's d_n moved by 1
+    true = verify.charpoly_top
+
+    def spoiled(m):
+        top = true(m)
+        return (top[0], top[1] + 1, *top[2:]) if m == target else top
+
+    monkeypatch.setattr(verify, "charpoly_top", spoiled)
+
+
+@pytest.mark.parametrize(
+    "name, param", [(row.name, param) for row in CLASSES.values() for param in verify._params(row, (3, 4))]
+)
+def test_a_wrong_charpoly_top_fails_its_check_alone(name, param, monkeypatch):
+    row = CLASSES[name]
+    top = FLOORS["charpoly"]
+    _plant_charpoly_top(monkeypatch, row.build(top, param))
+    label = verify._label(row, param)
+    assert _failures(suite_charpoly(6)) == {f"charpoly-top/{label}": f"differs at n={top}"}
+
+
+@pytest.mark.parametrize("counts", ["default", "spanning-tree"])
+def test_a_wrong_relation_charpoly_top_fails_its_check_alone(counts, monkeypatch):
+    n = 9
+    weights = None if counts == "default" else oracle.spanning_counts(n, "tree")
+    _plant_charpoly_top(monkeypatch, production.build_relation_matrix(n, weights))
+    assert _failures(suite_relation(n)) == {"relation/charpoly-top": f"with the {counts} counts, differs at n={n}"}
+
+
+def test_a_wrong_k9_total_fails_the_kangulation_vectors(monkeypatch):
+    # the k-angulation check runs k = 9 and reads each level's total
+    true = production.k_angulation_total
+    monkeypatch.setattr(production, "k_angulation_total", lambda k, r: true(k, r) + (k == 9 and r == 5))
+    want = true(9, 5)
+    assert _failures(run_suite("vectors", 8)) == {
+        "vectors/kangulation": f"first mismatch at total kangulation(k=9) r=5: ({want},) != ({want + 1},)"
+    }
+
+
+def test_a_short_count_totals_fails_every_check_that_reads_it(monkeypatch):
+    # the last level dropped: zip would compare the levels left and pass
+    true = verify.count_totals
+    monkeypatch.setattr(verify, "count_totals", lambda spec, top: true(spec, top)[:-1])
+    assert _failures(suite_relation(20)) == {
+        f"relation/{name}": "relation level 20 missing"
+        for name in ("connected-to-geometric", "trees-to-forests", "paths-to-path-forests")
+    }
+
+
+def test_an_extra_level_fails_too(monkeypatch):
+    true = verify.count_totals
+    monkeypatch.setattr(verify, "count_totals", lambda spec, top: [*true(spec, top), (top + 1, 0)])
+    failures = _failures(suite_relation(12))
+    assert failures["relation/connected-to-geometric"] == "relation level 13 past 12"
+
+
+def test_a_short_count_sequence_fails_every_check_that_reads_it(monkeypatch):
+    # the last three levels dropped
+    true = verify.count_sequence
+    monkeypatch.setattr(verify, "count_sequence", lambda spec, top: true(spec, top)[:-3])
+    failures = _failures(run_suite("vectors", 8) + suite_oracle(8))
+    assert set(failures) == {f"vectors/{name}" for name in ("kangulation", "geometric", "connected", "partition")} | {
+        f"oracle/{name}" for name in CLASSES
+    }
+    assert failures["vectors/kangulation"] == "kangulation level 6 missing"
+    assert failures["oracle/geometric"] == "geometric level 6 missing"
+
+
+def test_a_wrong_dominant_root_fails_eigen_dominant_alone(monkeypatch):
+    # the second-largest root by (|r|, r) where there are two or more
+    from convexcount import spectral
+
+    def second(poly, tol):
+        roots = sorted(spectral.real_roots(poly, tol), key=lambda r: (abs(r), r))
+        return len(roots), (roots[-2:] or [None])[0]
+
+    monkeypatch.setattr(spectral, "dominant_root", second)
+    failures = _failures(suite_eigen(6))
+    assert list(failures) == ["eigen/dominant"] and " n=2: (count, root) (2, " in failures["eigen/dominant"], failures
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_the_new_checks_fail_on_empty_ranges(n):
+    for results, name in ((suite_eigen(n), "eigen/dominant"), (suite_relation(n), "relation/charpoly-top")):
+        assert _failures(results)[name].startswith("empty range"), results
