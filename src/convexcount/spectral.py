@@ -8,9 +8,11 @@ trailing zeros are ignored.  Isolation is integer throughout: one primitive
 remainder sequence gives the Sturm chain, and dividing it by its last
 member, the gcd of p and p', gives the square-free part at its head.
 Signs are taken at dyadic grid points by integer Horner evaluation.
-Refinement runs per root, so a caller that prints one root refines only
-the candidates for it; quadratic interval refinement on the same grid lands
-on the cell that sign bisection would, so the roots are the same.
+Isolation returns its cells in position order, right to left, so the
+outermost two are the first and the last.  Refinement runs per root, so a
+caller that prints the dominant root refines only those two; quadratic
+interval refinement on the same grid lands on the cell that sign bisection
+would, so the roots are the same.
 ``Fraction`` appears only in the tolerance, the root bound B and the
 returned roots.  Eigenpairs are exact too: at a rational root the band's
 recurrence runs in integers (``exact._charpoly_values``), and the vector
@@ -136,7 +138,8 @@ def _variations(chain: list[list[int]], s: int, k: int) -> int:
 
 def _isolate(chain: list[list[int]]):
     """Bisect t in (-1, 1) until each interval (lo/2**k, hi/2**k) holds one
-    root of chain[0].  Returns (intervals, None), or ([], (s, k)) as soon
+    root of chain[0].  Returns (intervals, None), right to left: the stack
+    pops each right half before its left one.  Returns ([], (s, k)) as soon
     as a split point s/2**k is itself a root."""
     stack = [(-1, 1, 0, _variations(chain, -1, 0), _variations(chain, 1, 0))]
     isolated = []
@@ -160,7 +163,8 @@ def _isolate(chain: list[list[int]]):
 class _Isolation(NamedTuple):
     """Distinct real roots before refinement: those found exactly, and
     intervals (lo, hi, k), t in (lo/2**k, hi/2**k) with x = P*t/Q, each
-    holding one root of the rescaled square-free part ``f`` inside."""
+    holding one root of the rescaled square-free part ``f`` inside, right
+    to left."""
 
     exact: list[Fraction]
     P: int
@@ -168,17 +172,13 @@ class _Isolation(NamedTuple):
     f: list[int]
     cells: list[tuple[int, int, int]]
 
-    @property
-    def count(self) -> int:
-        return len(self.exact) + len(self.cells)
-
 
 def _checked(p: Sequence[int], tol: Fraction | float) -> tuple[list[int], Fraction]:
     """p as a list without trailing zeros, and tol as a Fraction."""
     p = _trim(list(p))
     if not p:
         raise ValueError("zero polynomial has every number as a root")
-    tol = Fraction(tol) if not isinstance(tol, Fraction) else tol
+    tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
     return p, tol
@@ -235,17 +235,13 @@ def _refine(iso: _Isolation, cell: tuple[int, int, int], tol: Fraction) -> Fract
         K += 1
     if K == k:
         return Fraction(P * (lo + hi), Q << (k + 1))
-    if k == 0:  # the interval (-1, 1): bisect once at 0
-        f_lo, f_mid = _eval_dyadic(f, -1, 0), f[0]
-        if f_mid == 0:
+    if k == 0:  # the interval (-1, 1): take the half that holds the root
+        if f[0] == 0:
             return Fraction(0)
-        if (f_mid > 0) != (f_lo > 0):
-            a, fa, fb = -1, f_lo, f_mid
-        else:
-            a, fa, fb = 0, f_mid, _eval_dyadic(f, 1, 0)
+        a = -1 if (f[0] > 0) != (_eval_dyadic(f, -1, 0) > 0) else 0
     else:
         a, k = lo >> 1, k - 1
-        fa, fb = _eval_dyadic(f, a, k), _eval_dyadic(f, a + 1, k)
+    fa, fb = _eval_dyadic(f, a, k), _eval_dyadic(f, a + 1, k)
     # the cell [a, a+1]/2**k holds the root strictly inside; fa, fb are the
     # values of f at its ends, scaled by 2**(k*deg f)
     d = len(f) - 1
@@ -287,29 +283,20 @@ def real_roots(p: Sequence[int], tol: Fraction | float = Fraction(1, 10**40)) ->
     """
     p, tol = _checked(p, tol)
     iso = _isolate_real_roots(p)
-    roots = iso.exact + [_refine(iso, cell, tol) for cell in iso.cells]
-    roots.sort()
-    return roots
+    return sorted(iso.exact + [_refine(iso, cell, tol) for cell in iso.cells])
 
 
 def dominant_root(p: Sequence[int], tol: Fraction | float) -> tuple[int, Fraction | None]:
     """The number of distinct real roots of p, and the one of largest
     modulus as ``real_roots`` gives it (ties go to the positive root), or
-    None.  Only the leftmost and rightmost isolating intervals are refined:
-    no other root can have a larger modulus."""
+    None.  Isolation returns its intervals right to left, so only the first
+    and the last are refined: no other root can have a larger modulus."""
     p, tol = _checked(p, tol)
     iso = _isolate_real_roots(p)
-    candidates = list(iso.exact)
-    if iso.cells:
-        top = max(k for _, _, k in iso.cells)
-
-        def left_end(cell):
-            return cell[0] << (top - cell[2])
-
-        ends = {min(iso.cells, key=left_end), max(iso.cells, key=left_end)}
-        candidates += [_refine(iso, cell, tol) for cell in ends]
+    ends = {iso.cells[0], iso.cells[-1]} if iso.cells else ()
+    candidates = iso.exact + [_refine(iso, cell, tol) for cell in ends]
     best = max(candidates, key=lambda r: (abs(r), r), default=None)
-    return iso.count, best
+    return len(iso.exact) + len(iso.cells), best
 
 
 # ---------------------------------------------------------------------------

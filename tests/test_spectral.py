@@ -619,6 +619,49 @@ def test_dominant_root_tie_goes_to_positive_root():
     assert dominant_root(charpoly_recurrence(m)[m.size], tol)[1] > 0
 
 
+def _right_to_left(cells):
+    """Whether the isolating cells run strictly right to left, each left end
+    scaled to the deepest level: dominant_root refines only the first and
+    the last."""
+    top = max((k for _, _, k in cells), default=0)
+    lefts = [lo << (top - k) for lo, _, k in cells]
+    return all(a > b for a, b in zip(lefts, lefts[1:]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_factor(), min_size=1, max_size=4), st.integers(-5, 5))
+def test_isolation_returns_cells_right_to_left(factors, unit):
+    p = (unit or 1,)
+    for coeffs, mult in factors:
+        for _ in range(mult):
+            p = mul(p, coeffs)
+    cells = _isolate_real_roots(list(p)).cells
+    assert _right_to_left(cells), cells
+
+
+@pytest.mark.parametrize("name", sorted(_CLASS_BUILDERS))
+def test_isolation_returns_class_cells_right_to_left(name):
+    seq = charpoly_recurrence(_CLASS_BUILDERS[name](30))
+    for n in range(1, 31):
+        cells = _isolate_real_roots(list(seq[n])).cells
+        assert _right_to_left(cells), (n, cells)
+
+
+@pytest.mark.parametrize("tol", [Fraction(1, 10**40), Fraction(50)])
+def test_single_real_root_refines_from_level_zero(tol):
+    # x^3 -+ 2 and relation at odd n isolate their one real root in (-1, 1)
+    # itself, so refinement starts by picking the half that holds it (the
+    # left one for x^3 + 2 only).  At tol 50, x^3 -+ 2 (B = 4) needs no
+    # refinement and comes back as 0.
+    seq = charpoly_recurrence(_CLASS_BUILDERS["relation"](29))
+    for p in [(-2, 0, 0, 1), (2, 0, 0, 1)] + [seq[n] for n in range(3, 30, 2)]:
+        assert _isolate_real_roots(list(p)).cells == [(-1, 1, 0)]
+        roots = reference_real_roots(p, tol)
+        assert len(roots) == 1
+        assert real_roots(p, tol) == roots
+        assert dominant_root(p, tol) == (1, roots[0])
+
+
 def _vector_strings(vector, digits=30):
     return [mp.nstr(x, digits) for x in vector]
 
