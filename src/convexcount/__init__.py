@@ -5,10 +5,10 @@ The public names below are imported from their layer on first access
 (PEP 562), so importing the package, or the CLI, loads no layer it does not
 use: counting never loads ``closedform``, ``spectral`` or ``oracle``, and
 only ``verify`` loads the suites.  The characteristic polynomials come from
-``exact`` (the recurrence and Berkowitz) and ``closedform`` (the closed
-forms), each as the tuple (d_0, ..., d_n) of coefficient tuples, and
-``exact.charpoly_top`` gives d_n alone;
-``spectral`` holds the real roots and eigenpairs.
+``exact``, whose recurrence and Berkowitz give the tuple (d_0, ..., d_n) of
+coefficient tuples and ``charpoly_top`` d_n alone, and from ``closedform``,
+whose closed forms give d_n alone; ``spectral`` holds the real roots and
+eigenpairs.
 """
 
 _EXPORTS = {

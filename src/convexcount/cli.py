@@ -129,7 +129,7 @@ def cmd_charpoly(args) -> int:
         raise UsageError(f"no closed form exists for the {row.name} matrix")
     spec = _class_spec(args, row)
     if args.method == "closed":
-        poly = row.charpoly(spec.param, n)[n]
+        poly = row.charpoly(spec.param, n)
     elif not n:
         poly = (1,)  # d_0 of every matrix; an HTMatrix has size >= 1
     elif args.method == "determinant":

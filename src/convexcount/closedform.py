@@ -9,10 +9,10 @@ A'/A has the denominator (1-z)(1-2z), so the p_k obey a two-term recurrence
 the only routine that computes them.  The count vectors are Lagrange forms:
 entry j of a level is (j/N) [z**(N-j)] (c A)**N, so a vector costs O(n)
 big-integer steps.  The k-angulation vector has N = r and A = (1-z)**(2-k).
-The closed characteristic polynomials come back as the tuple (d_0, ...,
-d_n), d_j a tuple of j + 1 ints low to high, like the matrix routes of
-``exact``: one series of length n - t + 1 holds coefficient t of every
-d_t..d_n, so all of them cost about n**2 / 2 big-integer steps.  Every
+The closed characteristic polynomials come back as d_n alone, a tuple of
+n + 1 ints low to high, like ``exact.charpoly_top``: coefficient t is the
+last term of one series of length n - t + 1, so d_n costs about n**2 / 2
+big-integer steps and holds one series at a time.  Every
 formula multiplies first and divides last, asserting exact divisibility, so
 integrality failures surface instead of being rounded away.
 """
@@ -88,19 +88,17 @@ def partition_vector(n: int) -> tuple[int, ...]:
 # `_power_series`.
 
 
-def _charpoly_closed(n: int, e: int, s: int = 1, b: int = 1) -> tuple[tuple[int, ...], ...]:
-    """d_0..d_n for Q(u) = (1+2su)**b (1+su)**e: with A = (1-z)**e (1-2z)**b,
-    Q(u) = A(-su), so [x**t] d_(t+j) is (-1)**t [u**j] A(-su)**(t+1), term j
-    of one series per t."""
+def _charpoly_closed(n: int, e: int, s: int = 1, b: int = 1) -> tuple[int, ...]:
+    """d_n for Q(u) = (1+2su)**b (1+su)**e: with A = (1-z)**e (1-2z)**b,
+    Q(u) = A(-su), so [x**t] d_n is (-1)**t [u**(n-t)] A(-su)**(t+1), the
+    last term of one series per t."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    # column t, shifted down by t, holds coefficient t of d_0..d_n
-    cols = [[0] * t + _power_series(t + 1, e, b, n - t + 1, (-1) ** t, -s) for t in range(n + 1)]
-    return tuple(d[: j + 1] for j, d in enumerate(zip(*cols)))
+    return tuple(_power_series(t + 1, e, b, n - t + 1, (-1) ** t, -s)[-1] for t in range(n + 1))
 
 
-def charpoly_closed_kangulation(k: int, r: int) -> tuple[tuple[int, ...], ...]:
-    """Closed forms d_0..d_r for the k-angulation matrix: Q(u) = (1+u)**(k-2),
+def charpoly_closed_kangulation(k: int, r: int) -> tuple[int, ...]:
+    """Closed form d_r for the k-angulation matrix: Q(u) = (1+u)**(k-2),
     so [x**l] d_r = (-1)**l C((k-2)(l+1), r-l)."""
     if k < 3:
         raise ValueError("k-angulations require k >= 3")
@@ -109,20 +107,20 @@ def charpoly_closed_kangulation(k: int, r: int) -> tuple[tuple[int, ...], ...]:
     return _charpoly_closed(r, k - 2, b=0)
 
 
-def charpoly_closed_geometric(n: int) -> tuple[tuple[int, ...], ...]:
-    """Closed forms d_0..d_n for the plane-graph matrix: Q(u) = (1+4u)/(1+2u),
+def charpoly_closed_geometric(n: int) -> tuple[int, ...]:
+    """Closed form d_n for the plane-graph matrix: Q(u) = (1+4u)/(1+2u),
     so [x**t] d_n = (-1)**t 2**(n-t) sum_i C(t+1, i) 2**i C(-t-1, n-t-i)."""
     return _charpoly_closed(n, -1, 2)
 
 
-def charpoly_closed_connected(n: int) -> tuple[tuple[int, ...], ...]:
-    """Closed forms d_0..d_n for the connected-graph matrix: Q(u) = (1+u)(1+2u),
+def charpoly_closed_connected(n: int) -> tuple[int, ...]:
+    """Closed form d_n for the connected-graph matrix: Q(u) = (1+u)(1+2u),
     so [x**t] d_n = (-1)**t sum_i C(t+1, i) 2**i C(t+1, n-t-i)."""
     return _charpoly_closed(n, 1)
 
 
-def charpoly_closed_partition(n: int) -> tuple[tuple[int, ...], ...]:
-    """Closed forms d_0..d_n for the non-crossing partition matrix:
+def charpoly_closed_partition(n: int) -> tuple[int, ...]:
+    """Closed form d_n for the non-crossing partition matrix:
     Q(u) = (1+2u)/(1+u)**2, so
     [x**t] d_n = (-1)**t sum_i C(t+1, i) 2**i C(-2t-2, n-t-i)."""
     return _charpoly_closed(n, -2)

@@ -160,12 +160,12 @@ class ClassDef(namedtuple(
     or level.  ``build(size, param)``, ``oracle(param, level)`` (the
     oracle's degree histogram, at the default counts for ``"weights"``),
     ``vector(param, level)`` (the closed-form count vector),
-    ``charpoly(param, n)`` (the closed-form characteristic polynomials
-    d_0..d_n) and ``total(param, level)`` (a closed-form total) look up the
-    functions they call at call time, so a function patched on its module,
-    as the bench tracer does, is the one that runs, and ``closedform`` and
-    ``oracle`` are imported only when a closed form or a histogram is asked
-    for.
+    ``charpoly(param, n)`` (the closed-form characteristic polynomial d_n
+    of the size-n matrix) and ``total(param, level)`` (a closed-form total)
+    look up the functions they call at call time, so a function patched on
+    its module, as the bench tracer does, is the one that runs, and
+    ``closedform`` and ``oracle`` are imported only when a closed form or a
+    histogram is asked for.
     """
 
     __slots__ = ()

@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import product, zip_longest
 from typing import NamedTuple
 
-from . import FLOORS, SUITE_NAMES, closedform
+from . import FLOORS, SUITE_NAMES
 from .exact import HTMatrix, charpoly_determinant, charpoly_recurrence, charpoly_top
 from .production import CLASSES, ClassDef, GraphClassSpec, count_sequence, count_totals
 
@@ -115,8 +115,7 @@ def suite_charpoly(n_max: int) -> list[CheckResult]:
             seq = charpoly_recurrence(matrix)
             label = _label(row, param)
             if row.charpoly is not None:
-                want = row.charpoly(param, top)
-                bad = next((n for n in range(top + 1) if want[n] != seq[n]), None)
+                bad = next((n for n in range(top + 1) if row.charpoly(param, n) != seq[n]), None)
                 detail = "" if bad is None else f"closed form differs at n={bad}"
                 closed.append(CheckResult(f"charpoly/{label}", bad is None, detail))
             det = charpoly_determinant(matrix)
@@ -185,6 +184,8 @@ def suite_oracle(n_max: int) -> list[CheckResult]:
 def suite_lemma1(n_max: int) -> list[CheckResult]:
     """Exhaustive binomial identity check over the argument cube, each of t,
     m and n to the floor or n_max."""
+    from . import closedform
+
     top = _top("lemma1", n_max)
     if top < 0:
         return [CheckResult("lemma1/exhaustive", False, _empty(n_max))]

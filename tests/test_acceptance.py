@@ -92,7 +92,7 @@ def test_criterion_2_golden_charpolys():
         for n in range(1, 7):
             gold = GOLD_CHARPOLYS[name][n]
             assert recur[n] == gold, (name, n, "recurrence")
-            assert closed(n)[n] == gold, (name, n, "closed")
+            assert closed(n) == gold, (name, n, "closed")
             assert charpoly_determinant(build(n))[n] == gold, (name, n, "det")
     _report(2, "18 golden charpolys x 3 methods, coefficient-exact", t0, budget=5.0)
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -114,6 +115,26 @@ def test_charpoly_methods_agree(capsys):
         assert code == 0
         results.append(out)
     assert results[0] == results[1] == results[2]
+    classes = (["geometric", "--n"], ["connected", "--n"], ["partition", "--n"],
+               ["kangulation", "--k", "3", "--r"], ["kangulation", "--k", "4", "--r"])
+    for args in classes:
+        for n in ("40", "300"):
+            runs = [run_cli(capsys, "charpoly", *args, n, "--method", m) for m in ("closed", "recurrence")]
+            assert runs[0] == runs[1] and runs[0][0] == 0, (args, n)
+
+
+def test_closed_charpoly_holds_one_series_at_a_time(capsys):
+    # d_n alone: one column series of about n terms at a time, not every degree
+    main(["charpoly", "geometric", "--n", "3", "--method", "closed"])  # imports closedform
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert main(["charpoly", "geometric", "--n", "300", "--method", "closed"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out.count(" ") == 300
+    assert peak < 1 << 20, peak
 
 
 def test_charpoly_determinant_has_no_cap(capsys):

@@ -6,6 +6,7 @@ from mpmath import mp, mpf, sqrt
 
 from convexcount.cli import _decimal, main
 from convexcount.closedform import (
+    _power_series,
     charpoly_closed_connected,
     charpoly_closed_geometric,
     charpoly_closed_kangulation,
@@ -377,13 +378,9 @@ def test_recurrence_structure_invariants():
 
 def test_closed_forms_match_golden_tables():
     for n in range(1, 7):
-        assert charpoly_closed_geometric(n)[n] == GOLD_GEOMETRIC[n]
-        assert charpoly_closed_connected(n)[n] == GOLD_CONNECTED[n]
-        assert charpoly_closed_partition(n)[n] == GOLD_PARTITION[n]
-    # one call holds every degree
-    assert charpoly_closed_geometric(6)[1:] == tuple(GOLD_GEOMETRIC.values())
-    assert charpoly_closed_connected(6)[1:] == tuple(GOLD_CONNECTED.values())
-    assert charpoly_closed_partition(6)[1:] == tuple(GOLD_PARTITION.values())
+        assert charpoly_closed_geometric(n) == GOLD_GEOMETRIC[n]
+        assert charpoly_closed_connected(n) == GOLD_CONNECTED[n]
+        assert charpoly_closed_partition(n) == GOLD_PARTITION[n]
 
 
 def test_closed_forms_match_paper_sums_to_60():
@@ -392,25 +389,26 @@ def test_closed_forms_match_paper_sums_to_60():
         (charpoly_closed_connected, reference_charpoly_closed_connected),
         (charpoly_closed_partition, reference_charpoly_closed_partition),
     ):
-        assert closed(60) == tuple(reference(n) for n in range(61)), closed.__name__
+        for n in range(61):
+            assert closed(n) == reference(n), (closed.__name__, n)
 
 
 def test_closed_kangulation_matches_binomial_form_to_60():
     for k in (3, 4, 5, 6):
-        want = tuple(reference_charpoly_closed_kangulation(k, r) for r in range(61))
-        assert charpoly_closed_kangulation(k, 60) == want, k
+        for r in range(61):
+            assert charpoly_closed_kangulation(k, r) == reference_charpoly_closed_kangulation(k, r), (k, r)
 
 
 def test_closed_form_initial_conditions():
-    assert charpoly_closed_kangulation(3, 0) == ((1,),)
-    assert charpoly_closed_geometric(0) == ((1,),)
-    assert charpoly_closed_connected(0) == ((1,),)
-    assert charpoly_closed_partition(0) == ((1,),)
+    assert charpoly_closed_kangulation(3, 0) == (1,)
+    assert charpoly_closed_geometric(0) == (1,)
+    assert charpoly_closed_connected(0) == (1,)
+    assert charpoly_closed_partition(0) == (1,)
 
 
 def test_closed_kangulation_small():
-    assert charpoly_closed_kangulation(3, 2) == ((1,), (1, -1), (0, -2, 1))
-    assert charpoly_closed_kangulation(4, 1) == ((1,), (2, -1))
+    assert [charpoly_closed_kangulation(3, r) for r in range(3)] == [(1,), (1, -1), (0, -2, 1)]
+    assert [charpoly_closed_kangulation(4, r) for r in range(2)] == [(1,), (2, -1)]
     assert charpoly_determinant(build_k_angulation_matrix(3, 2))[2] == (0, -2, 1)
 
 
@@ -440,15 +438,23 @@ def test_determinant_matches_cofactor_reference_to_8(name):
             assert dets[n] == reference_charpoly_determinant(m), (name, param, n)
 
 
+def _closed_agrees_to(closed, seq):
+    """Each n's closed call against d_n of one recurrence run."""
+    for n, want in enumerate(seq):
+        assert closed(n) == want, n
+
+
 def test_closed_equals_recurrence_to_20():
-    # every degree 0..n of one call
-    assert charpoly_closed_geometric(20) == charpoly_recurrence(build_geometric_matrix(20))
+    _closed_agrees_to(charpoly_closed_geometric, charpoly_recurrence(build_geometric_matrix(20)))
     # connected's sums start past vanishing terms and partition's read
     # negative upper indices: go to 60
-    assert charpoly_closed_connected(60) == charpoly_recurrence(build_connected_matrix(60))
-    assert charpoly_closed_partition(60) == charpoly_recurrence(build_partition_matrix(60))
+    _closed_agrees_to(charpoly_closed_connected, charpoly_recurrence(build_connected_matrix(60)))
+    _closed_agrees_to(charpoly_closed_partition, charpoly_recurrence(build_partition_matrix(60)))
     for k in (3, 4, 5, 6):
-        assert charpoly_closed_kangulation(k, 20) == charpoly_recurrence(build_k_angulation_matrix(k, 20))
+        _closed_agrees_to(
+            lambda r, k=k: charpoly_closed_kangulation(k, r),
+            charpoly_recurrence(build_k_angulation_matrix(k, 20)),
+        )
 
 
 def _series(num, den, size):
@@ -488,25 +494,45 @@ def test_band_gf_builders_match_plain_band():
         assert charpoly_recurrence(m) == charpoly_recurrence(plain)
 
 
+def reference_closed_charpolys(n, e, s=1, b=1):
+    """d_0..d_n for Q(u) = (1+2su)**b (1+su)**e, the closed forms'
+    parameters, in about n**2 / 2 steps: the series for one t, shifted down
+    by t, holds coefficient t of every d_t..d_n, and the columns transpose
+    into the degrees."""
+    cols = [[0] * t + _power_series(t + 1, e, b, n - t + 1, (-1) ** t, -s) for t in range(n + 1)]
+    return tuple(d[: j + 1] for j, d in enumerate(zip(*cols)))
+
+
+# Each closed class: its matrix at size n, its closed d_n, and the (e, s, b)
+# of its Q(u) for the every-degree reference.
+CLOSED_CLASSES = (
+    (build_geometric_matrix, charpoly_closed_geometric, (-1, 2)),
+    (build_connected_matrix, charpoly_closed_connected, (1,)),
+    (build_partition_matrix, charpoly_closed_partition, (-2,)),
+    *(
+        (lambda n, k=k: build_k_angulation_matrix(k, n),
+         lambda r, k=k: charpoly_closed_kangulation(k, r), (k - 2, 1, 0))
+        for k in (3, 4)
+    ),
+)
+
+
+def _every_degree_agrees_at(n, classes):
+    # the recurrence's d_0..d_n against the reference's; the closed route's
+    # d_n against both, which ties the reference's parameters to the route
+    for build, closed, params in classes:
+        seq = charpoly_recurrence(build(n))
+        assert seq == reference_closed_charpolys(n, *params), params
+        assert closed(n) == seq[n], params
+
+
 def test_closed_equals_recurrence_at_bench_sizes():
     # the sizes `charpoly --n 150` runs in the spectrum benchmark workload
-    for build, closed in (
-        (build_geometric_matrix, charpoly_closed_geometric),
-        (build_connected_matrix, charpoly_closed_connected),
-        (build_partition_matrix, charpoly_closed_partition),
-    ):
-        assert charpoly_recurrence(build(150)) == closed(150)
+    _every_degree_agrees_at(150, CLOSED_CLASSES[:3])
 
 
 def test_closed_equals_recurrence_at_300():
-    for build, closed in (
-        (build_geometric_matrix, charpoly_closed_geometric),
-        (build_connected_matrix, charpoly_closed_connected),
-        (build_partition_matrix, charpoly_closed_partition),
-    ):
-        assert charpoly_recurrence(build(300)) == closed(300)
-    for k in (3, 4):
-        assert charpoly_recurrence(build_k_angulation_matrix(k, 300)) == charpoly_closed_kangulation(k, 300)
+    _every_degree_agrees_at(300, CLOSED_CLASSES)
 
 
 def _factor():

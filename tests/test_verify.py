@@ -63,7 +63,7 @@ def test_eigen_suite_fails_on_a_large_residual(monkeypatch, capsys):
 
 
 def test_charpoly_suite_calls_each_closed_form_once(monkeypatch):
-    # one call at the top size returns every degree the suite compares
+    # the closed form returns d_n alone, so the suite calls it once per n
     calls = []
     for name in ("kangulation", "geometric", "connected", "partition"):
         attr = f"charpoly_closed_{name}"
@@ -75,8 +75,8 @@ def test_charpoly_suite_calls_each_closed_form_once(monkeypatch):
     results = suite_charpoly(top)
     assert results and all(r.passed for r in results), results
     assert calls == [
-        ("kangulation", 3, top), ("kangulation", 4, top),
-        ("geometric", top), ("connected", top), ("partition", top),
+        *(("kangulation", 3, n) for n in range(top + 1)), *(("kangulation", 4, n) for n in range(top + 1)),
+        *((name, n) for name in ("geometric", "connected", "partition") for n in range(top + 1)),
     ]
 
 
@@ -160,7 +160,7 @@ def _spoil_geometric_level(totals, level):
 FAULTS = {
     "charpoly": (
         "charpoly", closedform, "charpoly_closed_geometric",
-        lambda n: n >= 21, lambda polys: polys[:21] + (add(polys[21], (1,)),) + polys[22:], 21,
+        lambda n: n >= 21, lambda poly: add(poly, (1,)), 21,
         "FAIL charpoly/geometric: closed form differs at n=21",
     ),
     "lemma1": (
