@@ -11,8 +11,10 @@ a < j < b.  No coordinates, no floating point.
 Every count splits its objects into independent gaps: partitions at the
 block of the first element, k-angulations at the face on the base edge,
 plane graphs at the vertices no chord spans, and the spanning structures at
-the largest neighbour of the first point.  The tests compare each recursion
-with an exhaustive enumeration at small n.
+the largest neighbour of the first point.  Each ``*_histograms`` function
+is one fill of its recursion and returns {level: histogram} for every level
+from the class's start to n, so a caller that reads every level fills once.
+The tests compare each recursion with an exhaustive enumeration at small n.
 """
 from __future__ import annotations
 
@@ -28,11 +30,12 @@ SPANNING_KINDS = ("tree", "path", "forest", "path-forest")
 # ---------------------------------------------------------------------------
 # Non-crossing partitions and polygon dissections into k-gons.
 
-def partition_isolation_histogram(n: int) -> list[int]:
-    """Histogram of isolation degree over non-crossing partitions, counted in
-    O(n³) without building one.  ``hist[m]`` covers a run of m elements that
-    no block spans.  Split it at p, the largest element in the block of its
-    first element: a visible singleton when p = 1, else a block hiding 2..p-1.
+def partition_isolation_histograms(n: int) -> dict[int, list[int]]:
+    """Histograms of isolation degree over non-crossing partitions of m
+    elements, for each m = 1..n, from one O(n³) fill that builds no
+    partition.  ``hist[m]`` covers a run of m elements that no block spans.
+    Split it at p, the largest element in the block of its first element: a
+    visible singleton when p = 1, else a block hiding 2..p-1.
     ``span[p]`` counts the partitions of [p] with 1 and p in one block, split
     at q, the block's second-largest element."""
     if n < 1:
@@ -46,7 +49,7 @@ def partition_isolation_histogram(n: int) -> list[int]:
         hist.append(h)
         total.append(sum(h))
         span.append(sum(span[q] * total[m - q] for q in range(1, m + 1)))
-    return hist[n]
+    return dict(enumerate(hist[1:], 1))
 
 
 def _dissection_pieces(k: int, vs: Sequence[int]):
@@ -61,12 +64,13 @@ def _dissection_pieces(k: int, vs: Sequence[int]):
         yield tuple(vs[i] for i in idx), gaps
 
 
-def dissection_degree_histogram(k: int, r: int) -> list[int]:
-    """Histogram of root degree (incident edges at p_n minus 2) over all
-    dissections into r k-gons, counted without building one.  ``hist[m]``
-    covers an m-gon rooted at its last vertex.  Each face on the base edge
-    adds the product of its gaps' counts, at root degree 0 when the gap at
-    the root is one edge, and else at one more than that gap's own."""
+def dissection_degree_histograms(k: int, r: int) -> dict[int, list[int]]:
+    """Histograms of root degree (incident edges at p_n minus 2) over all
+    dissections into s k-gons, for each s = 1..r, from one fill that builds
+    no dissection.  ``hist[m]`` covers an m-gon rooted at its last vertex.
+    Each face on the base edge adds the product of its gaps' counts, at root
+    degree 0 when the gap at the root is one edge, and else at one more than
+    that gap's own."""
     if k < 3:
         raise ValueError("k-angulations require k >= 3")
     if r < 1:
@@ -81,7 +85,7 @@ def dissection_degree_histogram(k: int, r: int) -> list[int]:
             for d, x in enumerate(root):
                 h[d] += ways * x
         hist[m], total[m] = h, sum(h)
-    return hist[n]
+    return {(m - 2) // (k - 2): h for m, h in hist.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +120,9 @@ def _gap_tables(n: int) -> tuple[list[int], list[int]]:
     return H, Cp
 
 
-def _gap_histogram(n: int, weight: list[int]) -> list[int]:
-    """``hist[d]``: the sum over the splits of 1..n into d + 1 gaps of the
-    product of ``weight[length + 1]`` over the gaps."""
+def _gap_histograms(n: int, weight: list[int]) -> dict[int, list[int]]:
+    """For each m = 2..n, ``hist[d]``: the sum over the splits of 1..m into
+    d + 1 gaps of the product of ``weight[length + 1]`` over the gaps."""
     rows = [[1]]  # rows[s][m]: the splits of 1..s+1 into m gaps
     for s in range(1, n):
         row = [0] * (s + 1)
@@ -126,33 +130,37 @@ def _gap_histogram(n: int, weight: list[int]) -> list[int]:
             for m, x in enumerate(rows[s - length]):
                 row[m + 1] += weight[length + 1] * x
         rows.append(row)
-    return rows[n - 1][1:]
+    return {s + 1: rows[s][1:] for s in range(1, n)}
 
 
-def visibility_histogram(n: int) -> list[int]:
-    """Histogram of visibility degree over all non-crossing graphs: a graph
-    with d + 1 gaps has d + 2 visible vertices."""
+def visibility_histograms(n: int) -> dict[int, list[int]]:
+    """Histograms of visibility degree over all non-crossing graphs on m
+    points, for each m = 2..n: a graph with d + 1 gaps has d + 2 visible
+    vertices."""
     if n < 2:
         raise ValueError("n must be >= 2")
     H, _ = _gap_tables(n)
     H[2] += 1  # a short gap may also be empty
-    return _gap_histogram(n, H)
+    return _gap_histograms(n, H)
 
 
-def connected_visibility_histogram(n: int) -> list[int]:
-    """Histogram of visibility degree over connected non-crossing graphs.  A
-    graph is connected exactly when every gap's part is, so no gap is empty."""
+def connected_visibility_histograms(n: int) -> dict[int, list[int]]:
+    """Histograms of visibility degree over connected non-crossing graphs on m
+    points, for each m = 2..n.  A graph is connected exactly when every gap's
+    part is, so no gap is empty."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    return _gap_histogram(n, _gap_tables(n)[1])
+    return _gap_histograms(n, _gap_tables(n)[1])
 
 
-def isolation_histogram(n: int) -> list[int]:
-    """Histogram of isolation degree over all non-crossing graphs.  An
-    unspanned vertex is isolated exactly when every gap next to it is short
-    and empty.  ``empty[s]`` and ``other[s]`` count the graphs on 1..s+1 by
-    their isolated vertices among 1..s, as the last gap is short and empty or
-    not.  Vertex 1 starts as if it followed an empty gap."""
+def isolation_histograms(n: int) -> dict[int, list[int]]:
+    """Histograms of isolation degree over all non-crossing graphs on m
+    points, for each m = 1..n.  An unspanned vertex is isolated exactly when
+    every gap next to it is short and empty.  ``empty[s]`` and ``other[s]``
+    count the graphs on 1..s+1 by their isolated vertices among 1..s, as the
+    last gap is short and empty or not; rows run to n + 1 entries, and level
+    m keeps its first m + 1.  Vertex 1 starts as if it followed an empty
+    gap."""
     if n < 1:
         raise ValueError("n must be >= 1")
     H, _ = _gap_tables(n)
@@ -169,7 +177,7 @@ def isolation_histogram(n: int) -> list[int]:
             for d, (x, y) in enumerate(zip(empty[s - length], other[s - length])):
                 row[d] += H[length + 1] * (x + y)
         other.append(row)
-    return closed(n - 1)
+    return {s + 1: closed(s)[: s + 2] for s in range(n)}
 
 
 # ---------------------------------------------------------------------------

@@ -157,9 +157,10 @@ class ClassDef(namedtuple(
     (``"k"``, ``"weights"`` for a count sequence, which defaults to the
     connected-graph totals, or None), whose value a ``GraphClassSpec``
     carries, and ``size_option`` the CLI option that gives the matrix size
-    or level.  ``build(size, param)``, ``oracle(param, level)`` (the
-    oracle's degree histogram, at the default counts for ``"weights"``),
-    ``vector(param, level)`` (the closed-form count vector),
+    or level.  ``build(size, param)``, ``oracle(param, size)`` (the
+    oracle's degree histograms, {level: histogram} for every level from
+    ``start_index`` to ``size``, from one fill; at the default counts for
+    ``"weights"``), ``vector(param, level)`` (the closed-form count vector),
     ``charpoly(param, n)`` (the closed-form characteristic polynomial d_n
     of the size-n matrix) and ``total(param, level)`` (a closed-form total)
     look up the functions they call at call time, so a function patched on
@@ -188,7 +189,7 @@ CLASSES = {row.name: row for row in (
     ClassDef(
         "kangulation", 1, (1,), "k", "r",
         lambda size, k: build_k_angulation_matrix(k, size),
-        lambda k, r: _oracle().dissection_degree_histogram(k, r),
+        lambda k, r: _oracle().dissection_degree_histograms(k, r),
         lambda k, r: _closedform().kangulation_vector(k, r),
         lambda k, r: _closedform().charpoly_closed_kangulation(k, r),
         lambda k, r: k_angulation_total(k, r),
@@ -196,28 +197,28 @@ CLASSES = {row.name: row for row in (
     ClassDef(
         "geometric", 2, (2,), None, "n",
         lambda size, _: build_geometric_matrix(size),
-        lambda _, n: _oracle().visibility_histogram(n),
+        lambda _, n: _oracle().visibility_histograms(n),
         lambda _, n: _closedform().geometric_vector(n),
         lambda _, n: _closedform().charpoly_closed_geometric(n),
     ),
     ClassDef(
         "connected", 2, (1,), None, "n",
         lambda size, _: build_connected_matrix(size),
-        lambda _, n: _oracle().connected_visibility_histogram(n),
+        lambda _, n: _oracle().connected_visibility_histograms(n),
         lambda _, n: _closedform().connected_vector(n),
         lambda _, n: _closedform().charpoly_closed_connected(n),
     ),
     ClassDef(
         "partition", 1, (0, 1), None, "n",
         lambda size, _: build_partition_matrix(size),
-        lambda _, n: _oracle().partition_isolation_histogram(n),
+        lambda _, n: _oracle().partition_isolation_histograms(n),
         lambda _, n: _closedform().partition_vector(n),
         lambda _, n: _closedform().charpoly_closed_partition(n),
     ),
     ClassDef(
         "relation", 1, (0, 1), "weights", "n",
         lambda size, counts: build_relation_matrix(size, counts),
-        lambda _, n: _oracle().isolation_histogram(n),
+        lambda _, n: _oracle().isolation_histograms(n),
     ),
 )}
 CLASS_NAMES = tuple(CLASSES)
@@ -255,9 +256,10 @@ def count_totals(spec: GraphClassSpec, n_max: int) -> list[tuple[int, int]]:
     A band without a generating function (den = 1, relation) costs O(L^2) a
     step, so when k = isqrt(n_max) // 2 >= 2 it strides k levels per product
     by the A-sequence's k-th power (``exact._strided_totals``): O(n^2.5)
-    products, not O(n^3).  Other bands step one level at a time."""
+    products, not O(n^3).  A band whose den has terms past den_0 steps one
+    level at a time, as ``_suffix_sums`` and ``charpoly_top`` choose."""
     k = isqrt(max(n_max, 0)) // 2
-    if k < 2 or spec.build_matrix(1).band_gf is not None:
+    if k < 2 or any(spec.build_matrix(1).band_series[1][1:]):
         return [(v.level, v.total) for v in count_sequence(spec, n_max)]
     return _strided_totals(*_start(spec, n_max), n_max, k)
 

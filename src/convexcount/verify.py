@@ -3,8 +3,9 @@ every matrix against the oracle, each route a command prints (charpoly_top,
 dominant_root) against its reference, and the spectral identities.
 
 Each suite takes one size, n_max, and returns a list of CheckResult so the
-CLI can print one PASS/FAIL line per check; failures carry the first
-counterexample or missing level.  A check in FLOORS runs to max(floor,
+CLI can print one PASS/FAIL line per check; a failure carries the check's
+first failure in check order, a counterexample or a missing level, and a
+level check draws no level past it.  A check in FLOORS runs to max(floor,
 n_max), every other to n_max, and at a negative n_max every check fails.
 """
 from __future__ import annotations
@@ -73,16 +74,19 @@ def _level_pairs(row: ClassDef, param, level, got):
 
 
 def _check_levels(name: str, pairs, n_max: int) -> CheckResult:
-    try:  # pairs is lazy, so a level _levels finds missing fails here
-        pairs = list(pairs)
+    """Compares each (label, got, want) as ``pairs`` draws it and stops at the
+    first mismatch, so no level past it is drawn.  ``pairs`` is lazy, so a
+    level that _levels finds missing fails here, and a range with no pair
+    fails too."""
+    drawn = False
+    try:
+        for label, got, want in pairs:
+            if tuple(got) != tuple(want):
+                return CheckResult(name, False, f"first mismatch at {label}: {got} != {want}")
+            drawn = True
     except _Missing as missing:
         return CheckResult(name, False, str(missing))
-    if not pairs:
-        return CheckResult(name, False, _empty(n_max))
-    for label, got, want in pairs:
-        if tuple(got) != tuple(want):
-            return CheckResult(name, False, f"first mismatch at {label}: {got} != {want}")
-    return CheckResult(name, True)
+    return CheckResult(name, True) if drawn else CheckResult(name, False, _empty(n_max))
 
 
 def suite_vectors(n_max: int) -> list[CheckResult]:
@@ -162,21 +166,28 @@ def suite_eigen(n_max: int) -> list[CheckResult]:
             CheckResult("eigen/dominant", not dominant, dominant)]
 
 
+def _oracle_pairs(row: ClassDef, top: int):
+    """_level_pairs for each parameter's levels to ``top`` vertices or
+    elements, against one oracle fill per parameter; a range below the start
+    level calls no oracle."""
+    for param in _params(row, (3, 4, 5)):
+        # a level of a row that takes k counts k-gons: r of them have (k-2)r+2 vertices
+        size = (top - 2) // (param - 2) if param else top
+        levels = _levels(GraphClassSpec(row.name, param), size)
+        hists = row.oracle(param, size) if levels else {}
+        for level in levels:
+            yield from _level_pairs(row, param, level, hists[level.level])
+
+
 def suite_oracle(n_max: int) -> list[CheckResult]:
-    """Oracle degree histograms against matrix-generated vectors, each from
-    its gap recursion, to the floor or n_max: vertices for the graph classes
-    and k-angulations, elements for partitions, and each closed-form total
-    a row has against the level's total."""
+    """Oracle degree histograms against matrix-generated vectors, each class
+    and parameter from one fill of its gap recursion, to the floor or n_max:
+    vertices for the graph classes and k-angulations, elements for
+    partitions, and each closed-form total a row has against the level's
+    total."""
     out = []
     for row in CLASSES.values():
-        top = _top(f"oracle/{row.name}", n_max)
-        # a level of a row that takes k counts k-gons: r of them have (k-2)r+2 vertices
-        pairs = (
-            pair
-            for param in _params(row, (3, 4, 5))
-            for level in _levels(GraphClassSpec(row.name, param), (top - 2) // (param - 2) if param else top)
-            for pair in _level_pairs(row, param, level, row.oracle(param, level.level))
-        )
+        pairs = _oracle_pairs(row, _top(f"oracle/{row.name}", n_max))
         out.append(_check_levels(f"oracle/{row.name}", pairs, n_max))
     return out
 

@@ -120,24 +120,23 @@ def test_criterion_3_closed_form_matrix_agreement():
 
 def test_criterion_4_oracle_agreement():
     t0 = time.perf_counter()
+    # one fill per class and k, every level of it against the matrix
+    vis, conn = oracle.visibility_histograms(7), oracle.connected_visibility_histograms(7)
     for n in range(2, 8):
-        hist = oracle.visibility_histogram(n)
-        assert tuple(hist) == _level_vector(GraphClassSpec("geometric"), n, n - 1), n
-        hist = oracle.connected_visibility_histogram(n)
-        assert tuple(hist) == _level_vector(GraphClassSpec("connected"), n, n - 1), n
+        assert tuple(vis[n]) == _level_vector(GraphClassSpec("geometric"), n, n - 1), n
+        assert tuple(conn[n]) == _level_vector(GraphClassSpec("connected"), n, n - 1), n
+    hists = oracle.partition_isolation_histograms(9)
     for n in range(1, 10):
-        hist = oracle.partition_isolation_histogram(n)
-        assert tuple(hist) == _level_vector(GraphClassSpec("partition"), n, n + 1), n
+        assert tuple(hists[n]) == _level_vector(GraphClassSpec("partition"), n, n + 1), n
     for k in (3, 4, 5):
-        r = 1
-        while (k - 2) * r + 2 <= 12:
-            hist = oracle.dissection_degree_histogram(k, r)
-            assert tuple(hist) == _level_vector(GraphClassSpec("kangulation", k), r, r), (k, r)
-            r += 1
+        top = (12 - 2) // (k - 2)
+        hists = oracle.dissection_degree_histograms(k, top)
+        for r in range(1, top + 1):
+            assert tuple(hists[r]) == _level_vector(GraphClassSpec("kangulation", k), r, r), (k, r)
     weights = connected_totals(9)
+    hists = oracle.isolation_histograms(7)
     for n in range(1, 8):
-        hist = oracle.isolation_histogram(n)
-        assert tuple(hist) == _level_vector(GraphClassSpec("relation", weights), n, n + 1), n
+        assert tuple(hists[n]) == _level_vector(GraphClassSpec("relation", weights), n, n + 1), n
     _report(4, "oracle recursion histograms == matrix vectors, exact", t0, budget=600.0)
 
 
@@ -238,8 +237,8 @@ def test_criterion_9_property_suite():
         for g in reference_oracle.enumerate_noncrossing_graphs(n):
             assert g.edges not in seen
             seen.add(g.edges)
-    runs = [oracle.visibility_histogram(6) for _ in range(2)]
+    runs = [oracle.visibility_histograms(6) for _ in range(2)]
     assert runs[0] == runs[1]
-    runs = [oracle.isolation_histogram(6) for _ in range(2)]
+    runs = [oracle.isolation_histograms(6) for _ in range(2)]
     assert runs[0] == runs[1]
     _report(9, "structure, non-negativity, dedup, determinism", t0, budget=120.0)

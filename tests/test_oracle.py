@@ -5,13 +5,13 @@ import pytest
 
 from convexcount.oracle import (
     SPANNING_KINDS,
-    connected_visibility_histogram,
+    connected_visibility_histograms,
     count_spanning_structures,
-    dissection_degree_histogram,
-    isolation_histogram,
-    partition_isolation_histogram,
+    dissection_degree_histograms,
+    isolation_histograms,
+    partition_isolation_histograms,
     spanning_counts,
-    visibility_histogram,
+    visibility_histograms,
 )
 from reference_oracle import (
     NonCrossingPartition,
@@ -116,38 +116,44 @@ def test_partition_counts_catalan():
 
 def test_partition_histogram_flag_selection():
     # counting the isolated root reproduces the production matrix vectors
+    hists = partition_isolation_histograms(6)
+    assert list(hists) == list(range(1, 7))
     for n in range(1, 7):
         expected = count_sequence(GraphClassSpec("partition"), n)[-1].entries
-        with_root = partition_isolation_histogram(n)
-        assert tuple(with_root) == expected[: n + 1]
+        assert tuple(hists[n]) == expected[: n + 1]
 
 
 def test_graph_recursions_match_subset_references():
+    # every level of one fill per recursion
+    iso, vis, conn = isolation_histograms(8), visibility_histograms(8), connected_visibility_histograms(8)
+    assert list(iso) == list(range(1, 9)) and list(vis) == list(conn) == list(range(2, 9))
     for n in range(1, 9):
-        assert isolation_histogram(n) == reference_isolation_histogram(n), n
+        assert iso[n] == reference_isolation_histogram(n), n
         if n >= 2:
-            assert visibility_histogram(n) == reference_visibility_histogram(n), n
-            assert connected_visibility_histogram(n) == reference_connected_visibility_histogram(n), n
+            assert vis[n] == reference_visibility_histogram(n), n
+            assert conn[n] == reference_connected_visibility_histogram(n), n
 
 
 def test_graph_histograms_match_matrix_vectors():
-    # every level from one count_sequence call per class; a histogram is
-    # the vector's prefix, and the tail past it is zero
+    # every level from one count_sequence call and one fill per class; a
+    # histogram is the vector's prefix, and the tail past it is zero
     classes = (
-        (visibility_histogram, GraphClassSpec("geometric")),
-        (connected_visibility_histogram, GraphClassSpec("connected")),
-        (isolation_histogram, GraphClassSpec("relation", connected_totals(62))),
+        (visibility_histograms, GraphClassSpec("geometric")),
+        (connected_visibility_histograms, GraphClassSpec("connected")),
+        (isolation_histograms, GraphClassSpec("relation", connected_totals(62))),
     )
-    for histogram, spec in classes:
-        for level in count_sequence(spec, 60):
-            hist = tuple(histogram(level.level))
+    for histograms, spec in classes:
+        hists, levels = histograms(60), count_sequence(spec, 60)
+        assert list(hists) == [level.level for level in levels], spec.name
+        for level in levels:
+            hist = tuple(hists[level.level])
             assert hist + (0,) * (len(level.entries) - len(hist)) == level.entries, (spec.name, level.level)
 
 
 def test_dissections():
     assert sum(1 for _ in enumerate_dissections(4, 1)) == 1
     assert sum(1 for _ in enumerate_dissections(4, 2)) == 3
-    assert dissection_degree_histogram(3, 3) == [2, 2, 1]
+    assert dissection_degree_histograms(3, 3) == {1: [1], 2: [1, 1], 3: [2, 2, 1]}
     d = next(enumerate_dissections(3, 1))
     assert d.n == 3
     assert d.edges() == frozenset({(1, 2), (2, 3), (1, 3)})
@@ -267,8 +273,8 @@ def test_spanning_closed_forms():
 def test_guards_soft():
     # the recursions have no size limit
     assert count_spanning_structures(9, "path") == 576
-    assert sum(partition_isolation_histogram(13)) == 742900
-    assert sum(dissection_degree_histogram(3, 13)) == 742900
+    assert sum(partition_isolation_histograms(13)[13]) == 742900
+    assert sum(dissection_degree_histograms(3, 13)[13]) == 742900
 
 
 def reference_partition_isolation_histogram(n: int) -> list[int]:
@@ -290,38 +296,45 @@ def reference_dissection_degree_histogram(k: int, r: int) -> list[int]:
 
 
 def test_partition_recursion_matches_reference():
+    hists = partition_isolation_histograms(10)
+    assert list(hists) == list(range(1, 11))
     for n in range(1, 11):
-        assert partition_isolation_histogram(n) == reference_partition_isolation_histogram(n), n
+        assert hists[n] == reference_partition_isolation_histogram(n), n
 
 
 def test_dissection_recursion_matches_reference():
     for k in range(3, 7):
-        for r in range(1, (12 - 2) // (k - 2) + 1):
-            want = reference_dissection_degree_histogram(k, r)
-            assert dissection_degree_histogram(k, r) == want, (k, r)
+        top = (12 - 2) // (k - 2)
+        hists = dissection_degree_histograms(k, top)
+        assert list(hists) == list(range(1, top + 1)), k
+        for r in range(1, top + 1):
+            assert hists[r] == reference_dissection_degree_histogram(k, r), (k, r)
 
 
 def test_histogram_totals_past_the_guards():
+    hists = partition_isolation_histograms(60)
     for n in range(1, 61):
-        assert sum(partition_isolation_histogram(n)) == comb(2 * n, n) // (n + 1), n
+        assert sum(hists[n]) == comb(2 * n, n) // (n + 1), n
     for k in (3, 4, 5):
-        r = (62 - 2) // (k - 2)
-        fuss_catalan = comb((k - 1) * r, r) // ((k - 2) * r + 1)
-        assert sum(dissection_degree_histogram(k, r)) == fuss_catalan, k
+        top = (62 - 2) // (k - 2)
+        hists = dissection_degree_histograms(k, top)
+        assert list(hists) == list(range(1, top + 1)), k
+        for r, hist in hists.items():
+            assert sum(hist) == comb((k - 1) * r, r) // ((k - 2) * r + 1), (k, r)
 
 
 def test_histogram_input_checks():
-    for histogram, n in (
-        (partition_isolation_histogram, 0),
-        (isolation_histogram, 0),
-        (visibility_histogram, 1),
-        (connected_visibility_histogram, 1),
+    for histograms, n in (
+        (partition_isolation_histograms, 0),
+        (isolation_histograms, 0),
+        (visibility_histograms, 1),
+        (connected_visibility_histograms, 1),
     ):
         with pytest.raises(ValueError):
-            histogram(n)
+            histograms(n)
     for k, r in ((2, 3), (3, 0)):
         with pytest.raises(ValueError):
-            dissection_degree_histogram(k, r)
+            dissection_degree_histograms(k, r)
 
 
 def _reachable_all(g: PlaneGraph) -> bool:
@@ -339,6 +352,7 @@ def _reachable_all(g: PlaneGraph) -> bool:
 
 
 def test_graph_histograms_equal_classified_stream():
+    fills = visibility_histograms(7), connected_visibility_histograms(7), isolation_histograms(7)
     for n in range(2, 8):
         vis, conn = [0] * (n - 1), [0] * (n - 1)
         iso = [0] * (n + 1)
@@ -347,9 +361,7 @@ def test_graph_histograms_equal_classified_stream():
             vis[visibility_degree(g)] += 1
             conn[visibility_degree(g)] += g.is_connected()
             iso[isolation_degree(g)] += 1
-        assert visibility_histogram(n) == vis
-        assert connected_visibility_histogram(n) == conn
-        assert isolation_histogram(n) == iso
+        assert [hists[n] for hists in fills] == [vis, conn, iso], n
 
 
 def _set_partitions(items):

@@ -102,6 +102,48 @@ def test_check_levels_reports_first_counterexample():
     assert ok.passed and ok.detail == ""
 
 
+def test_check_levels_draws_no_pair_past_the_first_mismatch():
+    def pairs():
+        yield "n=2", (1,), (1,)
+        yield "n=3", (4,), (5,)
+        raise AssertionError("a pair past the first mismatch was drawn")
+
+    assert _check_levels("demo", pairs(), 3) == verify.CheckResult("demo", False, "first mismatch at n=3: (4,) != (5,)")
+
+
+def test_vectors_suite_holds_one_class_of_levels_at_a_time():
+    # each pair is compared as it is drawn, so no list of every pair builds up
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        results = verify.suite_vectors(100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert results and all(r.passed for r in results), results
+    assert peak < 1.5 * 2**20, peak
+
+
+def test_oracle_suite_fills_once_per_class_and_parameter(monkeypatch):
+    # every public oracle function counted: one fill gives every level
+    import inspect
+
+    calls = []
+    for name, fn in vars(oracle).copy().items():
+        if inspect.isfunction(fn) and fn.__module__ == oracle.__name__ and not name.startswith("_"):
+            monkeypatch.setattr(oracle, name, lambda *a, name=name, fn=fn: calls.append((name, *a)) or fn(*a))
+    results = suite_oracle(30)
+    assert results and all(r.passed for r in results), results
+    # k-angulations to 30 vertices: r = 28, 14 and 9 k-gons
+    assert calls == [
+        ("dissection_degree_histograms", 3, 28), ("dissection_degree_histograms", 4, 14),
+        ("dissection_degree_histograms", 5, 9), ("visibility_histograms", 30),
+        ("connected_visibility_histograms", 30), ("partition_isolation_histograms", 30),
+        ("isolation_histograms", 30),
+    ]
+
+
 def test_empty_ranges_fail():
     empty = _check_levels("demo", [], 0)
     assert not empty.passed and "empty range" in empty.detail
@@ -154,6 +196,11 @@ def _spoil_geometric_level(totals, level):
     return [(n, t + (n == level)) for n, t in totals]
 
 
+def _spoil_fill_level(hists, level):
+    hist = hists[level]
+    return {**hists, level: [hist[0] + 1, *hist[1:]]}
+
+
 # For each floored check: the suite, the function a fault is planted in, when
 # the fault fires, what it does, the first --n-max that reaches it, and the
 # FAIL line the suite then prints.  Each fault sits just above the floor.
@@ -169,13 +216,13 @@ FAULTS = {
         "FAIL lemma1/exhaustive: fails at t=13 m=0 n=0",
     ),
     "oracle/partition": (
-        "oracle", oracle, "partition_isolation_histogram",
-        lambda n: n == 21, lambda hist: [hist[0] + 1, *hist[1:]], 21,
+        "oracle", oracle, "partition_isolation_histograms",
+        lambda n: n >= 21, lambda hists: _spoil_fill_level(hists, 21), 21,
         "FAIL oracle/partition: first mismatch at partition n=21: ",
     ),
     "oracle/kangulation": (
-        "oracle", oracle, "dissection_degree_histogram",
-        lambda k, r: (k - 2) * r + 2 == 23, lambda hist: [hist[0] + 1, *hist[1:]], 23,
+        "oracle", oracle, "dissection_degree_histograms",
+        lambda k, r: k == 3 and r >= 21, lambda hists: _spoil_fill_level(hists, 21), 23,
         "FAIL oracle/kangulation: first mismatch at kangulation(k=3) r=21: ",
     ),
     "relation/connected-to-geometric": (
